@@ -14,8 +14,7 @@ from .harness import (ExperimentConfig, NumericalError, config_from_file, run_ch
 from .matrix_transfer import (error_transfer, key_factor_table, render_matrices,
                               render_table, stability_transfer)
 from .mesh import SubdivisionRule
-from .sv_space import project_initial, snapshot_table
-from .ssp_rk import ssp_tableau, integrate
+from .sv_space import snapshot_table
 
 __all__ = ["main"]
 
@@ -109,16 +108,8 @@ def _cmd_solve(args) -> int:
     print(f"N={result.n} L2={result.l2:.3e} Linf={result.linf:.3e} "
           f"steps={result.steps} tau={result.tau:.3e} wall={result.wall_time:.2f}s")
     if args.snapshot:
-        from .harness import build_mesh, problem_definition, time_step
-
-        definition = problem_definition(config.example)
-        problem = definition.make()
-        mesh = build_mesh(config, result.n)
-        state = project_initial(problem, mesh, config.k)
-        t_final = definition.default_t_final if config.t_final is None else config.t_final
-        state = integrate(state, problem, ssp_tableau(config.s), result.tau, t_final)
         with open(args.snapshot, "w", encoding="utf-8") as fh:
-            fh.write(snapshot_table(state) + "\n")
+            fh.write(snapshot_table(result.state) + "\n")
         print(f"snapshot written to {args.snapshot}")
     return EXIT_OK
 

@@ -151,7 +151,6 @@ class ExperimentConfig:
     cfl_exponent: Optional[Fraction] = None
     t_final: Optional[float] = None
     seed: int = 0
-    fmt: str = "md"
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", SubdivisionRule(self.scheme))
@@ -211,6 +210,7 @@ class SolveResult:
     steps: int
     tau: float
     wall_time: float
+    state: SvState          # the final state, at the run's t_final
 
 
 def run_solve(config: ExperimentConfig, n: int | None = None) -> SolveResult:
@@ -246,7 +246,7 @@ def run_solve(config: ExperimentConfig, n: int | None = None) -> SolveResult:
         raise NumericalError(
             f"solve diverged for example={config.example} scheme={config.scheme.value} "
             f"k={config.k} s={config.s} N={n}")
-    return SolveResult(n, l2, linf, steps, tau, wall)
+    return SolveResult(n, l2, linf, steps, tau, wall, state)
 
 
 @dataclass(frozen=True)

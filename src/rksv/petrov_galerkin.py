@@ -28,7 +28,6 @@ __all__ = [
     "global_antiderivative",
     "lagrange_interpolant",
     "interpolation_nodes_values",
-    "piecewise_eval",
 ]
 
 _RESIDUAL_POINTS = 20  # reference rule for R_i, exact to degree 39
@@ -201,10 +200,3 @@ def lagrange_interpolant(u, mesh: Mesh1D) -> np.ndarray:
         x = mesh.cv_bounds[idx][:, 1:]
         coeffs[idx] = np.asarray(u(x), dtype=float) @ inv.T
     return coeffs
-
-
-def piecewise_eval(coeffs: np.ndarray, mesh: Mesh1D, x) -> np.ndarray:
-    """Evaluate a coefficient array at physical points (element-interior limits)."""
-    from .sv_space import Reconstruction
-
-    return Reconstruction(mesh, coeffs).evaluate(x)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial
 
 import numpy as np
@@ -46,6 +46,18 @@ class RkTableau:
     @property
     def final_weights(self) -> tuple[Fraction, ...]:
         return self.g[self.s - 1]
+
+    @cached_property
+    def step_weights(self) -> tuple[np.ndarray, float, np.ndarray]:
+        """(W_j = sum of the final weights after stage j, last weight, C_s), as floats.
+
+        Cached on the instance: a cache keyed on the tableau would hash all
+        its Fractions on every step.
+        """
+        final = self.final_weights
+        tails = np.array([float(sum(final[j + 1:])) for j in range(self.s - 1)])
+        c = np.array([[float(w) for w in row] for row in stage_source_weights(self.s)])
+        return tails, float(final[-1]), c
 
     @property
     def c_matrix(self) -> np.ndarray:
@@ -111,15 +123,6 @@ def stage_source_weights(s: int) -> tuple[tuple[Fraction, ...], ...]:
                        for i in range(s)) for ell in range(s))
 
 
-@lru_cache(maxsize=None)
-def _float_weights(tableau: RkTableau) -> tuple[np.ndarray, float, np.ndarray]:
-    """(W_j = sum of the final weights after stage j, last weight, C_s), as floats."""
-    final = tableau.final_weights
-    tails = np.array([float(sum(final[j + 1:])) for j in range(tableau.s - 1)])
-    c = np.array([[float(w) for w in row] for row in stage_source_weights(tableau.s)])
-    return tails, float(final[-1]), c
-
-
 def step_increment(values: np.ndarray, t: float, tableau: RkTableau, tau: float,
                    op: SpatialOperator) -> np.ndarray:
     """u^{n+1} - u^n, assembled purely from O(tau) stage increments.
@@ -130,7 +133,7 @@ def step_increment(values: np.ndarray, t: float, tableau: RkTableau, tau: float,
     matters for runs with ~1e5 steps.  With a source, the s samples are
     combined into the stage sources by one (s x s) product per step.
     """
-    tails, w_last, c = _float_weights(tableau)
+    tails, w_last, c = tableau.step_weights
     s = tableau.s
     sources = None
     if op.problem.source is not None:

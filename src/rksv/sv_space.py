@@ -2,18 +2,20 @@
 
 The unknowns are control-volume integrals I_{i,j} of a piecewise degree-k
 polynomial; the tendency of each I_{i,j} is the flux difference across its
-control volume plus the source integral.
+control volume plus the source integral, assembled once per (mesh, problem)
+as ``L I + Q g`` (``SpatialOperator``).
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from ._basis import legendre_vandermonde, mass_matrix
+from ._basis import antiderivative_values, legendre_vandermonde, mass_matrix
 from .mesh import BoundaryCondition, Mesh1D, SubdivisionRule
 from .quadrature import gauss_rule
 
@@ -47,7 +49,7 @@ class Problem:
     def alpha_values(self, x: np.ndarray) -> np.ndarray:
         if self.alpha is None:
             return np.ones_like(x)
-        return np.asarray(self.alpha(x), dtype=float)
+        return np.array(self.alpha(x), dtype=float)  # a copy: callers may write to it
 
 
 @dataclass
@@ -120,6 +122,8 @@ class _VariantOps:
         self.mass = _checked_mass_matrix(y)
         self.mass_inv = np.linalg.inv(self.mass)
         self.trace = legendre_vandermonde(y, k)        # (k+2, k+1), values at CV bounds
+        # CV integrals -> values at the CV bounds, on an element of length 2
+        self.trace_map = self.trace @ self.mass_inv
         q = k + 3
         gy, gw = gauss_rule(q)
         # per-CV quadrature in element coordinates: (k+1, q)
@@ -128,6 +132,18 @@ class _VariantOps:
         self.quad_y = mid[:, None] + half[:, None] * gy[None, :]
         self.quad_w = half[:, None] * gw[None, :]      # weights on the reference element
         self.quad_basis = legendre_vandermonde(self.quad_y.ravel(), k).reshape(k + 1, q, k + 1)
+
+    @cached_property
+    def source_map(self) -> np.ndarray:
+        """Values at the k+3 element Gauss points -> CV integrals of their
+        degree-(k+2) interpolant, on an element of length 2: (k+1, k+3).
+
+        Built on first use, since only operators with a source need it.
+        """
+        q = len(self.y) + 1
+        gy, _ = gauss_rule(q)
+        return np.diff(antiderivative_values(self.y, q - 1), axis=0) @ \
+            np.linalg.inv(legendre_vandermonde(gy, q - 1))
 
 
 class _MeshWorkspace:
@@ -139,10 +155,12 @@ class _MeshWorkspace:
         self.variants: list[_VariantOps] = []
         self.groups: list[np.ndarray | slice] = []
         self.left_flags: list[bool] = []
+        self.element_variant = np.zeros(mesh.n_elements, dtype=np.intp)
         if mesh.left_oriented.any():
             for flag in (False, True):
                 idx = np.nonzero(mesh.left_oriented == flag)[0]
                 if idx.size:
+                    self.element_variant[idx] = len(self.variants)
                     self.variants.append(_VariantOps(_reference_nodes(mesh.rule, k, flag), k))
                     self.groups.append(idx)
                     self.left_flags.append(flag)
@@ -154,6 +172,10 @@ class _MeshWorkspace:
     def pairs(self):
         return zip(self.groups, self.variants)
 
+    def per_element(self, tables: list[np.ndarray]) -> np.ndarray:
+        """Stack one table per variant into one table per element."""
+        return np.stack(tables)[self.element_variant]
+
 
 _workspaces: "weakref.WeakKeyDictionary[Mesh1D, _MeshWorkspace]" = weakref.WeakKeyDictionary()
 
@@ -164,24 +186,6 @@ def workspace(mesh: Mesh1D) -> _MeshWorkspace:
         ws = _MeshWorkspace(mesh)
         _workspaces[mesh] = ws
     return ws
-
-
-def _element_quadrature(mesh: Mesh1D) -> tuple[np.ndarray, np.ndarray]:
-    """(points, weights), each (N, k+1, k+3): the per-CV Gauss rules of every element.
-
-    Both are mapped from the reference element, x = center + (h/2) y, so a CV
-    width is (h/2) times a reference width rather than a difference of two
-    physical coordinates, which would lose digits to the size of |x|.
-    """
-    half_h = 0.5 * mesh.lengths
-    shape = (mesh.n_elements, mesh.k + 1, mesh.k + 3)
-    points = np.empty(shape)
-    weights = np.empty(shape)
-    for idx, ops in workspace(mesh).pairs():
-        points[idx] = mesh.centers[idx][:, None, None] + \
-            half_h[idx][:, None, None] * ops.quad_y[None, :, :]
-        weights[idx] = half_h[idx][:, None, None] * ops.quad_w[None, :, :]
-    return points, weights
 
 
 def reconstruct(state: SvState) -> Reconstruction:
@@ -199,22 +203,55 @@ def _coefficients(mesh: Mesh1D, values: np.ndarray) -> np.ndarray:
 
 
 class SpatialOperator:
-    """Precomputed tendency evaluator for one (mesh, problem) pair."""
+    """The affine tendency ``L u + Q g(t)``, assembled once for a (mesh, problem) pair.
+
+    L is stored as one (k+1, 3(k+1)) block per element acting on the CV
+    integrals of the element and its two neighbours, [v_{i-1}, v_i, v_{i+1}];
+    Q maps the source at one (k+3)-point Gauss rule per element to the CV
+    integrals of its degree-(k+2) interpolant.
+    """
 
     def __init__(self, mesh: Mesh1D, problem: Problem):
         self.mesh = mesh
         self.problem = problem
-        self.ws = workspace(mesh)
-        self.scale = 2.0 / mesh.lengths
-        # interior CV faces: the trace is single-valued, so the flux needs no upwinding
-        self.alpha_interior = problem.alpha_values(mesh.cv_bounds[:, 1:-1])
+        ws = workspace(mesh)
+        n, k1 = mesh.n_elements, mesh.k + 1
+        half_h = 0.5 * mesh.lengths
+        # traces[i] maps the CV integrals of element i to u_h at its k+2 CV bounds
+        traces = ws.per_element([ops.trace_map for ops in ws.variants]) / half_h[:, None, None]
         a_if = problem.alpha_values(mesh.boundaries)
-        if mesh.bc == BoundaryCondition.PERIODIC:
+        periodic = mesh.bc == BoundaryCondition.PERIODIC
+        if periodic:
             a_if[-1] = a_if[0]
-        self.alpha_interface = a_if
-        self.upwind_left = a_if >= 0.0  # use the left (u^-) trace where alpha >= 0
+        # upwind split alpha = alpha^+ + alpha^-: the interface flux is
+        # alpha^+ u^- + alpha^- u^+, so exactly one trace enters it
+        a_plus = np.where(a_if >= 0.0, a_if, 0.0)[:, None]
+        a_minus = a_if[:, None] - a_plus
+        # flux rows at the CV bounds that element i's own trace carries; interior
+        # CV faces need no upwinding because the trace is single-valued there
+        own = np.empty((n, k1 + 1, k1))
+        own[:, 0] = a_minus[:-1] * traces[:, 0]
+        own[:, 1:-1] = problem.alpha_values(mesh.cv_bounds[:, 1:-1])[:, :, None] * traces[:, 1:-1]
+        own[:, -1] = a_plus[1:] * traces[:, -1]
+        # interface fluxes carried by the neighbours' traces
+        neighbours = (np.arange(n)[:, None] + np.arange(-1, 2)[None, :]) % n
+        left = a_plus[:-1] * traces[neighbours[:, 0], -1]
+        right = a_minus[1:] * traces[neighbours[:, 2], 0]
+        if not periodic:
+            left[0] = 0.0     # zero inflow states outside the domain
+            right[-1] = 0.0
+        blocks = np.zeros((n, k1, 3, k1))
+        blocks[:, 0, 0] = left
+        blocks[:, :, 1] = own[:, :-1] - own[:, 1:]
+        blocks[:, -1, 2] = -right
+        self.blocks = blocks.reshape(n, k1, 3 * k1)
+        self.gather = (neighbours[:, :, None] * k1 + np.arange(k1)).reshape(n, 3 * k1)
         if problem.source is not None:
-            self.src_x, self.src_w = _element_quadrature(mesh)
+            gy, _ = gauss_rule(mesh.k + 3)
+            # one stored array: sources may cache tables keyed on the points
+            self.source_points = mesh.centers[:, None] + half_h[:, None] * gy[None, :]
+            self.source_map = half_h[:, None, None] * \
+                ws.per_element([ops.source_map for ops in ws.variants])
 
     def tendency(self, values: np.ndarray, t: float) -> np.ndarray:
         """d/dt of the CV integrals at time t: ``linear(values) + source_integrals(t)``."""
@@ -225,34 +262,12 @@ class SpatialOperator:
 
     def linear(self, values: np.ndarray) -> np.ndarray:
         """The flux differences across each CV: the tendency without the source."""
-        mesh = self.mesh
-        traces = np.empty((mesh.n_elements, mesh.k + 2))
-        for idx, ops in self.ws.pairs():
-            c = (values[idx] * self.scale[idx][:, None]) @ ops.mass_inv.T
-            traces[idx] = c @ ops.trace.T
-        # element interfaces 0..N: upwind between neighbour traces
-        n = mesh.n_elements
-        u_minus = np.empty(n + 1)
-        u_plus = np.empty(n + 1)
-        u_minus[1:] = traces[:, -1]
-        u_plus[:-1] = traces[:, 0]
-        if mesh.bc == BoundaryCondition.PERIODIC:
-            u_minus[0] = traces[-1, -1]
-            u_plus[-1] = traces[0, 0]
-        else:
-            u_minus[0] = 0.0
-            u_plus[-1] = 0.0
-        f_if = self.alpha_interface * np.where(self.upwind_left, u_minus, u_plus)
-        flux = np.empty((n, mesh.k + 2))
-        flux[:, 0] = f_if[:-1]
-        flux[:, -1] = f_if[1:]
-        flux[:, 1:-1] = self.alpha_interior * traces[:, 1:-1]
-        return flux[:, :-1] - flux[:, 1:]
+        return np.einsum("nij,nj->ni", self.blocks, values.ravel()[self.gather])
 
     def source_integrals(self, t: float) -> np.ndarray:
         """CV integrals of the source g(., t); the problem must have a source."""
-        g = np.asarray(self.problem.source(self.src_x, t), dtype=float)
-        return np.einsum("ijq,ijq->ij", g, self.src_w)
+        g = np.asarray(self.problem.source(self.source_points, t), dtype=float)
+        return np.einsum("njq,nq->nj", self.source_map, g)
 
 
 def apply_L(state: SvState, problem: Problem, t: float | None = None) -> np.ndarray:
@@ -264,12 +279,16 @@ def apply_L(state: SvState, problem: Problem, t: float | None = None) -> np.ndar
 def project_initial(problem: Problem, mesh: Mesh1D, k: int) -> SvState:
     """CV integrals of u0 by (k+3)-point Gauss quadrature per control volume.
 
-    The rules are those of the source integrals, built in element reference
-    coordinates (see ``_element_quadrature``).
+    The rules are mapped from the reference element, x = center + (h/2) y, so
+    a CV width is (h/2) times a reference width rather than a difference of
+    two physical coordinates, which would lose digits to the size of |x|.
     """
     if k != mesh.k:
         raise ValueError(f"k={k} does not match mesh.k={mesh.k}")
-    x, w = _element_quadrature(mesh)
+    ws = workspace(mesh)
+    half_h = 0.5 * mesh.lengths[:, None, None]
+    x = mesh.centers[:, None, None] + half_h * ws.per_element([ops.quad_y for ops in ws.variants])
+    w = half_h * ws.per_element([ops.quad_w for ops in ws.variants])
     vals = np.asarray(problem.u0(x), dtype=float)
     return SvState(mesh, k, np.einsum("ijq,ijq->ij", vals, w), 0.0)
 
@@ -320,12 +339,9 @@ def snapshot_table(state: SvState, points_per_element: int = 8) -> str:
 def materialize_operator(mesh: Mesh1D, problem: Problem) -> np.ndarray:
     """Dense matrix of the linear part of the tendency (source excluded)."""
     op = SpatialOperator(mesh, problem)
-    n = mesh.n_elements * (mesh.k + 1)
-    mat = np.empty((n, n))
-    basis = np.zeros((mesh.n_elements, mesh.k + 1))
-    flat = basis.ravel()
-    for j in range(n):
-        flat[j] = 1.0
-        mat[:, j] = op.linear(basis).ravel()
-        flat[j] = 0.0
+    n, k1 = mesh.n_elements, mesh.k + 1
+    mat = np.zeros((n * k1, n * k1))
+    rows = np.arange(n * k1).reshape(n, k1, 1)
+    # accumulate: on a two-element periodic mesh both neighbours are one element
+    np.add.at(mat, (rows, op.gather[:, None, :]), op.blocks)
     return mat

@@ -174,15 +174,33 @@ def test_cli_analyze_single_s_with_matrices(capsys):
     assert "C^(0)" in out and "H^(2)" in out
 
 
-def test_cli_solve_and_snapshot(tmp_path, capsys):
+def test_cli_solve_and_snapshot(tmp_path, capsys, monkeypatch):
+    import rksv.harness
+    import rksv.ssp_rk
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    # every module that binds integrate by name, so a second solve cannot hide
+    for module in (rksv.ssp_rk, rksv.harness, cli):
+        monkeypatch.setattr(module, "integrate", counted, raising=False)
     snap = tmp_path / "snap.txt"
     code = cli.main(["solve", "--example", "1", "--scheme", "rrsv", "--k", "1",
                      "--s", "3", "--n", "16", "--cfl", "0.1", "--snapshot", str(snap)])
     assert code == 0
+    assert len(calls) == 1
     out = capsys.readouterr().out
     assert "L2=" in out and "steps=" in out
     assert snap.exists()
-    assert snap.read_text().startswith("# x u_h")
+    lines = snap.read_text().splitlines()
+    assert lines[0].startswith("# x u_h")
+    # the snapshot is the solved state, not the initial data: u(x, 1) = sin(x - 1)
+    x, u = np.array([[float(v) for v in line.split()] for line in lines[1:]]).T
+    assert np.max(np.abs(u - np.sin(x - 1.0))) < 5e-2
+    assert np.max(np.abs(u - np.sin(x))) > 0.5
 
 
 def test_cli_converge_writes_csv(tmp_path, capsys):

@@ -6,9 +6,9 @@ import pytest
 
 from conftest import BOTH_RULES, periodic_mesh
 from rksv.harness import ExperimentConfig, build_mesh, problem_definition
-from rksv.mesh import SubdivisionRule
+from rksv.mesh import BoundaryCondition, SubdivisionRule, perturbed_mesh
 from rksv.ssp_rk import integrate, rk_step, ssp_tableau
-from rksv.sv_space import Problem, materialize_operator, project_initial
+from rksv.sv_space import Problem, SpatialOperator, materialize_operator, project_initial
 
 
 def test_tableau_reference_rows():
@@ -181,3 +181,38 @@ def test_temporal_order_with_source(s):
         errors.append(np.sqrt(np.sum((values - reference) ** 2 / mesh.cv_widths)))
     order = -np.polyfit(np.arange(3), np.log2(errors), 1)[0]
     assert abs(order - s) < 0.3, f"s={s}: observed temporal order {order:.2f}"
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_source_integrals_exact_to_degree_k_plus_2(rng, k):
+    # the element rule integrates the degree-(k+2) interpolant at k+3 Gauss points
+    mesh = perturbed_mesh(12, 5, SubdivisionRule.RSV_ADAPTIVE, k, BoundaryCondition.PERIODIC,
+                          alpha=np.sin)
+    assert mesh.left_oriented.any() and not mesh.left_oriented.all()
+    # scaled to [-1, 1] over the domain, so no cancellation in the exact integrals
+    poly = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, k + 3), domain=[0.0, 2.0 * np.pi])
+    problem = Problem(u0=np.sin, alpha=np.sin, source=lambda x, t: poly(x))
+    got = SpatialOperator(mesh, problem).source_integrals(0.0)
+    exact = np.empty_like(got)
+    for i in range(mesh.n_elements):
+        c, half = mesh.centers[i], 0.5 * mesh.lengths[i]
+        on_ref = np.polynomial.Polynomial(poly.convert(domain=[c - half, c + half]).coef)
+        exact[i] = half * np.diff(on_ref.integ()(mesh.reference_nodes(i)))
+    assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("s", (1, 3, 5))
+def test_source_sampled_s_times_per_step_on_element_rule(s):
+    k, n, steps = 3, 8, 4
+    mesh = periodic_mesh(n, SubdivisionRule.LSV, k)
+    sizes = []
+
+    def g(x, t):
+        sizes.append(x.size)
+        return np.cos(x - t)
+
+    problem = Problem(u0=np.sin, source=g)
+    state = project_initial(problem, mesh, k)
+    tau = 2.0 ** -7
+    integrate(state, problem, ssp_tableau(s), tau, steps * tau)
+    assert sizes == [n * (k + 3)] * (s * steps)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as leg
 
 from conftest import BOTH_RULES, periodic_mesh, random_coeffs, state_from_coeffs
-from rksv.mesh import BoundaryCondition, SubdivisionRule, uniform_mesh
+from rksv.mesh import BoundaryCondition, SubdivisionRule, perturbed_mesh, uniform_mesh
 from rksv.quadrature import gauss_quad
-from rksv.sv_space import (Problem, SvState, apply_L, cv_mass_matrix, error_norms,
-                           materialize_operator, project_initial, reconstruct,
+from rksv.sv_space import (Problem, SpatialOperator, SvState, apply_L, cv_mass_matrix,
+                           error_norms, materialize_operator, project_initial, reconstruct,
                            snapshot_table)
 
 
@@ -199,6 +200,74 @@ def test_materialize_operator_matches_apply(rng):
     u = rng.normal(size=(4, 2))
     direct = apply_L(SvState(mesh, 1, u, 0.0), problem)
     assert np.allclose(mat @ u.ravel(), direct.ravel(), atol=1e-13)
+
+
+def _oracle_linear(mesh, alpha, values):
+    """Flux differences from a per-element reconstruction, upwinded interface by interface."""
+    n, k = mesh.n_elements, mesh.k
+    traces = np.empty((n, k + 2))
+    for i in range(n):
+        y = mesh.reference_nodes(i)
+        anti = np.array([leg.legval(y, leg.legint(mode)) for mode in np.eye(k + 1)]).T
+        cv_mass = 0.5 * mesh.lengths[i] * np.diff(anti, axis=0)
+        traces[i] = leg.legval(y, np.linalg.solve(cv_mass, values[i]))
+    periodic = mesh.bc == BoundaryCondition.PERIODIC
+    zero = np.zeros(1)
+    u_minus = np.concatenate([traces[-1:, -1] if periodic else zero, traces[:, -1]])
+    u_plus = np.concatenate([traces[:, 0], traces[:1, 0] if periodic else zero])
+    x_if = mesh.boundaries.copy()
+    if periodic:
+        x_if[-1] = x_if[0]  # the two domain ends are one interface
+    a_if = alpha(x_if)
+    f_if = a_if * np.where(a_if >= 0.0, u_minus, u_plus)
+    flux = np.empty((n, k + 2))
+    flux[:, 0] = f_if[:-1]
+    flux[:, -1] = f_if[1:]
+    flux[:, 1:-1] = alpha(mesh.cv_bounds[:, 1:-1]) * traces[:, 1:-1]
+    return flux[:, :-1] - flux[:, 1:]
+
+
+def _sine_meshes(k):
+    rsv = SubdivisionRule.RSV_ADAPTIVE
+    return [
+        # N odd: the middle element straddles the sink x = pi of alpha = sin
+        uniform_mesh(0.0, 2.0 * np.pi, 9, rsv, k, BoundaryCondition.PERIODIC, alpha=np.sin),
+        perturbed_mesh(10, 3, rsv, k, BoundaryCondition.PERIODIC, alpha=np.sin),
+        # alpha > 0 at the left end and < 0 at the right end: inflow at both
+        uniform_mesh(0.3, 2.0 * np.pi - 0.3, 7, rsv, k, BoundaryCondition.INFLOW_ZERO,
+                     alpha=np.sin),
+    ]
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_linear_matches_upwind_oracle(rng, k):
+    one = lambda x: np.ones_like(x)
+    sine_meshes = _sine_meshes(k)
+    for mesh in sine_meshes[:2]:
+        a = np.sin(mesh.boundaries)
+        assert np.any((a[:-1] > 0.0) & (a[1:] < 0.0)), "no element couples to both neighbours"
+    cases = [(mesh, np.sin) for mesh in sine_meshes]
+    for rule in BOTH_RULES:
+        cases.append((periodic_mesh(6, rule, k), one))
+        cases.append((uniform_mesh(-1.0, 2.0, 5, rule, k, BoundaryCondition.INFLOW_ZERO), one))
+        cases.append((periodic_mesh(2, rule, k), one))  # both neighbours are one element
+    for mesh, alpha in cases:
+        problem = Problem(u0=np.sin, alpha=None if alpha is one else alpha)
+        values = rng.normal(size=(mesh.n_elements, k + 1))
+        expected = _oracle_linear(mesh, alpha, values)
+        tol = 1e-11 * np.max(np.abs(expected))
+        assert np.max(np.abs(SpatialOperator(mesh, problem).linear(values) - expected)) < tol
+        dense = materialize_operator(mesh, problem) @ values.ravel()
+        assert np.max(np.abs(dense - expected.ravel())) < tol
+
+
+def test_operator_leaves_mesh_untouched():
+    # an alpha that returns its argument must not let the periodic wrap of the
+    # interface coefficients write into mesh.boundaries
+    mesh = periodic_mesh(4, SubdivisionRule.LSV, 1)
+    before = mesh.boundaries.copy()
+    SpatialOperator(mesh, Problem(u0=np.sin, alpha=lambda x: x))
+    assert np.array_equal(mesh.boundaries, before)
 
 
 def test_variable_coefficient_rsv_consistency():
