@@ -11,6 +11,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import matrix_transfer, petrov_galerkin as pg
+from ._markdown import markdown_table
 from .mesh import BoundaryCondition, Mesh1D, SubdivisionRule, perturbed_mesh, uniform_mesh
 from .quadrature import interpolatory_weights
 from .ssp_rk import ssp_tableau, integrate
@@ -282,11 +283,7 @@ class ConvergenceTable:
         header = ("k", "N", "L2", "order", "Linf", "order")
         cells = [(str(r.k), str(r.n), _fmt_err(r.l2), _fmt_order(r.order_l2) or "-",
                   _fmt_err(r.linf), _fmt_order(r.order_linf) or "-") for r in self.rows]
-        widths = [max(len(str(v)) for v in col) for col in zip(header, *cells)]
-        def line(vals):
-            return "| " + " | ".join(str(v).rjust(w) for v, w in zip(vals, widths)) + " |"
-        sep = "|" + "|".join("-" * (w + 2) for w in widths) + "|"
-        return "\n".join([line(header), sep] + [line(c) for c in cells])
+        return markdown_table(header, cells)
 
     @property
     def final_orders(self) -> tuple[Optional[float], Optional[float]]:

@@ -14,6 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from ._markdown import markdown_table
+
 __all__ = [
     "MAX_STAGES",
     "TransferReport",
@@ -217,11 +219,7 @@ def render_table(reports, fmt: str = "md") -> str:
         lines += [" & ".join(str(v) for v in row) + r" \\" for row in rows]
         return "\n".join(lines)
     if fmt == "md":
-        widths = [max(len(str(v)) for v in col) for col in zip(header, *rows)]
-        def line(vals):
-            return "| " + " | ".join(str(v).rjust(w) for v, w in zip(vals, widths)) + " |"
-        sep = "|" + "|".join("-" * (w + 2) for w in widths) + "|"
-        return "\n".join([line(header), sep] + [line(row) for row in rows])
+        return markdown_table(header, rows)
     raise ValueError(f"unknown format {fmt!r}")
 
 

@@ -208,19 +208,9 @@ def gauss_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
     if not 1 <= points <= 20:
         raise ValueError(f"points must be in 1..20, got {points}")
     if points <= MAX_DEGREE:
-        nodes = gauss_legendre_nodes(points).nodes
-        weights = gauss_legendre_weights(points)
-    else:
-        # beyond the NodeSet range: same Newton solve without the k-cap
-        i = np.arange(1, points + 1)
-        guess = -np.cos((2 * i - 1) * np.pi / (2 * points))
-        nodes = _newton(
-            lambda y: legendre_eval(points, y), lambda y: legendre_deriv(points, y), guess
-        )
-        nodes = (nodes - nodes[::-1]) / 2.0
-        dp = legendre_deriv(points, nodes)
-        weights = 2.0 / ((1.0 - nodes * nodes) * dp * dp)
-    return nodes, weights
+        return gauss_legendre_nodes(points).nodes, gauss_legendre_weights(points)
+    # beyond the NodeSet range
+    return np.polynomial.legendre.leggauss(points)
 
 
 def gauss_quad(f, a: float, b: float, points: int) -> float:

@@ -4,13 +4,16 @@ The s-stage scheme is a chain of s-1 forward-Euler stages followed by a
 convex recombination: u^{n+1} = sum_k g_k u^{n,k} + tau * g_{s-1} F(u^{n,s-1}),
 with F(u) = L u + G the linear spatial operator plus the source integrals.
 
-A source is sampled at the s times t^n + i*tau, i = 0..s-1, and stage l
-receives the combination G_l = sum_i C_s[l][i] G(t^n + i*tau)
-(``stage_source_weights``).  Stage l thereby sees the stage value of the
-autonomous system (u, p, tau p', ..., tau^{s-1} p^{(s-1)}), p the interpolant
-of the samples, so the step is the degree-s Taylor polynomial of that system
-and the scheme stays s-th order in time with a time-dependent source
-(Carpenter, Gottlieb, Abarbanel & Don, SIAM J. Sci. Comput. 16 (1995)).
+A step with a source uses its samples at the s times t^n + i*tau,
+i = 0..s-1, and stage l receives the combination
+G_l = sum_i C_s[l][i] G(t^n + i*tau) (``stage_source_weights``).  Stage l
+thereby sees the stage value of the autonomous system
+(u, p, tau p', ..., tau^{s-1} p^{(s-1)}), p the interpolant of the samples,
+so the step is the degree-s Taylor polynomial of that system and the scheme
+stays s-th order in time with a time-dependent source (Carpenter, Gottlieb,
+Abarbanel & Don, SIAM J. Sci. Comput. 16 (1995)).  With a fixed tau, s-1 of a
+step's samples are the previous step's, so ``integrate`` keeps them in a
+window and evaluates the source once per step.
 Without a source the step is the truncated exponential sum_{j<=s} (tau L)^j/j!.
 """
 
@@ -123,23 +126,26 @@ def stage_source_weights(s: int) -> tuple[tuple[Fraction, ...], ...]:
                        for i in range(s)) for ell in range(s))
 
 
-def step_increment(values: np.ndarray, t: float, tableau: RkTableau, tau: float,
-                   op: SpatialOperator) -> np.ndarray:
+def _source_samples(op: SpatialOperator, t: float, tau: float, s: int) -> np.ndarray:
+    """The source integrals G(t + i*tau), i = 0..s-1, shape (s, N, k+1)."""
+    return np.stack([op.source_integrals(t + i * tau) for i in range(s)])
+
+
+def step_increment(values: np.ndarray, tableau: RkTableau, tau: float, op: SpatialOperator,
+                   samples: np.ndarray | None) -> np.ndarray:
     """u^{n+1} - u^n, assembled purely from O(tau) stage increments.
 
     Since the final weights sum to one, the recombination collapses to
     u^n + sum_j W_j d^j + w_{s-1} tau F(u^{n,s-1}); keeping only the
     increments avoids swallowing them in O(u)-sized additions, which
-    matters for runs with ~1e5 steps.  With a source, the s samples are
-    combined into the stage sources by one (s x s) product per step.
+    matters for runs with ~1e5 steps.  ``samples`` holds the source
+    integrals G(t^n + i*tau), i = 0..s-1, taken by the caller (None without
+    a source); one (s x s) product per step turns them into the stage sources.
     """
     tails, w_last, c = tableau.step_weights
     s = tableau.s
     sources = None
-    if op.problem.source is not None:
-        samples = np.empty((s,) + values.shape)
-        for i in range(s):
-            samples[i] = op.source_integrals(t + i * tau)
+    if samples is not None:
         sources = (c @ samples.reshape(s, -1)).reshape(samples.shape)
 
     def stage(u, ell):
@@ -160,12 +166,15 @@ def step_increment(values: np.ndarray, t: float, tableau: RkTableau, tau: float,
 
 def rk_step(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
             op: SpatialOperator | None = None) -> SvState:
-    """Advance one step of length tau; stage sources as in ``step_increment``."""
+    """Advance one step of length tau, sampling the source afresh at t + i*tau."""
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if op is None:
         op = SpatialOperator(state.mesh, problem)
-    delta = step_increment(state.values, state.t, tableau, tau, op)
+    samples = None
+    if problem.source is not None:
+        samples = _source_samples(op, state.t, tau, tableau.s)
+    delta = step_increment(state.values, tableau, tau, op, samples)
     return SvState(state.mesh, state.k, state.values + delta, state.t + tau)
 
 
@@ -176,6 +185,12 @@ def integrate(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
     ``on_step(state)`` is invoked after every completed step.  The state is
     accumulated with a compensated (Kahan) sum so that the many tiny step
     increments of strongly CFL-restricted runs are not lost to rounding.
+
+    A source is sampled once per full step: the window ``samples`` holds
+    sample j at state.t + j*tau, j = step..step+s-1, with j an integer, so a
+    reused sample is bit-identical to a fresh one and no sample time drifts
+    with the step count.  A shortened last step samples all s afresh at
+    t + i*dt.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -189,9 +204,19 @@ def integrate(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
     comp = np.zeros_like(values)
     t = state.t
     step = 0
+    s = tableau.s
+    samples = None
     while t_final - t > tol:
         dt = min(tau, t_final - t)
-        delta = step_increment(values, t, tableau, dt, op)
+        if problem.source is not None:
+            if dt < tau:
+                samples = _source_samples(op, t, dt, s)
+            elif step == 0:
+                samples = _source_samples(op, state.t, tau, s)
+            else:
+                samples[:-1] = samples[1:]
+                samples[-1] = op.source_integrals(state.t + (step + s - 1) * tau)
+        delta = step_increment(values, tableau, dt, op, samples)
         y = delta + comp
         new_values = values + y
         comp = (values - new_values) + y

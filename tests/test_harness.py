@@ -5,9 +5,10 @@ import pytest
 
 from rksv import cli
 from rksv import petrov_galerkin as pg
-from rksv.harness import (ExperimentConfig, NumericalError, build_mesh, config_from_file,
-                          problem_definition, resolve_cfl_exponent, run_checks,
-                          run_convergence, run_solve, time_step)
+from rksv.harness import (ConvergenceTable, ExperimentConfig, NumericalError, TableRow,
+                          build_mesh, config_from_file, problem_definition,
+                          resolve_cfl_exponent, run_checks, run_convergence, run_solve,
+                          time_step)
 from rksv.mesh import SubdivisionRule
 from rksv.ssp_rk import integrate, ssp_tableau
 from rksv.sv_space import error_norms, project_initial, reconstruct
@@ -166,6 +167,43 @@ def test_cli_analyze_outputs_key_factors(capsys):
     out = capsys.readouterr().out
     assert "-68428800" in out
     assert "tau = O(h^{13/12})" in out
+
+
+# the analysis benchmark compares these printed rows: the layout is pinned byte for byte
+ANALYZE_S12_MARKDOWN = """\
+|     scheme |  s |      c_zz | zeta | rho | gamma |      CFL condition |
+|------------|----|-----------|------|-----|-------|--------------------|
+|  RKSV(1,k) |  1 |         1 |    1 |   1 |     2 |       tau = O(h^2) |
+|  RKSV(2,k) |  2 |         1 |    2 |   2 |     4 |   tau = O(h^{4/3}) |
+|  RKSV(3,k) |  3 |        -3 |    2 |   2 |     - |         tau = O(h) |
+|  RKSV(4,k) |  4 |        -8 |    3 |   2 |     5 |   tau = O(h^{5/4}) |
+|  RKSV(5,k) |  5 |        40 |    3 |   3 |     6 |   tau = O(h^{6/5}) |
+|  RKSV(6,k) |  6 |       180 |    4 |   4 |     8 |   tau = O(h^{8/7}) |
+|  RKSV(7,k) |  7 |     -1260 |    4 |   4 |     - |         tau = O(h) |
+|  RKSV(8,k) |  8 |     -8064 |    5 |   4 |     9 |   tau = O(h^{9/8}) |
+|  RKSV(9,k) |  9 |     72576 |    5 |   5 |    10 |  tau = O(h^{10/9}) |
+| RKSV(10,k) | 10 |    604800 |    6 |   6 |    12 | tau = O(h^{12/11}) |
+| RKSV(11,k) | 11 |  -6652800 |    6 |   6 |     - |         tau = O(h) |
+| RKSV(12,k) | 12 | -68428800 |    7 |   6 |    13 | tau = O(h^{13/12}) |
+"""
+
+
+def test_cli_analyze_markdown_pinned(capsys):
+    assert cli.main(["analyze", "--s-max", "12"]) == 0
+    assert capsys.readouterr().out == ANALYZE_S12_MARKDOWN
+
+
+def test_convergence_markdown_pinned():
+    nan = float("nan")
+    table = ConvergenceTable((TableRow(3, 16, 1.234e-4, None, 2.5e-3, None),
+                              TableRow(3, 32, 7.7e-6, 4.0024, 1.6e-4, 3.96),
+                              TableRow(3, 64, nan, nan, 1.0e-12, 17.25)))
+    assert table.to_markdown() == (
+        "| k |  N |       L2 | order |     Linf | order |\n"
+        "|---|----|----------|-------|----------|-------|\n"
+        "| 3 | 16 | 1.23e-04 |     - | 2.50e-03 |     - |\n"
+        "| 3 | 32 | 7.70e-06 |  4.00 | 1.60e-04 |  3.96 |\n"
+        "| 3 | 64 |      nan |   nan | 1.00e-12 | 17.25 |")
 
 
 def test_cli_analyze_single_s_with_matrices(capsys):

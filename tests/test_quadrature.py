@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rksv.mesh import SubdivisionRule
-from rksv.quadrature import (gauss_legendre_nodes, gauss_quad, interpolatory_weights,
-                             legendre_eval, right_radau_nodes)
+from rksv.quadrature import (gauss_legendre_nodes, gauss_quad, gauss_rule,
+                             interpolatory_weights, legendre_eval, right_radau_nodes)
 
 
 def test_legendre_constant_and_linear():
@@ -98,6 +98,17 @@ def test_interpolatory_weights_exactness(rule, degree_of, k):
     for m in range(iw.exactness_degree + 1):
         exact = 2.0 / (m + 1) if m % 2 == 0 else 0.0
         assert abs(iw.apply(iw.nodes**m) - exact) < 1e-13
+
+
+@pytest.mark.parametrize("points", range(1, 21))
+def test_gauss_rule_matches_leggauss_and_is_exact(points):
+    nodes, weights = gauss_rule(points)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(points)
+    assert np.max(np.abs(nodes - ref_nodes)) <= 1e-14
+    assert np.max(np.abs(weights - ref_weights)) <= 1e-14
+    for m in range(2 * points):
+        exact = 2.0 / (m + 1) if m % 2 == 0 else 0.0
+        assert abs(weights @ nodes**m - exact) <= 1e-14
 
 
 def test_gauss_quad_examples():

@@ -203,16 +203,53 @@ def test_source_integrals_exact_to_degree_k_plus_2(rng, k):
 
 @pytest.mark.parametrize("s", (1, 3, 5))
 def test_source_sampled_s_times_per_step_on_element_rule(s):
+    # every step uses the source at its s times t + i*tau, but s-1 of them are
+    # the previous step's: integrate evaluates one new sample per full step
     k, n, steps = 3, 8, 4
     mesh = periodic_mesh(n, SubdivisionRule.LSV, k)
-    sizes = []
+    sizes, times = [], []
 
     def g(x, t):
         sizes.append(x.size)
+        times.append(t)
         return np.cos(x - t)
 
     problem = Problem(u0=np.sin, source=g)
     state = project_initial(problem, mesh, k)
     tau = 2.0 ** -7
+    full = [j * tau for j in range(steps + s - 1)]
     integrate(state, problem, ssp_tableau(s), tau, steps * tau)
-    assert sizes == [n * (k + 3)] * (s * steps)
+    assert sizes == [n * (k + 3)] * (steps + s - 1)
+    assert times == full
+
+    # a shortened last step samples all s afresh at t + i*dt
+    sizes.clear()
+    times.clear()
+    dt = 0.75 * tau
+    integrate(state, problem, ssp_tableau(s), tau, steps * tau + dt)
+    assert sizes == [n * (k + 3)] * (steps + 2 * s - 1)
+    assert times == full + [steps * tau + i * dt for i in range(s)]
+
+
+@pytest.mark.parametrize("shortened", (False, True))
+@pytest.mark.parametrize("s", (3, 5))
+def test_integrate_source_window_matches_fresh_steps(s, shortened):
+    # integrate reuses s-1 samples per step; chained rk_step calls sample afresh.
+    # A dyadic tau makes the unshortened run exactly `steps` full steps.
+    k, steps, tau = 3, 7, 2.0 ** -6
+    mesh = perturbed_mesh(12, 5, SubdivisionRule.RSV_ADAPTIVE, k, BoundaryCondition.PERIODIC,
+                          alpha=np.sin)
+    assert mesh.left_oriented.any() and not mesh.left_oriented.all()
+    problem = Problem(u0=lambda x: np.exp(np.sin(x)), alpha=np.sin,
+                      source=lambda x, t: np.cos(x - 7.0 * t) + np.sin(3.0 * x) * t ** 2)
+    state = project_initial(problem, mesh, k)
+    tableau = ssp_tableau(s)
+    t_final = (steps + (0.4 if shortened else 0.0)) * tau
+    got = integrate(state, problem, tableau, tau, t_final).values
+    op = SpatialOperator(mesh, problem)
+    fresh = state
+    for _ in range(steps):
+        fresh = rk_step(fresh, problem, tableau, tau, op)
+    if shortened:
+        fresh = rk_step(fresh, problem, tableau, t_final - fresh.t, op)
+    assert np.max(np.abs(got - fresh.values)) <= 1e-13 * np.max(np.abs(fresh.values))
