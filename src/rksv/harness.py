@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, isfinite
 from typing import Callable, Optional
 
 import numpy as np
@@ -14,7 +14,7 @@ from . import matrix_transfer, petrov_galerkin as pg
 from ._markdown import markdown_table
 from .mesh import BoundaryCondition, Mesh1D, SubdivisionRule, perturbed_mesh, uniform_mesh
 from .quadrature import interpolatory_weights
-from .ssp_rk import ssp_tableau, integrate
+from .ssp_rk import integrate, ssp_tableau, step_plan
 from .sv_space import Problem, SvState, apply_L, error_norms, project_initial, workspace
 
 __all__ = [
@@ -159,6 +159,8 @@ class ExperimentConfig:
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.t_final is not None and not (isfinite(self.t_final) and self.t_final >= 0.0):
+            raise ValueError(f"t_final must be finite and non-negative, got {self.t_final}")
         definition = problem_definition(self.example)
         allowed = definition.allowed_schemes
         if allowed is not None and self.scheme not in allowed:
@@ -228,15 +230,11 @@ def run_solve(config: ExperimentConfig, n: int | None = None) -> SolveResult:
         tau = time_step(config, mesh)
         tableau = ssp_tableau(config.s)
         state = project_initial(problem, mesh, config.k)
-        steps = 0
-
-        def count(_):
-            nonlocal steps
-            steps += 1
-
+        n_full, last = step_plan(state.t, tau, t_final)
+        steps = n_full + (last > 0.0)
         start = time.perf_counter()
         with np.errstate(over="ignore", invalid="ignore"):
-            state = integrate(state, problem, tableau, tau, t_final, on_step=count)
+            state = integrate(state, problem, tableau, tau, t_final)
             wall = time.perf_counter() - start
             l2, linf = error_norms(state, problem)
     except (FloatingPointError, np.linalg.LinAlgError, OverflowError) as exc:

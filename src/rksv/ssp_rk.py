@@ -1,8 +1,16 @@
 """SSP Runge-Kutta tableaus (exact rationals) and the time-stepping loop.
 
-The s-stage scheme is a chain of s-1 forward-Euler stages followed by a
-convex recombination: u^{n+1} = sum_k g_k u^{n,k} + tau * g_{s-1} F(u^{n,s-1}),
-with F(u) = L u + G the linear spatial operator plus the source integrals.
+Without a source the s-stage linear SSP step is the fixed map
+u -> P_s(tau L) u, P_s(z) = sum_{j<=s} z^j/j!, so the solver assembles the
+increment map A = P_s(tau L) - I once per step length as per-element banded
+blocks (``SpatialOperator.polynomial``) and each step is one block product.
+
+With a source the step runs the stage chain: s-1 forward-Euler stages
+followed by a convex recombination, u^{n+1} = sum_k g_k u^{n,k} +
+tau * g_{s-1} F(u^{n,s-1}), with F(u) = L u + G the linear spatial operator
+plus the source integrals.  The chain shares each of its s applications of L
+between u and the source; an assembled A plus a Horner source term needs
+(2s+1) + 3(s-1) block products per element against the chain's 3s.
 
 A step with a source uses its samples at the s times t^n + i*tau,
 i = 0..s-1, and stage l receives the combination
@@ -14,7 +22,6 @@ stays s-th order in time with a time-dependent source (Carpenter, Gottlieb,
 Abarbanel & Don, SIAM J. Sci. Comput. 16 (1995)).  With a fixed tau, s-1 of a
 step's samples are the previous step's, so ``integrate`` keeps them in a
 window and evaluates the source once per step.
-Without a source the step is the truncated exponential sum_{j<=s} (tau L)^j/j!.
 """
 
 from __future__ import annotations
@@ -26,10 +33,10 @@ from math import comb, factorial
 
 import numpy as np
 
-from .sv_space import Problem, SpatialOperator, SvState
+from .sv_space import BandedOperator, Problem, SpatialOperator, SvState
 
 __all__ = ["MAX_STAGES", "RkTableau", "ssp_tableau", "stage_source_weights", "rk_step",
-           "integrate"]
+           "step_plan", "integrate"]
 
 MAX_STAGES = 12
 
@@ -61,19 +68,6 @@ class RkTableau:
         tails = np.array([float(sum(final[j + 1:])) for j in range(self.s - 1)])
         c = np.array([[float(w) for w in row] for row in stage_source_weights(self.s)])
         return tails, float(final[-1]), c
-
-    @property
-    def c_matrix(self) -> np.ndarray:
-        c = np.eye(self.s)
-        c[-1, :] = [float(w) for w in self.final_weights]
-        return c
-
-    @property
-    def d_matrix(self) -> np.ndarray:
-        d = np.eye(self.s)
-        d[-1, -1] = float(self.final_weights[-1])
-        d[-1, :-1] = 0.0
-        return d
 
 
 @lru_cache(maxsize=None)
@@ -131,36 +125,41 @@ def _source_samples(op: SpatialOperator, t: float, tau: float, s: int) -> np.nda
     return np.stack([op.source_integrals(t + i * tau) for i in range(s)])
 
 
-def step_increment(values: np.ndarray, tableau: RkTableau, tau: float, op: SpatialOperator,
-                   samples: np.ndarray | None) -> np.ndarray:
-    """u^{n+1} - u^n, assembled purely from O(tau) stage increments.
+def _increment_map(op: SpatialOperator, s: int, tau: float) -> BandedOperator:
+    """A = P_s(tau L) - I = sum_{j=1..s} (tau L)^j / j!, the source-free step."""
+    return op.polynomial([0.0] + [1.0 / factorial(j) for j in range(1, s + 1)], tau)
 
-    Since the final weights sum to one, the recombination collapses to
-    u^n + sum_j W_j d^j + w_{s-1} tau F(u^{n,s-1}); keeping only the
-    increments avoids swallowing them in O(u)-sized additions, which
-    matters for runs with ~1e5 steps.  ``samples`` holds the source
-    integrals G(t^n + i*tau), i = 0..s-1, taken by the caller (None without
-    a source); one (s x s) product per step turns them into the stage sources.
+
+def step_increment(values: np.ndarray, tableau: RkTableau, tau: float, op: SpatialOperator,
+                   samples: np.ndarray | None,
+                   increment: BandedOperator | None = None) -> np.ndarray:
+    """u^{n+1} - u^n, assembled purely from O(tau) terms.
+
+    Without a source (``samples`` None) the step is the fixed map
+    A = P_s(tau L) - I; ``increment`` is A assembled for this tau (built here
+    when not given), and the step is one banded block product.
+
+    With a source the stage chain runs: since the final weights sum to one,
+    the recombination collapses to u^n + sum_j W_j d^j + w_{s-1} tau F(u^{n,s-1});
+    keeping only the increments avoids swallowing them in O(u)-sized
+    additions, which matters for runs with ~1e5 steps.  ``samples`` holds the
+    source integrals G(t^n + i*tau), i = 0..s-1, taken by the caller; one
+    (s x s) product per step turns them into the stage sources.
     """
+    if samples is None:
+        if increment is None:
+            increment = _increment_map(op, tableau.s, tau)
+        return increment.apply(values)
     tails, w_last, c = tableau.step_weights
     s = tableau.s
-    sources = None
-    if samples is not None:
-        sources = (c @ samples.reshape(s, -1)).reshape(samples.shape)
-
-    def stage(u, ell):
-        f = op.linear(u)
-        if sources is not None:
-            f += sources[ell]
-        return f
-
+    sources = (c @ samples.reshape(s, -1)).reshape(samples.shape)
     u = values
     delta = np.zeros_like(values)
     for ell in range(s - 1):
-        d = tau * stage(u, ell)
+        d = tau * (op.linear(u) + sources[ell])
         delta += tails[ell] * d
         u = u + d
-    delta += (w_last * tau) * stage(u, s - 1)
+    delta += (w_last * tau) * (op.linear(u) + sources[s - 1])
     return delta
 
 
@@ -178,51 +177,83 @@ def rk_step(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
     return SvState(state.mesh, state.k, state.values + delta, state.t + tau)
 
 
+def step_plan(t0: float, tau: float, t_final: float) -> tuple[int, float]:
+    """(number of full steps, length of the shortened last step or 0.0) from t0 to t_final.
+
+    Full step j ends at t0 + (j+1)*tau.  A step is full while at least tau and
+    more than the tolerance 1e-14*max(1, |t_final|) remain; what remains after
+    the full steps, if more than the tolerance, is one shortened last step.
+    """
+    tol = 1e-14 * max(1.0, abs(t_final))
+
+    def rest(j):
+        return t_final - (t0 + j * tau)
+
+    def full(j):
+        return rest(j) > tol and rest(j) >= tau
+
+    # the remaining time falls with j, so the full steps are a prefix 0..n-1
+    n = max(0, int((t_final - t0) / tau) - 1)
+    while n > 0 and not full(n - 1):
+        n -= 1
+    while full(n):
+        n += 1
+    return n, (rest(n) if rest(n) > tol else 0.0)
+
+
 def integrate(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
               t_final: float, on_step=None) -> SvState:
-    """Step repeatedly to t_final, shortening only the last step.
+    """Step repeatedly to t_final, shortening only the last step (``step_plan``).
 
     ``on_step(state)`` is invoked after every completed step.  The state is
     accumulated with a compensated (Kahan) sum so that the many tiny step
     increments of strongly CFL-restricted runs are not lost to rounding.
 
-    A source is sampled once per full step: the window ``samples`` holds
-    sample j at state.t + j*tau, j = step..step+s-1, with j an integer, so a
-    reused sample is bit-identical to a fresh one and no sample time drifts
-    with the step count.  A shortened last step samples all s afresh at
-    t + i*dt.
+    Without a source every step applies the increment map A = P_s(tau L) - I,
+    assembled once for tau and once more for a shortened last step.
+
+    With a source the steps keep the stage chain, whose s applications of L
+    serve u and the source together; a fused A plus a Horner source term
+    costs more block products per element and measured slower on the finest
+    Example 2 mesh.  The source is sampled once per full step: the window
+    ``samples`` holds sample j at state.t + j*tau, j = step..step+s-1, with j
+    an integer, so a reused sample is bit-identical to a fresh one and no
+    sample time drifts with the step count.  A shortened last step samples
+    all s afresh at t + i*dt.
     """
+    if not (np.isfinite(tau) and np.isfinite(t_final)):
+        raise ValueError(f"tau and t_final must be finite, got tau={tau}, t_final={t_final}")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if t_final < state.t - 1e-14:
         raise ValueError(f"t_final={t_final} is before state time {state.t}")
-    op = SpatialOperator(state.mesh, problem)
-    tol = 1e-14 * max(1.0, abs(t_final))
-    if t_final - state.t <= tol:
+    n_full, last = step_plan(state.t, tau, t_final)
+    if n_full == 0 and last == 0.0:
         return state
+    op = SpatialOperator(state.mesh, problem)
     values = state.values.copy()
     comp = np.zeros_like(values)
-    t = state.t
-    step = 0
     s = tableau.s
-    samples = None
-    while t_final - t > tol:
-        dt = min(tau, t_final - t)
-        if problem.source is not None:
-            if dt < tau:
-                samples = _source_samples(op, t, dt, s)
-            elif step == 0:
-                samples = _source_samples(op, state.t, tau, s)
-            else:
-                samples[:-1] = samples[1:]
-                samples[-1] = op.source_integrals(state.t + (step + s - 1) * tau)
-        delta = step_increment(values, tableau, dt, op, samples)
+    samples = increment = None
+    for step in range(n_full + (last > 0.0)):
+        short = step == n_full
+        dt = last if short else tau
+        if problem.source is None:
+            if step == 0 or short:
+                increment = _increment_map(op, s, dt)
+        elif short:
+            samples = _source_samples(op, state.t + step * tau, dt, s)
+        elif step == 0:
+            samples = _source_samples(op, state.t, tau, s)
+        else:
+            samples[:-1] = samples[1:]
+            samples[-1] = op.source_integrals(state.t + (step + s - 1) * tau)
+        delta = step_increment(values, tableau, dt, op, samples, increment)
         y = delta + comp
         new_values = values + y
         comp = (values - new_values) + y
         values = new_values
-        step += 1
-        t = state.t + step * dt if dt == tau else t_final
         if on_step is not None:
+            t = t_final if short else state.t + (step + 1) * tau
             on_step(SvState(state.mesh, state.k, values + comp, t))
     return SvState(state.mesh, state.k, values + comp, t_final)

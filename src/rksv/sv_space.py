@@ -24,6 +24,7 @@ __all__ = [
     "SvState",
     "Reconstruction",
     "SpatialOperator",
+    "BandedOperator",
     "cv_mass_matrix",
     "reconstruct",
     "apply_L",
@@ -202,13 +203,41 @@ def _coefficients(mesh: Mesh1D, values: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+class BandedOperator:
+    """A linear map on the CV integrals, as per-element blocks over a band of neighbours.
+
+    Row block i is sum_o B[i, o] v_{(i+o) mod N}, o = -d..d, stored as one
+    (k+1, (2d+1)(k+1)) block per element plus a gather index into
+    ``values.ravel()``.  Offsets are taken mod N only by the gather, so when
+    the band is wider than the mesh the aliased columns accumulate.
+    """
+
+    def __init__(self, blocks: np.ndarray):
+        n, k1, width, _ = blocks.shape  # blocks[i, :, o + d, :] = B[i, o]
+        self.blocks = np.ascontiguousarray(blocks).reshape(n, k1, width * k1)
+        elements = (np.arange(n)[:, None] + np.arange(width)[None, :] - width // 2) % n
+        self.gather = (elements[:, :, None] * k1 + np.arange(k1)).reshape(n, width * k1)
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """The map applied to CV integrals of shape (N, k+1)."""
+        return np.einsum("nij,nj->ni", self.blocks, values.ravel()[self.gather])
+
+    def dense(self) -> np.ndarray:
+        """The (N(k+1), N(k+1)) matrix of the map, acting on ``values.ravel()``."""
+        n, k1, _ = self.blocks.shape
+        mat = np.zeros((n * k1, n * k1))
+        rows = np.arange(n * k1).reshape(n, k1, 1)
+        np.add.at(mat, (rows, self.gather[:, None, :]), self.blocks)  # accumulates aliases
+        return mat
+
+
 class SpatialOperator:
     """The affine tendency ``L u + Q g(t)``, assembled once for a (mesh, problem) pair.
 
-    L is stored as one (k+1, 3(k+1)) block per element acting on the CV
-    integrals of the element and its two neighbours, [v_{i-1}, v_i, v_{i+1}];
-    Q maps the source at one (k+3)-point Gauss rule per element to the CV
-    integrals of its degree-(k+2) interpolant.
+    L is a ``BandedOperator`` with one (k+1, 3(k+1)) block per element acting
+    on the CV integrals of the element and its two neighbours,
+    [v_{i-1}, v_i, v_{i+1}]; Q maps the source at one (k+3)-point Gauss rule
+    per element to the CV integrals of its degree-(k+2) interpolant.
     """
 
     def __init__(self, mesh: Mesh1D, problem: Problem):
@@ -234,9 +263,8 @@ class SpatialOperator:
         own[:, 1:-1] = problem.alpha_values(mesh.cv_bounds[:, 1:-1])[:, :, None] * traces[:, 1:-1]
         own[:, -1] = a_plus[1:] * traces[:, -1]
         # interface fluxes carried by the neighbours' traces
-        neighbours = (np.arange(n)[:, None] + np.arange(-1, 2)[None, :]) % n
-        left = a_plus[:-1] * traces[neighbours[:, 0], -1]
-        right = a_minus[1:] * traces[neighbours[:, 2], 0]
+        left = a_plus[:-1] * np.roll(traces[:, -1], 1, axis=0)
+        right = a_minus[1:] * np.roll(traces[:, 0], -1, axis=0)
         if not periodic:
             left[0] = 0.0     # zero inflow states outside the domain
             right[-1] = 0.0
@@ -244,8 +272,7 @@ class SpatialOperator:
         blocks[:, 0, 0] = left
         blocks[:, :, 1] = own[:, :-1] - own[:, 1:]
         blocks[:, -1, 2] = -right
-        self.blocks = blocks.reshape(n, k1, 3 * k1)
-        self.gather = (neighbours[:, :, None] * k1 + np.arange(k1)).reshape(n, 3 * k1)
+        self.L = BandedOperator(blocks)
         if problem.source is not None:
             gy, _ = gauss_rule(mesh.k + 3)
             # one stored array: sources may cache tables keyed on the points
@@ -262,7 +289,33 @@ class SpatialOperator:
 
     def linear(self, values: np.ndarray) -> np.ndarray:
         """The flux differences across each CV: the tendency without the source."""
-        return np.einsum("nij,nj->ni", self.blocks, values.ravel()[self.gather])
+        return self.L.apply(values)
+
+    def polynomial(self, coeffs, tau: float = 1.0) -> BandedOperator:
+        """sum_j coeffs[j] (tau L)^j, multiplied out by Horner's rule in tau L.
+
+        Each factor tau L widens the band by one element on each side, so a
+        degree-d polynomial has blocks at the offsets -d..d.  The offsets stay
+        integers until the gather takes them mod N: on a mesh narrower than
+        the band the aliased columns then accumulate, and on an INFLOW_ZERO
+        mesh every path through a domain end meets a zero edge block of L.
+        """
+        n, k1 = self.mesh.n_elements, self.mesh.k + 1
+        tau_l = tau * self.L.blocks.reshape(n, k1, 3, k1)
+        eye = np.eye(k1)
+        p = np.zeros((n, k1, 1, k1))
+        p[:, :, 0] = coeffs[-1] * eye
+        elements = np.arange(n)
+        for c in coeffs[-2::-1]:
+            width = p.shape[2]
+            rows = p.reshape(n, k1, width * k1)
+            q = np.zeros((n, k1, width + 2, k1))
+            for d in range(3):  # block d of L acts on element i + d - 1
+                product = tau_l[:, :, d] @ rows[(elements + d - 1) % n]
+                q[:, :, d:d + width] += product.reshape(n, k1, width, k1)
+            q[:, :, width // 2 + 1] += c * eye
+            p = q
+        return BandedOperator(p)
 
     def source_integrals(self, t: float) -> np.ndarray:
         """CV integrals of the source g(., t); the problem must have a source."""
@@ -338,10 +391,4 @@ def snapshot_table(state: SvState, points_per_element: int = 8) -> str:
 
 def materialize_operator(mesh: Mesh1D, problem: Problem) -> np.ndarray:
     """Dense matrix of the linear part of the tendency (source excluded)."""
-    op = SpatialOperator(mesh, problem)
-    n, k1 = mesh.n_elements, mesh.k + 1
-    mat = np.zeros((n * k1, n * k1))
-    rows = np.arange(n * k1).reshape(n, k1, 1)
-    # accumulate: on a two-element periodic mesh both neighbours are one element
-    np.add.at(mat, (rows, op.gather[:, None, :]), op.blocks)
-    return mat
+    return SpatialOperator(mesh, problem).L.dense()

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,6 +261,24 @@ def test_cli_usage_errors_exit_one(capsys):
     assert cli.main(["frobnicate"]) == 1                    # unknown subcommand
     assert cli.main(["analyze", "--format", "yaml"]) == 1   # bad choice
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("t_final", ("inf", "nan", "-1"))
+def test_cli_rejects_bad_t_final(capsys, t_final):
+    code = cli.main(["solve", "--example", "1", "--scheme", "lsv", "--k", "2", "--s", "3",
+                     "--n", "8", "--cfl", "0.1", "--t-final", t_final])
+    assert code == 1
+    assert "t_final must be finite and non-negative" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_cli():
+    # a clean checkout: the package on PYTHONPATH, no installed entry point
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "rksv", "analyze", "--s", "3"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "RKSV(3,k)" in done.stdout
 
 
 def test_cli_numerical_failure_exit_two(capsys):

@@ -7,7 +7,7 @@ import pytest
 from conftest import BOTH_RULES, periodic_mesh
 from rksv.harness import ExperimentConfig, build_mesh, problem_definition
 from rksv.mesh import BoundaryCondition, SubdivisionRule, perturbed_mesh
-from rksv.ssp_rk import integrate, rk_step, ssp_tableau
+from rksv.ssp_rk import integrate, rk_step, ssp_tableau, step_increment, step_plan
 from rksv.sv_space import Problem, SpatialOperator, materialize_operator, project_initial
 
 
@@ -27,16 +27,6 @@ def test_tableau_invariants(s):
     assert sum(final) == 1
     assert all(w > 0 for w in final)
     assert all(factorial(s) % w.denominator == 0 for w in final)
-
-
-def test_tableau_shu_osher_matrices():
-    tab = ssp_tableau(3)
-    c = tab.c_matrix
-    d = tab.d_matrix
-    assert np.allclose(c[:2], np.eye(3)[:2])
-    assert np.allclose(c[2], [1.0 / 3.0, 0.5, 1.0 / 6.0])
-    assert np.allclose(d[:2], np.eye(3)[:2])
-    assert np.allclose(d[2], [0.0, 0.0, 1.0 / 6.0])
 
 
 def test_tableau_rejects_out_of_range():
@@ -105,6 +95,29 @@ def test_integrate_exact_step_counts():
     assert out.t == 2.5 * tau
 
 
+@pytest.mark.parametrize("t0", (0.0, 0.3))
+def test_step_plan_matches_on_step_count(t0):
+    # t_final on, just above and just below a multiple of tau: the plan's count
+    # and the time sequence t0 + j*tau, ..., t_final are those of the steps taken
+    mesh = periodic_mesh(4, SubdivisionRule.LSV, 1)
+    problem = Problem(u0=np.sin)
+    state = project_initial(problem, mesh, 1)
+    state.t = t0
+    for tau in (0.1, 0.125, 1.0 / 3.0, 0.07):
+        for n in (1, 2, 7, 10):
+            for t_final in (t0 + n * tau, t0 + n * tau + 1e-15, t0 + n * tau - 1e-15,
+                            t0 + (n + 0.5) * tau):
+                taken = []
+                integrate(state, problem, ssp_tableau(2), tau, t_final,
+                          on_step=lambda st: taken.append(st.t))
+                n_full, last = step_plan(t0, tau, t_final)
+                assert len(taken) == n_full + (last > 0.0)
+                assert taken[:n_full] == [t0 + j * tau for j in range(1, n_full + 1)]
+                if last:
+                    assert taken[n_full:] == [t_final]
+                    assert last < tau and last == t_final - (t0 + n_full * tau)
+
+
 def test_integrate_zero_width_is_identity():
     mesh = periodic_mesh(4, SubdivisionRule.LSV, 1)
     problem = Problem(u0=np.sin)
@@ -121,6 +134,16 @@ def test_integrate_rejects_bad_tau():
         integrate(state, problem, ssp_tableau(3), 0.0, 1.0)
     with pytest.raises(ValueError):
         integrate(state, problem, ssp_tableau(3), -0.1, 1.0)
+
+
+@pytest.mark.parametrize("tau, t_final", [(np.inf, 1.0), (np.nan, 1.0), (0.1, np.inf),
+                                          (0.1, np.nan)])
+def test_integrate_rejects_non_finite(tau, t_final):
+    mesh = periodic_mesh(4, SubdivisionRule.LSV, 1)
+    problem = Problem(u0=np.sin)
+    state = project_initial(problem, mesh, 1)
+    with pytest.raises(ValueError, match="finite"):
+        integrate(state, problem, ssp_tableau(3), tau, t_final)
 
 
 @pytest.mark.parametrize("s", (2, 4))
@@ -253,3 +276,62 @@ def test_integrate_source_window_matches_fresh_steps(s, shortened):
     if shortened:
         fresh = rk_step(fresh, problem, tableau, t_final - fresh.t, op)
     assert np.max(np.abs(got - fresh.values)) <= 1e-13 * np.max(np.abs(fresh.values))
+
+
+@pytest.mark.parametrize("s", range(1, 13))
+def test_stage_chain_matches_assembled_step(s):
+    # with zero source samples the stage chain is P_s(tau L) u - u, which the
+    # source-free step applies as one assembled map
+    mesh = perturbed_mesh(12, 5, SubdivisionRule.RSV_ADAPTIVE, 3, BoundaryCondition.PERIODIC,
+                          alpha=np.sin)
+    problem = Problem(u0=lambda x: np.exp(np.sin(x)), alpha=np.sin)
+    op = SpatialOperator(mesh, problem)
+    values = project_initial(problem, mesh, 3).values
+    tau = 0.5 / np.linalg.norm(materialize_operator(mesh, problem), 2)
+    chain = step_increment(values, ssp_tableau(s), tau, op, np.zeros((s,) + values.shape))
+    assembled = step_increment(values, ssp_tableau(s), tau, op, None)
+    assert np.max(np.abs(assembled - chain)) < 1e-13 * np.max(np.abs(chain))
+
+
+@pytest.mark.parametrize("shortened", (False, True))
+def test_source_free_integrate_assembles_the_step(monkeypatch, shortened):
+    # one assembly for tau, one more for a shortened last step, no stage applications
+    k, s, steps, tau = 2, 4, 9, 2.0 ** -5
+    mesh = perturbed_mesh(10, 3, SubdivisionRule.RSV_ADAPTIVE, k, BoundaryCondition.PERIODIC,
+                          alpha=np.sin)
+    problem = Problem(u0=lambda x: np.exp(np.sin(x)), alpha=np.sin)
+    state = project_initial(problem, mesh, k)
+    t_final = (steps + (0.3 if shortened else 0.0)) * tau
+    calls = {"linear": 0, "polynomial": []}
+    linear, polynomial = SpatialOperator.linear, SpatialOperator.polynomial
+
+    def counted_linear(self, values):
+        calls["linear"] += 1
+        return linear(self, values)
+
+    def counted_polynomial(self, coeffs, tau=1.0):
+        calls["polynomial"].append(tau)
+        return polynomial(self, coeffs, tau)
+
+    monkeypatch.setattr(SpatialOperator, "linear", counted_linear)
+    monkeypatch.setattr(SpatialOperator, "polynomial", counted_polynomial)
+    got = integrate(state, problem, ssp_tableau(s), tau, t_final).values
+    assert calls["linear"] == 0
+    assert calls["polynomial"] == [tau] + ([t_final - steps * tau] if shortened else [])
+
+    # the same steps through the dense truncated exponential
+    mat = materialize_operator(mesh, problem)
+
+    def dense_step(u, dt):
+        acc, term = u.copy(), u.copy()
+        for j in range(1, s + 1):
+            term = dt * (mat @ term) / j
+            acc = acc + term
+        return acc
+
+    u = state.values.ravel()
+    for _ in range(steps):
+        u = dense_step(u, tau)
+    if shortened:
+        u = dense_step(u, t_final - steps * tau)
+    assert np.max(np.abs(got.ravel() - u)) < 1e-12 * np.max(np.abs(u))

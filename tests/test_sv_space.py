@@ -261,6 +261,49 @@ def test_linear_matches_upwind_oracle(rng, k):
         assert np.max(np.abs(dense - expected.ravel())) < tol
 
 
+def _polynomial_cases():
+    rsv = SubdivisionRule.RSV_ADAPTIVE
+    cases = []
+    for rule in BOTH_RULES:
+        for n in (2, 3):  # every band of degree >= 2 is wider than the mesh
+            cases += [pytest.param(periodic_mesh(n, rule, 2), None, s,
+                                   id=f"periodic-{rule.value}-N{n}-s{s}") for s in (1, 2, 5, 12)]
+    # alpha > 0 at the left end and < 0 at the right end: inflow at both, and
+    # the degree-12 band wraps the N=5 mesh twice
+    inflow = uniform_mesh(0.3, 2.0 * np.pi - 0.3, 5, rsv, 3, BoundaryCondition.INFLOW_ZERO,
+                          alpha=np.sin)
+    cases += [pytest.param(inflow, np.sin, s, id=f"inflow-both-ends-s{s}") for s in (3, 12)]
+    two_orientations = perturbed_mesh(10, 3, rsv, 3, BoundaryCondition.PERIODIC, alpha=np.sin)
+    assert two_orientations.left_oriented.any() and not two_orientations.left_oriented.all()
+    cases += [pytest.param(two_orientations, np.sin, s, id=f"perturbed-rsv-s{s}") for s in (4, 12)]
+    return cases
+
+
+@pytest.mark.parametrize("mesh, alpha, degree", _polynomial_cases())
+def test_polynomial_blocks_match_dense_series(rng, mesh, alpha, degree):
+    # the series is built from the oracle's dense L, column by column; random
+    # coefficients and tau ||L|| = 1 give every power of tau L an O(1) share
+    problem = Problem(u0=np.sin, alpha=alpha)
+    n, k1 = mesh.n_elements, mesh.k + 1
+    oracle_alpha = np.ones_like if alpha is None else alpha
+    mat = np.stack([_oracle_linear(mesh, oracle_alpha, unit.reshape(n, k1)).ravel()
+                    for unit in np.eye(n * k1)], axis=1)
+    tau = 1.0 / np.linalg.norm(mat, 2)
+    coeffs = rng.uniform(-1.0, 1.0, degree + 1)
+    expected = np.zeros_like(mat)
+    power = np.eye(len(mat))
+    for c in coeffs:
+        expected += c * power
+        power = tau * mat @ power
+    band = SpatialOperator(mesh, problem).polynomial(coeffs, tau)
+    assert band.blocks.shape[2] == (2 * degree + 1) * k1
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(band.dense() - expected)) < 1e-12 * scale
+    values = rng.normal(size=(n, k1))
+    got = band.apply(values).ravel()
+    assert np.max(np.abs(got - expected @ values.ravel())) < 1e-12 * scale * np.max(np.abs(values))
+
+
 def test_operator_leaves_mesh_untouched():
     # an alpha that returns its argument must not let the periodic wrap of the
     # interface coefficients write into mesh.boundaries
