@@ -76,32 +76,22 @@ def _degenerate_u(x, t):
     return np.exp(np.sin(x - t))
 
 
-def _make_degenerate_source():
-    # g = u_t + (sin(x) u)_x for the manufactured u = exp(sin(x - t)).
-    # The spatial operator passes the same quadrature grid on every call,
-    # so its trig tables are cached and only exp stays per-call.
-    cache = {}
-
-    def g(x, t):
-        entry = cache.get(id(x))
-        if entry is None or entry[0] is not x:
-            cache.clear()
-            entry = (x, np.sin(x), np.cos(x))
-            cache[id(x)] = entry
-        _, sx, cx = entry
-        st, ct = np.sin(t), np.cos(t)
-        sxt = sx * ct - cx * st   # sin(x - t)
-        cxt = cx * ct + sx * st   # cos(x - t)
-        return np.exp(sxt) * (cx + (sx - 1.0) * cxt)
-
-    return g
+def _degenerate_source(x, t):
+    # g = u_t + (sin(x) u)_x for the manufactured u = exp(sin(x - t)), with
+    # sin(x - t) and cos(x - t) by angle addition: a call with a time axis on t
+    # takes the trig of x once for all of its times
+    sx, cx = np.sin(x), np.cos(x)
+    st, ct = np.sin(t), np.cos(t)
+    sxt = sx * ct - cx * st   # sin(x - t)
+    cxt = cx * ct + sx * st   # cos(x - t)
+    return np.exp(sxt) * (cx + (sx - 1.0) * cxt)
 
 
 def _degenerate_sine() -> Problem:
     return Problem(
         u0=lambda x: np.exp(np.sin(x)),
         alpha=np.sin,
-        source=_make_degenerate_source(),
+        source=_degenerate_source,
         u_exact=_degenerate_u,
         t_final=0.1,
     )
@@ -161,6 +151,9 @@ class ExperimentConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.t_final is not None and not (isfinite(self.t_final) and self.t_final >= 0.0):
             raise ValueError(f"t_final must be finite and non-negative, got {self.t_final}")
+        if self.cfl_exponent is not None and self.cfl_exponent <= 0:
+            raise ValueError(f"cfl_exponent must be positive (tau = cfl * h^e), "
+                             f"got {self.cfl_exponent}")
         definition = problem_definition(self.example)
         allowed = definition.allowed_schemes
         if allowed is not None and self.scheme not in allowed:

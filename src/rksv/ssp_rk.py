@@ -1,37 +1,40 @@
 """SSP Runge-Kutta tableaus (exact rationals) and the time-stepping loop.
 
-Without a source the s-stage linear SSP step is the fixed map
-u -> P_s(tau L) u, P_s(z) = sum_{j<=s} z^j/j!, so the solver assembles the
-increment map A = P_s(tau L) - I once per step length as per-element banded
-blocks (``SpatialOperator.polynomial``) and each step is one block product.
-
-With a source the step runs the stage chain: s-1 forward-Euler stages
-followed by a convex recombination, u^{n+1} = sum_k g_k u^{n,k} +
-tau * g_{s-1} F(u^{n,s-1}), with F(u) = L u + G the linear spatial operator
-plus the source integrals.  The chain shares each of its s applications of L
-between u and the source; an assembled A plus a Horner source term needs
-(2s+1) + 3(s-1) block products per element against the chain's 3s.
+The s-stage linear SSP step is linear in u and in the source, so every step
+is u^{n+1} = u^n + A u^n + f^n.  A = P_s(tau L) - I, P_s(z) = sum_{j<=s}
+z^j/j!, is the source-free increment, assembled once per (s, tau) as
+per-element banded blocks (``SpatialOperator.increment_map``); the forcing
+f^n depends only on the source, not on u.
 
 A step with a source uses its samples at the s times t^n + i*tau,
-i = 0..s-1, and stage l receives the combination
+i = 0..s-1, and stage l of the Shu-Osher chain receives the combination
 G_l = sum_i C_s[l][i] G(t^n + i*tau) (``stage_source_weights``).  Stage l
 thereby sees the stage value of the autonomous system
 (u, p, tau p', ..., tau^{s-1} p^{(s-1)}), p the interpolant of the samples,
 so the step is the degree-s Taylor polynomial of that system and the scheme
 stays s-th order in time with a time-dependent source (Carpenter, Gottlieb,
-Abarbanel & Don, SIAM J. Sci. Comput. 16 (1995)).  With a fixed tau, s-1 of a
-step's samples are the previous step's, so ``integrate`` keeps them in a
-window and evaluates the source once per step.
+Abarbanel & Don, SIAM J. Sci. Comput. 16 (1995)).  Multiplied out, the
+source part of that polynomial is
+
+    f^n = tau sum_r (tau L)^r E_r,  E_r = sum_{m<=s-1-r} D_m / (r+m+1)!,
+
+with D_m = tau^m p^{(m)}(t^n) the scaled derivatives of the interpolant, so
+E_r = sum_i W[r][i] G(t^n + i*tau) with exact weights W
+(``_forcing_weights``).  ``integrate`` forms f for a block of consecutive
+steps at once: one source call for all their sample times, one small product
+per step for the E_r, and s-1 products with L by Horner's rule, each over the
+whole block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .sv_space import BandedOperator, Problem, SpatialOperator, SvState
 
@@ -39,6 +42,8 @@ __all__ = ["MAX_STAGES", "RkTableau", "ssp_tableau", "stage_source_weights", "rk
            "step_plan", "integrate"]
 
 MAX_STAGES = 12
+BLOCK_STEPS = 32          # full steps whose source forcing is formed together
+_BLOCK_FLOATS = 1 << 17   # 1 MiB of float64: the bound on a block's largest temporary
 
 
 @dataclass(frozen=True)
@@ -56,18 +61,6 @@ class RkTableau:
     @property
     def final_weights(self) -> tuple[Fraction, ...]:
         return self.g[self.s - 1]
-
-    @cached_property
-    def step_weights(self) -> tuple[np.ndarray, float, np.ndarray]:
-        """(W_j = sum of the final weights after stage j, last weight, C_s), as floats.
-
-        Cached on the instance: a cache keyed on the tableau would hash all
-        its Fractions on every step.
-        """
-        final = self.final_weights
-        tails = np.array([float(sum(final[j + 1:])) for j in range(self.s - 1)])
-        c = np.array([[float(w) for w in row] for row in stage_source_weights(self.s)])
-        return tails, float(final[-1]), c
 
 
 @lru_cache(maxsize=None)
@@ -94,16 +87,12 @@ def ssp_tableau(s: int) -> RkTableau:
 
 
 @lru_cache(maxsize=None)
-def stage_source_weights(s: int) -> tuple[tuple[Fraction, ...], ...]:
-    """C_s[l][i] = sum_{q<=l} binom(l, q) (V^-1)[q][i] with V[i][q] = i^q / q!.
+def _derivatives_from_samples(s: int) -> tuple[tuple[Fraction, ...], ...]:
+    """V^-1 with V[i][q] = i^q / q!, exact.
 
     V maps the scaled derivatives tau^q p^{(q)}(t) of a degree-(s-1) polynomial
-    p to its samples p(t + i*tau); l forward-Euler steps of the shift
-    tau^q p^{(q)} <- tau^q p^{(q)} + tau^{q+1} p^{(q+1)} leave
-    sum_q binom(l, q) tau^q p^{(q)}(t) as the source seen by stage l.
+    p to its samples p(t + i*tau), so V^-1 maps the samples to the derivatives.
     """
-    if not 1 <= s <= MAX_STAGES:
-        raise ValueError(f"s must be in 1..{MAX_STAGES}, got {s}")
     # Gauss-Jordan on [V | I] in exact arithmetic; every leading block of V is a
     # Vandermonde matrix on distinct nodes times a diagonal, so no pivoting
     rows = [[Fraction(i ** q, factorial(q)) for q in range(s)] +
@@ -115,65 +104,119 @@ def stage_source_weights(s: int) -> tuple[tuple[Fraction, ...], ...]:
             if r != col:
                 f = rows[r][col]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    v_inv = [row[s:] for row in rows]
+    return tuple(tuple(row[s:]) for row in rows)
+
+
+@lru_cache(maxsize=None)
+def stage_source_weights(s: int) -> tuple[tuple[Fraction, ...], ...]:
+    """C_s[l][i] = sum_{q<=l} binom(l, q) (V^-1)[q][i] with V[i][q] = i^q / q!.
+
+    l forward-Euler steps of the shift
+    tau^q p^{(q)} <- tau^q p^{(q)} + tau^{q+1} p^{(q+1)} leave
+    sum_q binom(l, q) tau^q p^{(q)}(t) as the source seen by stage l.
+    """
+    if not 1 <= s <= MAX_STAGES:
+        raise ValueError(f"s must be in 1..{MAX_STAGES}, got {s}")
+    v_inv = _derivatives_from_samples(s)
     return tuple(tuple(sum(comb(ell, q) * v_inv[q][i] for q in range(ell + 1))
                        for i in range(s)) for ell in range(s))
 
 
-def _source_samples(op: SpatialOperator, t: float, tau: float, s: int) -> np.ndarray:
-    """The source integrals G(t + i*tau), i = 0..s-1, shape (s, N, k+1)."""
-    return np.stack([op.source_integrals(t + i * tau) for i in range(s)])
+@lru_cache(maxsize=None)
+def _forcing_weights(s: int) -> np.ndarray:
+    """W[r][i] = sum_{m<=s-1-r} (V^-1)[m][i] / (r+m+1)!, summed exactly, then rounded.
 
-
-def _increment_map(op: SpatialOperator, s: int, tau: float) -> BandedOperator:
-    """A = P_s(tau L) - I = sum_{j=1..s} (tau L)^j / j!, the source-free step."""
-    return op.polynomial([0.0] + [1.0 / factorial(j) for j in range(1, s + 1)], tau)
-
-
-def step_increment(values: np.ndarray, tableau: RkTableau, tau: float, op: SpatialOperator,
-                   samples: np.ndarray | None,
-                   increment: BandedOperator | None = None) -> np.ndarray:
-    """u^{n+1} - u^n, assembled purely from O(tau) terms.
-
-    Without a source (``samples`` None) the step is the fixed map
-    A = P_s(tau L) - I; ``increment`` is A assembled for this tau (built here
-    when not given), and the step is one banded block product.
-
-    With a source the stage chain runs: since the final weights sum to one,
-    the recombination collapses to u^n + sum_j W_j d^j + w_{s-1} tau F(u^{n,s-1});
-    keeping only the increments avoids swallowing them in O(u)-sized
-    additions, which matters for runs with ~1e5 steps.  ``samples`` holds the
-    source integrals G(t^n + i*tau), i = 0..s-1, taken by the caller; one
-    (s x s) product per step turns them into the stage sources.
+    E_r = sum_i W[r][i] G(t + i*tau) is the coefficient of tau (tau L)^r in the
+    source part of the step.
     """
-    if samples is None:
-        if increment is None:
-            increment = _increment_map(op, tableau.s, tau)
-        return increment.apply(values)
-    tails, w_last, c = tableau.step_weights
-    s = tableau.s
-    sources = (c @ samples.reshape(s, -1)).reshape(samples.shape)
-    u = values
-    delta = np.zeros_like(values)
-    for ell in range(s - 1):
-        d = tau * (op.linear(u) + sources[ell])
-        delta += tails[ell] * d
-        u = u + d
-    delta += (w_last * tau) * (op.linear(u) + sources[s - 1])
+    v_inv = _derivatives_from_samples(s)
+    weights = np.array([[float(sum(v_inv[m][i] / factorial(r + m + 1) for m in range(s - r)))
+                         for i in range(s)] for r in range(s)])
+    weights.flags.writeable = False
+    return weights
+
+
+def _block_steps(op: SpatialOperator) -> int:
+    """Steps per forcing block: ``BLOCK_STEPS``, fewer where the largest block
+    temporary, the 3N(k+1) floats per step that a product with L gathers,
+    would pass ``_BLOCK_FLOATS``."""
+    m = op.mesh.n_elements * (op.mesh.k + 1)
+    return max(1, min(BLOCK_STEPS, _BLOCK_FLOATS // (3 * m)))
+
+
+def _forcing(op: SpatialOperator, s: int, tau: float, samples: np.ndarray) -> np.ndarray:
+    """The forcing f of each step of a block, shape (count, N, k+1).
+
+    ``samples`` holds the source integrals G(t + j*tau), j = 0..count+s-2, as
+    rows of a (count+s-1, N(k+1)) array; step m reads rows m..m+s-1.  With
+    tau^(r+1) folded into row r of W, Horner's rule f = E'_0 + L(E'_1 + L(...))
+    needs s-1 products with L, each over all the steps of the block.
+    """
+    weights = _forcing_weights(s) * tau ** np.arange(1, s + 1)[:, None]
+    count = len(samples) - s + 1
+    # windows[m] = samples[m:m+s], a view; weights[r] @ windows[m] is E'_r of step m
+    windows = sliding_window_view(samples, s, axis=0).transpose(0, 2, 1)
+    h = np.matmul(weights[s - 1], windows).T
+    for r in range(s - 2, -1, -1):
+        h = op.L.apply_columns(h)
+        h += np.matmul(weights[r], windows).T
+    return np.ascontiguousarray(h.T).reshape((count,) + op.L.blocks.shape[:2])
+
+
+def _step_forcing(op: SpatialOperator, s: int, t: float, dt: float) -> np.ndarray:
+    """The forcing of one step of length dt from t, sampled afresh at t + i*dt."""
+    samples = op.source_integrals(t + np.arange(s) * dt)
+    return _forcing(op, s, dt, samples.reshape(-1, s).T)[0]
+
+
+def _sample_blocks(op: SpatialOperator, s: int, t0: float, tau: float, n_steps: int,
+                   block: int):
+    """Yield the samples of each block of up to ``block`` full steps, for ``_forcing``.
+
+    The block of steps j0..j0+count-1 needs G(t0 + j*tau), j = j0..j0+count+s-2.
+    The first s-1 of them are the previous block's last, so every sample time
+    is evaluated once, in one source call per block; j is an integer, so a
+    sample time does not drift with the step count.
+    """
+    window = np.empty((0, op.mesh.n_elements * (op.mesh.k + 1)))
+    for j0 in range(0, n_steps, block):
+        count = min(block, n_steps - j0)
+        keep = window[len(window) - (s - 1):]
+        j = np.arange(j0 + len(keep), j0 + count + s - 1)
+        fresh = op.source_integrals(t0 + j * tau)
+        window = np.concatenate([keep, fresh.reshape(-1, len(j)).T])
+        yield window
+
+
+def step_increment(values: np.ndarray, increment: BandedOperator,
+                   forcing: np.ndarray | None = None) -> np.ndarray:
+    """u^{n+1} - u^n = A u^n + f^n, assembled purely from O(tau) terms.
+
+    ``increment`` is A = P_s(tau L) - I for this step's tau, and ``forcing`` the
+    step's source forcing f^n (None without a source).  Keeping only the
+    increment avoids swallowing it in O(u)-sized additions, which matters for
+    runs with ~1e5 steps.
+    """
+    delta = increment.apply(values)
+    if forcing is not None:
+        delta += forcing
     return delta
 
 
 def rk_step(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
             op: SpatialOperator | None = None) -> SvState:
-    """Advance one step of length tau, sampling the source afresh at t + i*tau."""
+    """Advance one step of length tau, sampling the source afresh at t + i*tau.
+
+    A shared ``op`` keeps the increment map of each step length, so a chain of
+    calls assembles it once per tau.
+    """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if op is None:
         op = SpatialOperator(state.mesh, problem)
-    samples = None
-    if problem.source is not None:
-        samples = _source_samples(op, state.t, tau, tableau.s)
-    delta = step_increment(state.values, tableau, tau, op, samples)
+    s = tableau.s
+    forcing = None if problem.source is None else _step_forcing(op, s, state.t, tau)
+    delta = step_increment(state.values, op.increment_map(s, tau), forcing)
     return SvState(state.mesh, state.k, state.values + delta, state.t + tau)
 
 
@@ -209,17 +252,12 @@ def integrate(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
     accumulated with a compensated (Kahan) sum so that the many tiny step
     increments of strongly CFL-restricted runs are not lost to rounding.
 
-    Without a source every step applies the increment map A = P_s(tau L) - I,
-    assembled once for tau and once more for a shortened last step.
-
-    With a source the steps keep the stage chain, whose s applications of L
-    serve u and the source together; a fused A plus a Horner source term
-    costs more block products per element and measured slower on the finest
-    Example 2 mesh.  The source is sampled once per full step: the window
-    ``samples`` holds sample j at state.t + j*tau, j = step..step+s-1, with j
-    an integer, so a reused sample is bit-identical to a fresh one and no
-    sample time drifts with the step count.  A shortened last step samples
-    all s afresh at t + i*dt.
+    Every step applies the increment map A = P_s(tau L) - I, assembled once
+    for tau and once more for a shortened last step, and adds its forcing.
+    The forcing of the full steps is formed a block of up to ``BLOCK_STEPS``
+    steps at a time from the samples at state.t + j*tau, j an integer, each
+    evaluated once (``_sample_blocks``); a shortened last step samples all s
+    afresh at t + i*dt.
     """
     if not (np.isfinite(tau) and np.isfinite(t_final)):
         raise ValueError(f"tau and t_final must be finite, got tau={tau}, t_final={t_final}")
@@ -234,21 +272,22 @@ def integrate(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
     values = state.values.copy()
     comp = np.zeros_like(values)
     s = tableau.s
-    samples = increment = None
+    block = _block_steps(op)
+    if problem.source is not None:
+        samples = _sample_blocks(op, s, state.t, tau, n_full, block)
+    increment = op.increment_map(s, tau) if n_full else None
+    forcing = f = None
     for step in range(n_full + (last > 0.0)):
         short = step == n_full
-        dt = last if short else tau
-        if problem.source is None:
-            if step == 0 or short:
-                increment = _increment_map(op, s, dt)
-        elif short:
-            samples = _source_samples(op, state.t + step * tau, dt, s)
-        elif step == 0:
-            samples = _source_samples(op, state.t, tau, s)
-        else:
-            samples[:-1] = samples[1:]
-            samples[-1] = op.source_integrals(state.t + (step + s - 1) * tau)
-        delta = step_increment(values, tableau, dt, op, samples, increment)
+        if short:
+            increment = op.increment_map(s, last)
+            if problem.source is not None:
+                f = _step_forcing(op, s, state.t + step * tau, last)
+        elif problem.source is not None:
+            if step % block == 0:
+                forcing = _forcing(op, s, tau, next(samples))
+            f = forcing[step % block]
+        delta = step_increment(values, increment, f)
         y = delta + comp
         new_values = values + y
         comp = (values - new_values) + y

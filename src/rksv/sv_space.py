@@ -11,6 +11,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from math import factorial
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,15 +36,21 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
+_KEPT_INCREMENT_MAPS = 4   # step lengths whose increment map an operator keeps
 
 
 @dataclass
 class Problem:
-    """A scalar conservation law u_t + (alpha(x) u)_x = g(x, t) on the mesh domain."""
+    """A scalar conservation law u_t + (alpha(x) u)_x = g(x, t) on the mesh domain.
+
+    ``source(x, t)`` may be called with an array t of several times that
+    broadcasts against x (the solver passes x with a trailing unit axis and a
+    1-D t); a result without the time axis is broadcast over it.
+    """
 
     u0: Callable[[np.ndarray], np.ndarray]
     alpha: Optional[Callable[[np.ndarray], np.ndarray]] = None  # None: constant 1
-    source: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+    source: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     u_exact: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     t_final: float = 1.0
 
@@ -222,6 +229,10 @@ class BandedOperator:
         """The map applied to CV integrals of shape (N, k+1)."""
         return np.einsum("nij,nj->ni", self.blocks, values.ravel()[self.gather])
 
+    def apply_columns(self, columns: np.ndarray) -> np.ndarray:
+        """The map applied to each column of an (N(k+1), K) stack of ``values.ravel()``."""
+        return (self.blocks @ columns[self.gather]).reshape(columns.shape)
+
     def dense(self) -> np.ndarray:
         """The (N(k+1), N(k+1)) matrix of the map, acting on ``values.ravel()``."""
         n, k1, _ = self.blocks.shape
@@ -273,9 +284,9 @@ class SpatialOperator:
         blocks[:, :, 1] = own[:, :-1] - own[:, 1:]
         blocks[:, -1, 2] = -right
         self.L = BandedOperator(blocks)
+        self._increment_maps: dict[tuple[int, float], BandedOperator] = {}
         if problem.source is not None:
             gy, _ = gauss_rule(mesh.k + 3)
-            # one stored array: sources may cache tables keyed on the points
             self.source_points = mesh.centers[:, None] + half_h[:, None] * gy[None, :]
             self.source_map = half_h[:, None, None] * \
                 ws.per_element([ops.source_map for ops in ws.variants])
@@ -305,22 +316,51 @@ class SpatialOperator:
         eye = np.eye(k1)
         p = np.zeros((n, k1, 1, k1))
         p[:, :, 0] = coeffs[-1] * eye
-        elements = np.arange(n)
         for c in coeffs[-2::-1]:
             width = p.shape[2]
             rows = p.reshape(n, k1, width * k1)
             q = np.zeros((n, k1, width + 2, k1))
-            for d in range(3):  # block d of L acts on element i + d - 1
-                product = tau_l[:, :, d] @ rows[(elements + d - 1) % n]
-                q[:, :, d:d + width] += product.reshape(n, k1, width, k1)
+            product = np.empty_like(rows)
+            # block d of L acts on element (i + d - 1) mod N: the rows are shifted
+            # by two slices each, so no shifted copy of the band is made
+            np.matmul(tau_l[1:, :, 0], rows[:-1], out=product[1:])
+            np.matmul(tau_l[:1, :, 0], rows[-1:], out=product[:1])
+            q[:, :, :width] += product.reshape(n, k1, width, k1)
+            np.matmul(tau_l[:, :, 1], rows, out=product)
+            q[:, :, 1:width + 1] += product.reshape(n, k1, width, k1)
+            np.matmul(tau_l[:-1, :, 2], rows[1:], out=product[:-1])
+            np.matmul(tau_l[-1:, :, 2], rows[:1], out=product[-1:])
+            q[:, :, 2:] += product.reshape(n, k1, width, k1)
             q[:, :, width // 2 + 1] += c * eye
             p = q
         return BandedOperator(p)
 
-    def source_integrals(self, t: float) -> np.ndarray:
-        """CV integrals of the source g(., t); the problem must have a source."""
-        g = np.asarray(self.problem.source(self.source_points, t), dtype=float)
-        return np.einsum("njq,nq->nj", self.source_map, g)
+    def increment_map(self, s: int, tau: float) -> BandedOperator:
+        """A = P_s(tau L) - I, P_s(z) = sum_{j<=s} z^j/j!: the source-free increment
+        of the s-stage linear SSP step.
+
+        Assembled on first use for each (s, tau) and kept for the last few.
+        """
+        key = (s, tau)
+        band = self._increment_maps.get(key)
+        if band is None:
+            band = self.polynomial([0.0] + [1.0 / factorial(j) for j in range(1, s + 1)], tau)
+            if len(self._increment_maps) >= _KEPT_INCREMENT_MAPS:
+                del self._increment_maps[next(iter(self._increment_maps))]
+            self._increment_maps[key] = band
+        return band
+
+    def source_integrals(self, t) -> np.ndarray:
+        """CV integrals of the source g(., t); the problem must have a source.
+
+        One time gives shape (N, k+1); a 1-D array of T times gives
+        (N, k+1, T) from a single ``source`` call.
+        """
+        times = np.asarray(t, dtype=float)
+        x = self.source_points[..., None]
+        g = np.asarray(self.problem.source(x, times.reshape(-1)), dtype=float)
+        g = np.broadcast_to(g, x.shape[:-1] + (times.size,))
+        return (self.source_map @ g).reshape(self.source_map.shape[:2] + times.shape)
 
 
 def apply_L(state: SvState, problem: Problem, t: float | None = None) -> np.ndarray:

@@ -271,6 +271,16 @@ def test_cli_rejects_bad_t_final(capsys, t_final):
     assert "t_final must be finite and non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ("solve", "converge"))
+@pytest.mark.parametrize("exponent", ("0", "-1"))
+def test_cli_rejects_non_positive_cfl_exp(capsys, command, exponent):
+    n = "8" if command == "solve" else "8,16,32"
+    code = cli.main([command, "--example", "1", "--scheme", "lsv", "--k", "2", "--s", "3",
+                     "--n", n, "--cfl", "0.1", "--cfl-exp", exponent])
+    assert code == 1
+    assert "cfl_exponent must be positive" in capsys.readouterr().err
+
+
 def test_python_dash_m_runs_cli():
     # a clean checkout: the package on PYTHONPATH, no installed entry point
     src = Path(__file__).resolve().parents[1] / "src"

@@ -7,8 +7,38 @@ import pytest
 from conftest import BOTH_RULES, periodic_mesh
 from rksv.harness import ExperimentConfig, build_mesh, problem_definition
 from rksv.mesh import BoundaryCondition, SubdivisionRule, perturbed_mesh
-from rksv.ssp_rk import integrate, rk_step, ssp_tableau, step_increment, step_plan
+from rksv.ssp_rk import (BLOCK_STEPS, _block_steps, integrate, rk_step, ssp_tableau,
+                         stage_source_weights, step_increment, step_plan)
 from rksv.sv_space import Problem, SpatialOperator, materialize_operator, project_initial
+
+
+def stage_chain_increment(values, tableau, tau, op, samples):
+    """Oracle: u^{n+1} - u^n by the s-stage Shu-Osher chain of forward-Euler stages.
+
+    ``samples`` holds the source integrals G(t^n + i*tau), i = 0..s-1; stage l
+    receives sum_i C_s[l][i] G(t^n + i*tau).  Since the final weights sum to
+    one, the recombination collapses to u^n + sum_j W_j d^j + w_{s-1} tau F(u^{n,s-1}),
+    W_j the sum of the final weights after stage j.
+    """
+    s = tableau.s
+    final = tableau.final_weights
+    tails = [float(sum(final[j + 1:])) for j in range(s - 1)]
+    c = np.array([[float(w) for w in row] for row in stage_source_weights(s)])
+    sources = (c @ samples.reshape(s, -1)).reshape(samples.shape)
+    u = values
+    delta = np.zeros_like(values)
+    for ell in range(s - 1):
+        d = tau * (op.linear(u) + sources[ell])
+        delta += tails[ell] * d
+        u = u + d
+    delta += (float(final[-1]) * tau) * (op.linear(u) + sources[s - 1])
+    return delta
+
+
+def stage_chain_step(values, tableau, t, tau, op):
+    """One oracle step from t, the source sampled afresh at t + i*tau."""
+    samples = np.stack([op.source_integrals(t + i * tau) for i in range(tableau.s)])
+    return values + stage_chain_increment(values, tableau, tau, op, samples)
 
 
 def test_tableau_reference_rows():
@@ -227,31 +257,37 @@ def test_source_integrals_exact_to_degree_k_plus_2(rng, k):
 @pytest.mark.parametrize("s", (1, 3, 5))
 def test_source_sampled_s_times_per_step_on_element_rule(s):
     # every step uses the source at its s times t + i*tau, but s-1 of them are
-    # the previous step's: integrate evaluates one new sample per full step
-    k, n, steps = 3, 8, 4
+    # the previous step's: across all calls integrate evaluates each sample time
+    # t0 + j*tau once, bit-exactly, on the N(k+3) element points, also across
+    # the boundaries of its forcing blocks
+    k, n = 3, 8
+    steps = 2 * BLOCK_STEPS + 5
     mesh = periodic_mesh(n, SubdivisionRule.LSV, k)
-    sizes, times = [], []
+    shapes, times = [], []
 
     def g(x, t):
-        sizes.append(x.size)
-        times.append(t)
+        shapes.append(x.shape[:2])
+        times.extend(np.atleast_1d(t).tolist())
         return np.cos(x - t)
 
     problem = Problem(u0=np.sin, source=g)
     state = project_initial(problem, mesh, k)
+    state.t = 0.375
     tau = 2.0 ** -7
-    full = [j * tau for j in range(steps + s - 1)]
-    integrate(state, problem, ssp_tableau(s), tau, steps * tau)
-    assert sizes == [n * (k + 3)] * (steps + s - 1)
+    full = [state.t + j * tau for j in range(steps + s - 1)]
+    integrate(state, problem, ssp_tableau(s), tau, state.t + steps * tau)
+    assert set(shapes) == {(n, k + 3)}
+    assert len(shapes) == -(-steps // BLOCK_STEPS)  # one call per block on this small mesh
     assert times == full
 
     # a shortened last step samples all s afresh at t + i*dt
-    sizes.clear()
+    shapes.clear()
     times.clear()
     dt = 0.75 * tau
-    integrate(state, problem, ssp_tableau(s), tau, steps * tau + dt)
-    assert sizes == [n * (k + 3)] * (steps + 2 * s - 1)
-    assert times == full + [steps * tau + i * dt for i in range(s)]
+    integrate(state, problem, ssp_tableau(s), tau, state.t + steps * tau + dt)
+    t_last = state.t + steps * tau
+    assert set(shapes) == {(n, k + 3)}
+    assert times == full + [t_last + i * dt for i in range(s)]
 
 
 @pytest.mark.parametrize("shortened", (False, True))
@@ -278,6 +314,79 @@ def test_integrate_source_window_matches_fresh_steps(s, shortened):
     assert np.max(np.abs(got - fresh.values)) <= 1e-13 * np.max(np.abs(fresh.values))
 
 
+def _forcing_cases():
+    # a perturbed two-orientation RSV mesh, and an INFLOW_ZERO mesh whose left
+    # end is an inflow and whose right end an outflow
+    rsv = perturbed_mesh(12, 5, SubdivisionRule.RSV_ADAPTIVE, 3, BoundaryCondition.PERIODIC,
+                         alpha=np.sin)
+    assert rsv.left_oriented.any() and not rsv.left_oriented.all()
+    inflow = perturbed_mesh(10, 3, SubdivisionRule.LSV, 2, BoundaryCondition.INFLOW_ZERO,
+                            alpha=np.cos)
+    # a source that is rough on the mesh's source points, so that high powers
+    # of L in the forcing are not damped away
+    rough = np.random.default_rng(7).uniform(-1.0, 1.0, (rsv.n_elements, rsv.k + 3, 1))
+    return [
+        (rsv, Problem(u0=lambda x: np.exp(np.sin(x)), alpha=np.sin,
+                      source=lambda x, t: np.cos(x - 7.0 * t) + rough * np.sin(3.0 * t))),
+        (inflow, Problem(u0=lambda x: np.sin(x) ** 2, alpha=np.cos,
+                         source=lambda x, t: np.exp(-t) * np.cos(2.0 * x) + t)),
+    ]
+
+
+@pytest.mark.parametrize("s", range(1, 13))
+def test_block_forcing_matches_stage_chain(s):
+    # integrate's steps, A u + f with f formed block by block, against the stage
+    # chain stepped one step at a time with fresh samples; the step count
+    # crosses two block boundaries and is not a multiple of the block size.
+    # tau times the spectral radius of L is in [1/4, 1/2), so that with the
+    # rough source even the last Horner term of s = 12 shows above roundoff
+    tableau = ssp_tableau(s)
+    for mesh, problem in _forcing_cases():
+        op = SpatialOperator(mesh, problem)
+        block = _block_steps(op)
+        steps = 2 * block + 7
+        tau = 2.0 ** np.floor(np.log2(0.5 / np.max(np.abs(np.linalg.eigvals(op.L.dense())))))
+        state = project_initial(problem, mesh, mesh.k)
+        state.t = 0.3
+        for shortened in (False, True):
+            t_final = state.t + (steps + (0.4 if shortened else 0.0)) * tau
+            taken = []
+            got = integrate(state, problem, tableau, tau, t_final,
+                            on_step=lambda st: taken.append(st.t)).values
+            expected_times = [state.t + j * tau for j in range(1, steps + 1)]
+            expected = state.values
+            for step in range(steps):
+                expected = stage_chain_step(expected, tableau, state.t + step * tau, tau, op)
+            if shortened:
+                t_last = state.t + steps * tau
+                expected = stage_chain_step(expected, tableau, t_last, t_final - t_last, op)
+                expected_times.append(t_final)
+            assert taken == expected_times
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(got - expected)) <= 1e-13 * scale, (mesh.bc, shortened)
+
+
+@pytest.mark.parametrize("sourced", (False, True))
+def test_rk_step_assembles_once_per_step_length(monkeypatch, sourced):
+    # chained rk_step calls with one shared op reuse its increment map per tau
+    mesh = periodic_mesh(6, SubdivisionRule.RRSV, 2)
+    problem = Problem(u0=np.sin, source=(lambda x, t: np.cos(x + t)) if sourced else None)
+    state = project_initial(problem, mesh, 2)
+    calls = []
+    polynomial = SpatialOperator.polynomial
+
+    def counted_polynomial(self, coeffs, tau=1.0):
+        calls.append(tau)
+        return polynomial(self, coeffs, tau)
+
+    monkeypatch.setattr(SpatialOperator, "polynomial", counted_polynomial)
+    op = SpatialOperator(mesh, problem)
+    tau = 0.01
+    for dt in [tau] * 5 + [tau / 2] * 3 + [tau] * 2:
+        state = rk_step(state, problem, ssp_tableau(4), dt, op)
+    assert calls == [tau, tau / 2]
+
+
 @pytest.mark.parametrize("s", range(1, 13))
 def test_stage_chain_matches_assembled_step(s):
     # with zero source samples the stage chain is P_s(tau L) u - u, which the
@@ -288,8 +397,8 @@ def test_stage_chain_matches_assembled_step(s):
     op = SpatialOperator(mesh, problem)
     values = project_initial(problem, mesh, 3).values
     tau = 0.5 / np.linalg.norm(materialize_operator(mesh, problem), 2)
-    chain = step_increment(values, ssp_tableau(s), tau, op, np.zeros((s,) + values.shape))
-    assembled = step_increment(values, ssp_tableau(s), tau, op, None)
+    chain = stage_chain_increment(values, ssp_tableau(s), tau, op, np.zeros((s,) + values.shape))
+    assembled = step_increment(values, op.increment_map(s, tau))
     assert np.max(np.abs(assembled - chain)) < 1e-13 * np.max(np.abs(chain))
 
 
