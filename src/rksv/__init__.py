@@ -5,8 +5,7 @@ Gauss-Legendre or Radau control-volume subdivisions) with an exact integer
 analyzer that classifies each scheme's stability and CFL requirement.
 """
 
-from .mesh import (BoundaryCondition, Mesh1D, SubdivisionRule, mesh_table,
-                   perturbed_mesh, uniform_mesh)
+from .mesh import BoundaryCondition, Mesh1D, SubdivisionRule, perturbed_mesh, uniform_mesh
 from .quadrature import (InterpolatoryWeights, NodeSet, gauss_legendre_nodes,
                          gauss_quad, interpolatory_weights, legendre_eval,
                          right_radau_nodes)

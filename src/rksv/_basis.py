@@ -14,24 +14,25 @@ __all__ = [
 
 
 def legendre_vandermonde(y, kmax: int) -> np.ndarray:
-    """Columns L_0(y) .. L_kmax(y); shape (len(y), kmax+1)."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    out = np.empty((y.size, kmax + 1))
-    out[:, 0] = 1.0
+    """L_0(y) .. L_kmax(y) along a new last axis; shape y.shape + (kmax+1,)."""
+    y = np.asarray(y, dtype=float)
+    out = np.empty(y.shape + (kmax + 1,))
+    out[..., 0] = 1.0
     if kmax >= 1:
-        out[:, 1] = y
+        out[..., 1] = y
     for m in range(1, kmax):
-        out[:, m + 1] = ((2 * m + 1) * y * out[:, m] - m * out[:, m - 1]) / (m + 1)
+        out[..., m + 1] = ((2 * m + 1) * y * out[..., m] - m * out[..., m - 1]) / (m + 1)
     return out
 
 
 def antiderivative_values(y, kmax: int) -> np.ndarray:
-    """Values of an antiderivative of L_m at y, via (L_{m+1} - L_{m-1}) / (2m+1)."""
+    """Values of an antiderivative of L_m at y, via (L_{m+1} - L_{m-1}) / (2m+1);
+    shape y.shape + (kmax+1,)."""
     v = legendre_vandermonde(y, kmax + 1)
-    out = np.empty((v.shape[0], kmax + 1))
-    out[:, 0] = v[:, 1]
+    out = np.empty(v.shape[:-1] + (kmax + 1,))
+    out[..., 0] = v[..., 1]
     for m in range(1, kmax + 1):
-        out[:, m] = (v[:, m + 1] - v[:, m - 1]) / (2 * m + 1)
+        out[..., m] = (v[..., m + 1] - v[..., m - 1]) / (2 * m + 1)
     return out
 
 

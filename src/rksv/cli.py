@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 check-suite failure
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -25,6 +26,11 @@ EXIT_CHECK = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # read a negative fraction such as -1/2 as a value, as argparse reads -1 and -0.5
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")

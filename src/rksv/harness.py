@@ -11,6 +11,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import matrix_transfer, petrov_galerkin as pg
+from ._basis import legendre_vandermonde
 from ._markdown import markdown_table
 from .mesh import BoundaryCondition, Mesh1D, SubdivisionRule, perturbed_mesh, uniform_mesh
 from .quadrature import interpolatory_weights
@@ -395,20 +396,14 @@ def run_checks(seed: int = 0, trials: int = 100) -> CheckReport:
         v, w = _random_coeffs(rng, mesh), _random_coeffs(rng, mesh)
         anti = pg.global_antiderivative(v, mesh)
         dw = pg.derivative_coeffs(w, mesh)
-        residual = 0.0
-        for i in range(mesh.n_elements):
-            c_anti, c_dw = anti[i], dw[i]
-            xl, xc = mesh.boundaries[i], mesh.centers[i]
-            scale = 2.0 / mesh.lengths[i]
+        scale = (2.0 / mesh.lengths)[:, None]
 
-            def f(x, c_anti=c_anti, c_dw=c_dw, xc=xc, scale=scale):
-                from ._basis import legendre_vandermonde
-                y = (np.asarray(x) - xc) * scale
-                av = legendre_vandermonde(y, mesh.k + 1) @ c_anti
-                dv = (legendre_vandermonde(y, mesh.k) @ c_dw) * scale
-                return av * dv
+        def f(x):  # row i: the primitive of v times w_x, on element i
+            y = (x - mesh.centers[:, None]) * scale
+            av = np.einsum("ipm,im->ip", legendre_vandermonde(y, mesh.k + 1), anti)
+            return av * np.einsum("ipm,im->ip", legendre_vandermonde(y, mesh.k), dw) * scale
 
-            residual += pg.quadrature_residual(f, i, mesh)
+        residual = float(np.sum(pg.quadrature_residual(f, mesh)))
         lhs = pg.inner_star(v, w, mesh)
         return _rel_defect(lhs, pg.l2_inner(v, w, mesh) + residual)
 
@@ -429,10 +424,8 @@ def run_checks(seed: int = 0, trials: int = 100) -> CheckReport:
 
     def galerkin_defect(rng, mesh):
         v, w = _random_coeffs(rng, mesh), _random_coeffs(rng, mesh)
-        ws = workspace(mesh)
-        values = np.empty_like(v)
-        for idx, ops in ws.pairs():
-            values[idx] = 0.5 * mesh.lengths[idx][:, None] * (v[idx] @ ops.mass.T)
+        values = 0.5 * mesh.lengths[:, None] * np.einsum("ijm,im->ij",
+                                                         workspace(mesh).table("mass"), v)
         state = SvState(mesh, mesh.k, values, 0.0)
         problem = Problem(u0=lambda x: np.zeros_like(x))
         tendency = apply_L(state, problem)

@@ -17,7 +17,6 @@ __all__ = [
     "uniform_mesh",
     "perturbed_mesh",
     "splitmix64_stream",
-    "mesh_table",
 ]
 
 
@@ -172,11 +171,3 @@ def perturbed_mesh(n, seed, rule, k, bc, alpha=None) -> Mesh1D:
         raise RuntimeError("perturbation broke monotonicity")  # unreachable for n >= 4
     return _build_mesh(boundaries, rule, k, bc, alpha)
 
-
-def mesh_table(mesh: Mesh1D) -> str:
-    """Plain-text dump: element index, boundaries, and CV boundaries."""
-    lines = ["# element  x_left  x_right  cv_bounds..."]
-    for i in range(mesh.n_elements):
-        cvs = " ".join(f"{x:.15g}" for x in mesh.cv_bounds[i])
-        lines.append(f"{i} {mesh.boundaries[i]:.15g} {mesh.boundaries[i + 1]:.15g} {cvs}")
-    return "\n".join(lines)

@@ -6,13 +6,11 @@ coefficients on the reference element, matching Reconstruction.coeffs.
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
 from ._basis import antiderivative_matrix, derivative_matrix, legendre_vandermonde
-from .mesh import BoundaryCondition, Mesh1D, SubdivisionRule
-from .quadrature import gauss_rule, interpolatory_weights
+from .mesh import BoundaryCondition, Mesh1D
+from .quadrature import gauss_rule
 from .sv_space import workspace
 
 __all__ = [
@@ -33,58 +31,16 @@ __all__ = [
 _RESIDUAL_POINTS = 20  # reference rule for R_i, exact to degree 39
 
 
-class _PgWorkspace:
-    """Per-mesh cache of basis/weight tables used by the analysis surface."""
-
-    def __init__(self, mesh: Mesh1D):
-        k = mesh.k
-        ws = workspace(mesh)
-        self.deriv = derivative_matrix(k)
-        self.weights = []       # reference weights A_0..A_{k+1}, per variant
-        self.node_basis = []    # L_m at the k+2 subdivision points, per variant
-        self.interp_inv = []    # inverse Vandermonde at interpolation nodes y_1..y_{k+1}
-        base = SubdivisionRule.LSV if mesh.rule == SubdivisionRule.LSV else SubdivisionRule.RRSV
-        ref = interpolatory_weights(base, k)
-        for ops, left in zip(ws.variants, ws.left_flags):
-            w = ref.weights[::-1] if left else ref.weights  # mirrored rule for left-Radau
-            self.weights.append(np.asarray(w))
-            self.node_basis.append(ops.trace)
-            self.interp_inv.append(np.linalg.inv(legendre_vandermonde(ops.y[1:], k)))
-
-
-_pg_workspaces: "weakref.WeakKeyDictionary[Mesh1D, _PgWorkspace]" = weakref.WeakKeyDictionary()
-
-
-def _pg(mesh: Mesh1D) -> _PgWorkspace:
-    ws = _pg_workspaces.get(mesh)
-    if ws is None:
-        ws = _PgWorkspace(mesh)
-        _pg_workspaces[mesh] = ws
-    return ws
-
-
 def node_weights(mesh: Mesh1D) -> np.ndarray:
     """Physical quadrature weights A_{i,j} = (h_i/2) A_j; shape (N, k+2)."""
-    pg = _pg(mesh)
-    out = np.empty((mesh.n_elements, mesh.k + 2))
-    for idx, w in zip(workspace(mesh).groups, pg.weights):
-        out[idx] = w
-    return out * 0.5 * mesh.lengths[:, None]
+    return workspace(mesh).table("node_weights") * 0.5 * mesh.lengths[:, None]
 
 
 def _node_values_and_derivs(coeffs: np.ndarray, mesh: Mesh1D):
     """(values, x-derivatives) of the piecewise polynomial at all CV bounds."""
-    pg = _pg(mesh)
-    ws = workspace(mesh)
-    n, k1 = coeffs.shape
-    vals = np.empty((n, mesh.k + 2))
-    derivs = np.empty((n, mesh.k + 2))
-    dcoeffs = coeffs @ pg.deriv.T
-    for idx, basis in zip(ws.groups, pg.node_basis):
-        vals[idx] = coeffs[idx] @ basis.T
-        derivs[idx] = dcoeffs[idx] @ basis.T
-    derivs *= (2.0 / mesh.lengths)[:, None]
-    return vals, derivs
+    both = np.stack([coeffs, coeffs @ derivative_matrix(mesh.k).T])
+    vals, derivs = np.einsum("ijm,cim->cij", workspace(mesh).table("trace"), both)
+    return vals, derivs * (2.0 / mesh.lengths)[:, None]
 
 
 def map_to_test(coeffs: np.ndarray, mesh: Mesh1D) -> np.ndarray:
@@ -110,16 +66,12 @@ def boundary_traces(coeffs: np.ndarray, mesh: Mesh1D) -> tuple[np.ndarray, np.nd
 
 def derivative_coeffs(coeffs: np.ndarray, mesh: Mesh1D) -> np.ndarray:
     """Reference-coordinate Legendre coefficients of d/dy of each element polynomial."""
-    return coeffs @ _pg(mesh).deriv.T
+    return coeffs @ derivative_matrix(mesh.k).T
 
 
 def interpolation_nodes_values(coeffs: np.ndarray, mesh: Mesh1D) -> np.ndarray:
     """Values of each element polynomial at its own nodes x_{i,1}..x_{i,k+1}."""
-    pg_ws = _pg(mesh)
-    out = np.empty((mesh.n_elements, mesh.k + 1))
-    for idx, basis in zip(workspace(mesh).groups, pg_ws.node_basis):
-        out[idx] = coeffs[idx] @ basis[1:].T
-    return out
+    return np.einsum("ijm,im->ij", workspace(mesh).table("trace")[:, 1:], coeffs)
 
 
 def _upwind_traces(coeffs: np.ndarray, mesh: Mesh1D) -> np.ndarray:
@@ -145,24 +97,23 @@ def bilinear_ah(v: np.ndarray, w: np.ndarray, mesh: Mesh1D) -> float:
 def inner_star(v: np.ndarray, w: np.ndarray, mesh: Mesh1D) -> float:
     """(v, w*) = sum_{i,j} w*_{i,j} * integral of v over C_{i,j}."""
     star = map_to_test(w, mesh)
-    ws = workspace(mesh)
-    total = 0.0
-    half_h = 0.5 * mesh.lengths
-    for idx, ops in ws.pairs():
-        cell_integrals = half_h[idx][:, None] * (v[idx] @ ops.mass.T)
-        total += float(np.sum(star[idx] * cell_integrals))
-    return total
+    return 0.5 * float(np.einsum("ij,ijm,im,i->", star, workspace(mesh).table("mass"), v,
+                                 mesh.lengths))
 
 
-def quadrature_residual(f, element: int, mesh: Mesh1D) -> float:
-    """R_i(f): Gauss reference integral over I_i minus the weighted node sum."""
+def quadrature_residual(f, mesh: Mesh1D) -> np.ndarray:
+    """R_i(f) of every element: Gauss reference integral over I_i minus the weighted
+    node sum; shape (N,).
+
+    ``f`` is called once on an (N, 20) array of Gauss points and once on
+    ``mesh.cv_bounds``; row i of its result is element i's function.
+    """
     gy, gw = gauss_rule(_RESIDUAL_POINTS)
-    xl, xr = mesh.boundaries[element], mesh.boundaries[element + 1]
-    mid, half = 0.5 * (xl + xr), 0.5 * (xr - xl)
-    integral = half * float(gw @ np.asarray(f(mid + half * gy), dtype=float))
-    nodes = mesh.cv_bounds[element]
-    a = node_weights(mesh)[element]
-    return integral - float(a @ np.asarray(f(nodes), dtype=float))
+    half = 0.5 * mesh.lengths
+    x = mesh.centers[:, None] + half[:, None] * gy
+    integral = half * (np.asarray(f(x), dtype=float) @ gw)
+    return integral - np.sum(node_weights(mesh) * np.asarray(f(mesh.cv_bounds), dtype=float),
+                             axis=1)
 
 
 def energy_norm(w: np.ndarray, mesh: Mesh1D) -> float:
@@ -194,9 +145,5 @@ def global_antiderivative(v: np.ndarray, mesh: Mesh1D) -> np.ndarray:
 
 def lagrange_interpolant(u, mesh: Mesh1D) -> np.ndarray:
     """Coefficients of the piecewise interpolant of u at x_{i,1}..x_{i,k+1}."""
-    pg = _pg(mesh)
-    coeffs = np.empty((mesh.n_elements, mesh.k + 1))
-    for idx, inv in zip(workspace(mesh).groups, pg.interp_inv):
-        x = mesh.cv_bounds[idx][:, 1:]
-        coeffs[idx] = np.asarray(u(x), dtype=float) @ inv.T
-    return coeffs
+    values = np.asarray(u(mesh.cv_bounds[:, 1:]), dtype=float)
+    return np.einsum("imj,ij->im", workspace(mesh).table("interp_inv"), values)

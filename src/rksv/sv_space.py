@@ -18,7 +18,7 @@ import numpy as np
 
 from ._basis import antiderivative_values, legendre_vandermonde, mass_matrix
 from .mesh import BoundaryCondition, Mesh1D, SubdivisionRule
-from .quadrature import gauss_rule
+from .quadrature import gauss_rule, interpolatory_weights
 
 __all__ = [
     "Problem",
@@ -123,23 +123,24 @@ def _checked_mass_matrix(y: np.ndarray) -> np.ndarray:
 
 
 class _VariantOps:
-    """Geometry factors shared by all elements with the same reference nodes."""
+    """Reference tables shared by all elements with the same reference nodes."""
 
-    def __init__(self, y: np.ndarray, k: int):
-        self.y = y
+    def __init__(self, rule: SubdivisionRule, k: int, left_oriented: bool):
+        self.rule = rule
+        self.left_oriented = left_oriented
+        self.y = y = _reference_nodes(rule, k, left_oriented)
         self.mass = _checked_mass_matrix(y)
         self.mass_inv = np.linalg.inv(self.mass)
         self.trace = legendre_vandermonde(y, k)        # (k+2, k+1), values at CV bounds
         # CV integrals -> values at the CV bounds, on an element of length 2
         self.trace_map = self.trace @ self.mass_inv
-        q = k + 3
-        gy, gw = gauss_rule(q)
-        # per-CV quadrature in element coordinates: (k+1, q)
+        gy, gw = gauss_rule(k + 3)
+        # per-CV quadrature in element coordinates: (k+1, k+3)
         mid = 0.5 * (y[:-1] + y[1:])
         half = 0.5 * np.diff(y)
         self.quad_y = mid[:, None] + half[:, None] * gy[None, :]
         self.quad_w = half[:, None] * gw[None, :]      # weights on the reference element
-        self.quad_basis = legendre_vandermonde(self.quad_y.ravel(), k).reshape(k + 1, q, k + 1)
+        self.quad_basis = legendre_vandermonde(self.quad_y, k)
 
     @cached_property
     def source_map(self) -> np.ndarray:
@@ -153,36 +154,35 @@ class _VariantOps:
         return np.diff(antiderivative_values(self.y, q - 1), axis=0) @ \
             np.linalg.inv(legendre_vandermonde(gy, q - 1))
 
+    @cached_property
+    def node_weights(self) -> np.ndarray:
+        """Reference weights A_0..A_{k+1} at the CV bounds, mirrored on left-Radau elements."""
+        base = SubdivisionRule.LSV if self.rule == SubdivisionRule.LSV else SubdivisionRule.RRSV
+        w = interpolatory_weights(base, len(self.y) - 2).weights
+        return w[::-1] if self.left_oriented else w
+
+    @cached_property
+    def interp_inv(self) -> np.ndarray:
+        """Values at the interpolation nodes y_1..y_{k+1} -> Legendre coefficients."""
+        return np.linalg.inv(self.trace[1:])
+
 
 class _MeshWorkspace:
-    """Per-mesh cache: element groups by orientation plus their variant ops."""
+    """Per-mesh cache: the reference tables of each element, stacked on first use."""
 
     def __init__(self, mesh: Mesh1D):
-        k = mesh.k
-        self.k = k
-        self.variants: list[_VariantOps] = []
-        self.groups: list[np.ndarray | slice] = []
-        self.left_flags: list[bool] = []
-        self.element_variant = np.zeros(mesh.n_elements, dtype=np.intp)
-        if mesh.left_oriented.any():
-            for flag in (False, True):
-                idx = np.nonzero(mesh.left_oriented == flag)[0]
-                if idx.size:
-                    self.element_variant[idx] = len(self.variants)
-                    self.variants.append(_VariantOps(_reference_nodes(mesh.rule, k, flag), k))
-                    self.groups.append(idx)
-                    self.left_flags.append(flag)
-        else:
-            self.variants.append(_VariantOps(_reference_nodes(mesh.rule, k, False), k))
-            self.groups.append(slice(None))
-            self.left_flags.append(False)
+        flags, self.element_variant = np.unique(mesh.left_oriented, return_inverse=True)
+        self.variants = [_VariantOps(mesh.rule, mesh.k, bool(f)) for f in flags]
+        self._tables: dict[str, np.ndarray] = {}
 
-    def pairs(self):
-        return zip(self.groups, self.variants)
-
-    def per_element(self, tables: list[np.ndarray]) -> np.ndarray:
-        """Stack one table per variant into one table per element."""
-        return np.stack(tables)[self.element_variant]
+    def table(self, name: str) -> np.ndarray:
+        """The named ``_VariantOps`` table of every element: shape (N, ...), read-only."""
+        stacked = self._tables.get(name)
+        if stacked is None:
+            stacked = np.stack([getattr(ops, name) for ops in self.variants])[self.element_variant]
+            stacked.flags.writeable = False
+            self._tables[name] = stacked
+        return stacked
 
 
 _workspaces: "weakref.WeakKeyDictionary[Mesh1D, _MeshWorkspace]" = weakref.WeakKeyDictionary()
@@ -202,12 +202,8 @@ def reconstruct(state: SvState) -> Reconstruction:
 
 
 def _coefficients(mesh: Mesh1D, values: np.ndarray) -> np.ndarray:
-    ws = workspace(mesh)
-    scale = 2.0 / mesh.lengths
-    coeffs = np.empty_like(values)
-    for idx, ops in ws.pairs():
-        coeffs[idx] = (values[idx] * scale[idx][:, None]) @ ops.mass_inv.T
-    return coeffs
+    return np.einsum("imj,ij->im", workspace(mesh).table("mass_inv"),
+                     values * (2.0 / mesh.lengths)[:, None])
 
 
 class BandedOperator:
@@ -258,7 +254,7 @@ class SpatialOperator:
         n, k1 = mesh.n_elements, mesh.k + 1
         half_h = 0.5 * mesh.lengths
         # traces[i] maps the CV integrals of element i to u_h at its k+2 CV bounds
-        traces = ws.per_element([ops.trace_map for ops in ws.variants]) / half_h[:, None, None]
+        traces = ws.table("trace_map") / half_h[:, None, None]
         a_if = problem.alpha_values(mesh.boundaries)
         periodic = mesh.bc == BoundaryCondition.PERIODIC
         if periodic:
@@ -288,8 +284,7 @@ class SpatialOperator:
         if problem.source is not None:
             gy, _ = gauss_rule(mesh.k + 3)
             self.source_points = mesh.centers[:, None] + half_h[:, None] * gy[None, :]
-            self.source_map = half_h[:, None, None] * \
-                ws.per_element([ops.source_map for ops in ws.variants])
+            self.source_map = half_h[:, None, None] * ws.table("source_map")
 
     def tendency(self, values: np.ndarray, t: float) -> np.ndarray:
         """d/dt of the CV integrals at time t: ``linear(values) + source_integrals(t)``."""
@@ -380,8 +375,8 @@ def project_initial(problem: Problem, mesh: Mesh1D, k: int) -> SvState:
         raise ValueError(f"k={k} does not match mesh.k={mesh.k}")
     ws = workspace(mesh)
     half_h = 0.5 * mesh.lengths[:, None, None]
-    x = mesh.centers[:, None, None] + half_h * ws.per_element([ops.quad_y for ops in ws.variants])
-    w = half_h * ws.per_element([ops.quad_w for ops in ws.variants])
+    x = mesh.centers[:, None, None] + half_h * ws.table("quad_y")
+    w = half_h * ws.table("quad_w")
     vals = np.asarray(problem.u0(x), dtype=float)
     return SvState(mesh, k, np.einsum("ijq,ijq->ij", vals, w), 0.0)
 
@@ -394,22 +389,17 @@ def error_norms(state: SvState, problem: Problem, t: float | None = None) -> tup
     mesh = state.mesh
     ws = workspace(mesh)
     coeffs = _coefficients(mesh, state.values)
-    half_h = 0.5 * mesh.lengths
-    l2_sq = 0.0
-    linf = 0.0
-    for idx, ops in ws.pairs():
-        c = coeffs[idx]
-        centers = mesh.centers[idx]
-        half = half_h[idx]
-        xq = centers[:, None, None] + half[:, None, None] * ops.quad_y[None, :, :]
-        uh = np.einsum("pm,jqm->pjq", c, ops.quad_basis)
-        err = uh - np.asarray(problem.u_exact(xq, t), dtype=float)
-        l2_sq += float(np.sum(err * err * ops.quad_w[None, :, :] * half[:, None, None]))
-        y_pts = np.unique(np.concatenate([np.linspace(-1.0, 1.0, 20), ops.y]))
-        basis = legendre_vandermonde(y_pts, mesh.k)
-        xs = centers[:, None] + half[:, None] * y_pts[None, :]
-        us = c @ basis.T
-        linf = max(linf, float(np.max(np.abs(us - problem.u_exact(xs, t)))))
+    half_h = 0.5 * mesh.lengths[:, None]
+    xq = mesh.centers[:, None, None] + half_h[:, :, None] * ws.table("quad_y")
+    err = np.einsum("im,ijqm->ijq", coeffs, ws.table("quad_basis")) - \
+        np.asarray(problem.u_exact(xq, t), dtype=float)
+    l2_sq = float(np.sum(err * err * ws.table("quad_w") * half_h[:, :, None]))
+    # Linf samples: 20 even points and the CV bounds of each element
+    even = np.linspace(-1.0, 1.0, 20)
+    us = np.concatenate([coeffs @ legendre_vandermonde(even, mesh.k).T,
+                         np.einsum("ijm,im->ij", ws.table("trace"), coeffs)], axis=1)
+    xs = np.concatenate([mesh.centers[:, None] + half_h * even, mesh.cv_bounds], axis=1)
+    linf = float(np.max(np.abs(us - problem.u_exact(xs, t))))
     return float(np.sqrt(l2_sq)), linf
 
 

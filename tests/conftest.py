@@ -20,9 +20,8 @@ def periodic_mesh(n, rule, k):
 
 def state_from_coeffs(mesh, coeffs):
     """SvState whose CV integrals are the exact integrals of the given polynomial."""
-    values = np.empty_like(coeffs)
-    for idx, ops in workspace(mesh).pairs():
-        values[idx] = 0.5 * mesh.lengths[idx][:, None] * (coeffs[idx] @ ops.mass.T)
+    mass = workspace(mesh).table("mass")
+    values = 0.5 * mesh.lengths[:, None] * np.einsum("ijm,im->ij", mass, coeffs)
     return SvState(mesh, mesh.k, values, 0.0)
 
 

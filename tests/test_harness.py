@@ -272,7 +272,7 @@ def test_cli_rejects_bad_t_final(capsys, t_final):
 
 
 @pytest.mark.parametrize("command", ("solve", "converge"))
-@pytest.mark.parametrize("exponent", ("0", "-1"))
+@pytest.mark.parametrize("exponent", ("0", "-1", "-1/2"))
 def test_cli_rejects_non_positive_cfl_exp(capsys, command, exponent):
     n = "8" if command == "solve" else "8,16,32"
     code = cli.main([command, "--example", "1", "--scheme", "lsv", "--k", "2", "--s", "3",

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from rksv.mesh import (BoundaryCondition, SubdivisionRule, mesh_table, perturbed_mesh,
-                       splitmix64_stream, uniform_mesh)
+from rksv.mesh import (BoundaryCondition, SubdivisionRule, perturbed_mesh, splitmix64_stream,
+                       uniform_mesh)
 
 
 def test_uniform_lsv_k1_splits_at_centers():
@@ -113,15 +113,6 @@ def test_splitmix64_range_and_determinism():
     vals = [next(s1) for _ in range(1000)]
     assert vals == [next(s2) for _ in range(1000)]
     assert all(0.0 < v < 1.0 for v in vals)
-
-
-def test_mesh_table_lists_every_element():
-    mesh = uniform_mesh(0.0, 1.0, 5, SubdivisionRule.LSV, 2, BoundaryCondition.PERIODIC)
-    text = mesh_table(mesh)
-    lines = text.splitlines()
-    assert len(lines) == 6
-    assert lines[1].startswith("0 0 ")
-    assert f"{mesh.cv_bounds[3, 1]:.15g}" in lines[4]
 
 
 def test_regularity_ratio_reported():

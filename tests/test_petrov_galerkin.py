@@ -3,10 +3,27 @@ import pytest
 
 from conftest import BOTH_RULES, periodic_mesh, random_coeffs, state_from_coeffs
 from rksv import petrov_galerkin as pg
-from rksv._basis import legendre_vandermonde
-from rksv.mesh import BoundaryCondition, SubdivisionRule, uniform_mesh
+from rksv._basis import antiderivative_values, legendre_vandermonde
+from rksv.mesh import BoundaryCondition, SubdivisionRule, perturbed_mesh, uniform_mesh
 from rksv.quadrature import interpolatory_weights
 from rksv.sv_space import Problem, apply_L
+
+
+RSV = SubdivisionRule.RSV_ADAPTIVE
+RSV_DEGREES = (2, 3, 5)
+
+
+def rsv_mesh(k, bc=BoundaryCondition.PERIODIC):
+    """Perturbed N=9 RSV mesh oriented by sin: both Radau orientations occur."""
+    mesh = perturbed_mesh(9, 3, RSV, k, bc, alpha=np.sin)
+    assert mesh.left_oriented.any() and not mesh.left_oriented.all()
+    return mesh
+
+
+def local_values(mesh, coeffs, x):
+    """Row i: element i's Legendre expansion ``coeffs[i]`` at the points x[i]."""
+    y = (x - mesh.centers[:, None]) * (2.0 / mesh.lengths)[:, None]
+    return np.einsum("ipm,im->ip", legendre_vandermonde(y, coeffs.shape[1] - 1), coeffs)
 
 
 def _ah_lhs_rhs_jump(v, w, mesh):
@@ -76,12 +93,13 @@ def test_inner_star_constants():
     assert abs(pg.inner_star(v, w, mesh) - 2.0 * (-1.5) * 3.0) < 1e-13
 
 
-@pytest.mark.parametrize("rule", BOTH_RULES)
+@pytest.mark.parametrize("rule", BOTH_RULES + (RSV,))
 def test_inner_star_symmetry(rule, rng):
-    mesh = periodic_mesh(10, rule, 4)
-    v, w = random_coeffs(rng, mesh), random_coeffs(rng, mesh)
-    a, b = pg.inner_star(v, w, mesh), pg.inner_star(w, v, mesh)
-    assert abs(a - b) < 1e-11 * max(1.0, abs(a))
+    meshes = [rsv_mesh(k) for k in RSV_DEGREES] if rule == RSV else [periodic_mesh(10, rule, 4)]
+    for mesh in meshes:
+        v, w = random_coeffs(rng, mesh), random_coeffs(rng, mesh)
+        a, b = pg.inner_star(v, w, mesh), pg.inner_star(w, v, mesh)
+        assert abs(a - b) < 1e-11 * max(1.0, abs(a))
 
 
 @pytest.mark.parametrize("rule", BOTH_RULES)
@@ -100,7 +118,7 @@ def test_inner_star_decomposition(rule, rng):
             return (legendre_vandermonde(y, mesh.k + 1) @ ca) * \
                    (legendre_vandermonde(y, mesh.k) @ cd) * scale
 
-        residual += pg.quadrature_residual(f, i, mesh)
+        residual += pg.quadrature_residual(f, mesh)[i]
     lhs = pg.inner_star(v, w, mesh)
     rhs = pg.l2_inner(v, w, mesh) + residual
     assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs), abs(rhs))
@@ -114,7 +132,7 @@ def test_quadrature_residual_exactness_degrees(rng):
         mesh = uniform_mesh(0.0, 1.0, 4, rule, k, BoundaryCondition.PERIODIC)
         coeff = rng.normal(size=degree + 1)
         poly = np.polynomial.Polynomial(coeff)
-        assert abs(pg.quadrature_residual(poly, 2, mesh)) < 1e-12
+        assert abs(pg.quadrature_residual(poly, mesh)[2]) < 1e-12
 
 
 def test_quadrature_residual_degree_2k_lsv_defect(rng):
@@ -123,10 +141,46 @@ def test_quadrature_residual_degree_2k_lsv_defect(rng):
     mesh = uniform_mesh(0.0, 1.0, 4, SubdivisionRule.LSV, k, BoundaryCondition.PERIODIC)
     base = np.polynomial.Polynomial([0.0] * (2 * k) + [1.0])     # x^{2k}
     lower = np.polynomial.Polynomial(rng.normal(size=2 * k))     # degree < 2k
-    r1 = pg.quadrature_residual(base, 1, mesh)
-    r2 = pg.quadrature_residual(base + lower, 1, mesh)
+    r1 = pg.quadrature_residual(base, mesh)[1]
+    r2 = pg.quadrature_residual(base + lower, mesh)[1]
     assert abs(r1) > 1e-8
     assert abs(r1 - r2) < 1e-13
+
+
+@pytest.mark.parametrize("k", RSV_DEGREES)
+def test_quadrature_residual_rsv_mirrored_weights(k, rng):
+    # each orientation's Radau rule is exact to degree 2k on its own elements;
+    # right-Radau weights at mirrored nodes would not be
+    mesh = rsv_mesh(k)
+    coeffs = rng.normal(size=(mesh.n_elements, 2 * k + 1))
+    residual = pg.quadrature_residual(lambda x: local_values(mesh, coeffs, x), mesh)
+    assert residual.shape == (mesh.n_elements,)
+    assert np.max(np.abs(residual)) < 1e-12
+    if k == 2:
+        top = np.zeros((mesh.n_elements, 2 * k + 2))
+        top[:, -1] = 1.0   # L_{2k+1} on every element: beyond the rule's degree
+        defect = pg.quadrature_residual(lambda x: local_values(mesh, top, x), mesh)
+        assert np.min(np.abs(defect)) > 1e-2   # 0.19-0.29 on this mesh
+
+
+@pytest.mark.parametrize("k", RSV_DEGREES)
+def test_lagrange_interpolant_reproduces_degree_k_on_rsv(k, rng):
+    mesh = rsv_mesh(k)
+    poly = np.polynomial.Polynomial(rng.normal(size=k + 1))
+    interp = pg.lagrange_interpolant(poly, mesh)
+    y = np.linspace(-1.0, 1.0, 7)
+    x = mesh.centers[:, None] + 0.5 * mesh.lengths[:, None] * y
+    exact = poly(x)
+    assert np.max(np.abs(interp @ legendre_vandermonde(y, k).T - exact)) < \
+        1e-12 * np.max(np.abs(exact))
+
+
+def test_basis_tables_take_any_shape(rng):
+    y = rng.uniform(-1.0, 1.0, size=(4, 6))
+    for table, kmax in ((legendre_vandermonde, 5), (antiderivative_values, 4)):
+        got = table(y, kmax)
+        assert got.shape == (4, 6, kmax + 1)
+        assert np.array_equal(got, np.stack([table(row, kmax) for row in y]))
 
 
 def test_energy_norm_constant():
@@ -189,18 +243,22 @@ def test_per_element_identity(rule, rng):
     assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
 
 
-@pytest.mark.parametrize("rule", BOTH_RULES)
+@pytest.mark.parametrize("rule", BOTH_RULES + (RSV,))
 @pytest.mark.parametrize("bc", (BoundaryCondition.PERIODIC, BoundaryCondition.INFLOW_ZERO))
 def test_galerkin_identity_links_solver_and_form(rule, bc, rng):
-    mesh = uniform_mesh(0.0, 2.0 * np.pi, 8, rule, 2, bc)
-    v, w = random_coeffs(rng, mesh), random_coeffs(rng, mesh)
-    state = state_from_coeffs(mesh, v)
-    problem = Problem(u0=np.sin)
-    tendency = apply_L(state, problem)
-    star = pg.map_to_test(w, mesh)
-    lhs = float(np.sum(star * tendency))
-    rhs = pg.bilinear_ah(v, w, mesh)
-    assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs), abs(rhs))
+    if rule == RSV:
+        meshes = [rsv_mesh(k, bc) for k in RSV_DEGREES]
+    else:
+        meshes = [uniform_mesh(0.0, 2.0 * np.pi, 8, rule, 2, bc)]
+    for mesh in meshes:
+        v, w = random_coeffs(rng, mesh), random_coeffs(rng, mesh)
+        state = state_from_coeffs(mesh, v)
+        problem = Problem(u0=np.sin)
+        tendency = apply_L(state, problem)
+        star = pg.map_to_test(w, mesh)
+        lhs = float(np.sum(star * tendency))
+        rhs = pg.bilinear_ah(v, w, mesh)
+        assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs), abs(rhs))
 
 
 def test_global_antiderivative_is_continuous_primitive(rng):
