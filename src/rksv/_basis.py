@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -43,12 +45,14 @@ def mass_matrix(y) -> np.ndarray:
     return np.diff(anti, axis=0)
 
 
+@lru_cache(maxsize=None)
 def derivative_matrix(k: int) -> np.ndarray:
-    """D with (D @ c) the Legendre coefficients of d/dy of sum(c_m L_m)."""
+    """D with (D @ c) the Legendre coefficients of d/dy of sum(c_m L_m); cached, read-only."""
     d = np.zeros((k + 1, k + 1))
     for m in range(k + 1):
         for j in range(m + 1, k + 1, 2):
             d[m, j] = 2 * m + 1
+    d.flags.writeable = False
     return d
 
 

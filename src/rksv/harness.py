@@ -181,12 +181,12 @@ def resolve_cfl_exponent(config: ExperimentConfig) -> Fraction:
 
 def build_mesh(config: ExperimentConfig, n: int) -> Mesh1D:
     definition = problem_definition(config.example)
-    problem = definition.make()
+    alpha = definition.make().alpha_values  # orients alpha=None as the constant 1
     if definition.mesh_kind == "perturbed":
         return perturbed_mesh(n, config.seed, config.scheme, config.k, definition.bc,
-                              alpha=problem.alpha)
+                              alpha=alpha)
     a, b = definition.domain
-    return uniform_mesh(a, b, n, config.scheme, config.k, definition.bc, alpha=problem.alpha)
+    return uniform_mesh(a, b, n, config.scheme, config.k, definition.bc, alpha=alpha)
 
 
 def time_step(config: ExperimentConfig, mesh: Mesh1D) -> float:

@@ -36,11 +36,9 @@ def node_weights(mesh: Mesh1D) -> np.ndarray:
     return workspace(mesh).table("node_weights") * 0.5 * mesh.lengths[:, None]
 
 
-def _node_values_and_derivs(coeffs: np.ndarray, mesh: Mesh1D):
-    """(values, x-derivatives) of the piecewise polynomial at all CV bounds."""
-    both = np.stack([coeffs, coeffs @ derivative_matrix(mesh.k).T])
-    vals, derivs = np.einsum("ijm,cim->cij", workspace(mesh).table("trace"), both)
-    return vals, derivs * (2.0 / mesh.lengths)[:, None]
+def _node_values(coeffs: np.ndarray, mesh: Mesh1D) -> np.ndarray:
+    """Values of the piecewise polynomial at all CV bounds; shape (N, k+2)."""
+    return np.einsum("ijm,im->ij", workspace(mesh).table("trace"), coeffs)
 
 
 def map_to_test(coeffs: np.ndarray, mesh: Mesh1D) -> np.ndarray:
@@ -49,7 +47,8 @@ def map_to_test(coeffs: np.ndarray, mesh: Mesh1D) -> np.ndarray:
     w*_{i,0} = w(x_{i,0}^+) + A_{i,0} w_x(x_{i,0}) and each later constant adds
     A_{i,j} w_x(x_{i,j}).
     """
-    vals, derivs = _node_values_and_derivs(coeffs, mesh)
+    vals = _node_values(coeffs, mesh)
+    derivs = _node_values(coeffs @ derivative_matrix(mesh.k).T, mesh) * (2 / mesh.lengths)[:, None]
     a = node_weights(mesh)
     star = np.empty((mesh.n_elements, mesh.k + 1))
     star[:, 0] = vals[:, 0] + a[:, 0] * derivs[:, 0]
@@ -60,7 +59,7 @@ def map_to_test(coeffs: np.ndarray, mesh: Mesh1D) -> np.ndarray:
 
 def boundary_traces(coeffs: np.ndarray, mesh: Mesh1D) -> tuple[np.ndarray, np.ndarray]:
     """Element traces (left-endpoint values, right-endpoint values)."""
-    vals, _ = _node_values_and_derivs(coeffs, mesh)
+    vals = _node_values(coeffs, mesh)
     return vals[:, 0].copy(), vals[:, -1].copy()
 
 
@@ -76,7 +75,7 @@ def interpolation_nodes_values(coeffs: np.ndarray, mesh: Mesh1D) -> np.ndarray:
 
 def _upwind_traces(coeffs: np.ndarray, mesh: Mesh1D) -> np.ndarray:
     """u^- at the k+2 CV bounds of each element, honouring the bc at x_{i,0}."""
-    vals, _ = _node_values_and_derivs(coeffs, mesh)
+    vals = _node_values(coeffs, mesh)
     out = np.empty_like(vals)
     out[:, 1:] = vals[:, 1:]
     out[1:, 0] = vals[:-1, -1]

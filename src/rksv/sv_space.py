@@ -207,18 +207,24 @@ def _coefficients(mesh: Mesh1D, values: np.ndarray) -> np.ndarray:
 
 
 class BandedOperator:
-    """A linear map on the CV integrals, as per-element blocks over a band of neighbours.
+    """A linear map on the CV integrals, as per-element blocks over a span of neighbours.
 
-    Row block i is sum_o B[i, o] v_{(i+o) mod N}, o = -d..d, stored as one
-    (k+1, (2d+1)(k+1)) block per element plus a gather index into
-    ``values.ravel()``.  Offsets are taken mod N only by the gather, so when
-    the band is wider than the mesh the aliased columns accumulate.
+    Row block i is sum_o B[i, o] v_{(i+o) mod N} over the explicit ``offsets``,
+    not symmetric in general: only the span from the first to the last offset
+    whose block is nonzero on some element (``!= 0``, so a NaN block counts) is
+    kept, and always 0.  Stored as one (k+1, len(offsets)(k+1)) block per element
+    plus a gather index into ``values.ravel()``; offsets are taken mod N only by
+    the gather, so when the span is wider than the mesh aliased columns accumulate.
     """
 
-    def __init__(self, blocks: np.ndarray):
-        n, k1, width, _ = blocks.shape  # blocks[i, :, o + d, :] = B[i, o]
-        self.blocks = np.ascontiguousarray(blocks).reshape(n, k1, width * k1)
-        elements = (np.arange(n)[:, None] + np.arange(width)[None, :] - width // 2) % n
+    def __init__(self, blocks: np.ndarray, offsets: np.ndarray):
+        n, k1, _, _ = blocks.shape  # blocks[i, :, j, :] = B[i, offsets[j]]
+        live = np.flatnonzero(np.any(blocks != 0, axis=(0, 1, 3)) | (offsets == 0))
+        span = slice(live[0], live[-1] + 1)
+        self.offsets = offsets[span]
+        width = len(self.offsets)
+        self.blocks = np.ascontiguousarray(blocks[:, :, span]).reshape(n, k1, width * k1)
+        elements = (np.arange(n)[:, None] + self.offsets[None, :]) % n
         self.gather = (elements[:, :, None] * k1 + np.arange(k1)).reshape(n, width * k1)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -241,10 +247,11 @@ class BandedOperator:
 class SpatialOperator:
     """The affine tendency ``L u + Q g(t)``, assembled once for a (mesh, problem) pair.
 
-    L is a ``BandedOperator`` with one (k+1, 3(k+1)) block per element acting
-    on the CV integrals of the element and its two neighbours,
-    [v_{i-1}, v_i, v_{i+1}]; Q maps the source at one (k+3)-point Gauss rule
-    per element to the CV integrals of its degree-(k+2) interpolant.
+    L is a ``BandedOperator`` acting on the CV integrals of each element and
+    its two neighbours, [v_{i-1}, v_i, v_{i+1}], less a neighbour that is
+    upwind of no element (with alpha >= 0, L reads only -1..0); Q maps the
+    source at one (k+3)-point Gauss rule per element to the CV integrals of
+    its degree-(k+2) interpolant.
     """
 
     def __init__(self, mesh: Mesh1D, problem: Problem):
@@ -279,7 +286,7 @@ class SpatialOperator:
         blocks[:, 0, 0] = left
         blocks[:, :, 1] = own[:, :-1] - own[:, 1:]
         blocks[:, -1, 2] = -right
-        self.L = BandedOperator(blocks)
+        self.L = BandedOperator(blocks, np.arange(-1, 2))
         self._increment_maps: dict[tuple[int, float], BandedOperator] = {}
         if problem.source is not None:
             gy, _ = gauss_rule(mesh.k + 3)
@@ -300,35 +307,36 @@ class SpatialOperator:
     def polynomial(self, coeffs, tau: float = 1.0) -> BandedOperator:
         """sum_j coeffs[j] (tau L)^j, multiplied out by Horner's rule in tau L.
 
-        Each factor tau L widens the band by one element on each side, so a
-        degree-d polynomial has blocks at the offsets -d..d.  The offsets stay
-        integers until the gather takes them mod N: on a mesh narrower than
-        the band the aliased columns then accumulate, and on an INFLOW_ZERO
-        mesh every path through a domain end meets a zero edge block of L.
+        Each factor tau L adds L's offsets to the span, so a degree-d
+        polynomial of an L over -1..1 has blocks at the offsets -d..d, and of
+        a one-sided L over -1..0 at -d..0.  The offsets stay integers until
+        the gather takes them mod N: on a mesh narrower than the span the
+        aliased columns then accumulate, and on an INFLOW_ZERO mesh every
+        path through a domain end meets a zero edge block of L.
         """
         n, k1 = self.mesh.n_elements, self.mesh.k + 1
-        tau_l = tau * self.L.blocks.reshape(n, k1, 3, k1)
+        l_offsets = self.L.offsets
+        tau_l = tau * self.L.blocks.reshape(n, k1, len(l_offsets), k1)
         eye = np.eye(k1)
         p = np.zeros((n, k1, 1, k1))
         p[:, :, 0] = coeffs[-1] * eye
+        low = 0  # the lowest offset of p
         for c in coeffs[-2::-1]:
             width = p.shape[2]
             rows = p.reshape(n, k1, width * k1)
-            q = np.zeros((n, k1, width + 2, k1))
+            q = np.zeros((n, k1, width + len(l_offsets) - 1, k1))
             product = np.empty_like(rows)
-            # block d of L acts on element (i + d - 1) mod N: the rows are shifted
-            # by two slices each, so no shifted copy of the band is made
-            np.matmul(tau_l[1:, :, 0], rows[:-1], out=product[1:])
-            np.matmul(tau_l[:1, :, 0], rows[-1:], out=product[:1])
-            q[:, :, :width] += product.reshape(n, k1, width, k1)
-            np.matmul(tau_l[:, :, 1], rows, out=product)
-            q[:, :, 1:width + 1] += product.reshape(n, k1, width, k1)
-            np.matmul(tau_l[:-1, :, 2], rows[1:], out=product[:-1])
-            np.matmul(tau_l[-1:, :, 2], rows[:1], out=product[-1:])
-            q[:, :, 2:] += product.reshape(n, k1, width, k1)
-            q[:, :, width // 2 + 1] += c * eye
+            for j, o in enumerate(l_offsets):
+                # block o of L acts on element (i + o) mod N: the rows are shifted
+                # by two slices, so no shifted copy of the band is made
+                m = n - o % n
+                np.matmul(tau_l[:m, :, j], rows[n - m:], out=product[:m])
+                np.matmul(tau_l[m:, :, j], rows[:n - m], out=product[m:])
+                q[:, :, j:j + width] += product.reshape(n, k1, width, k1)
+            low += l_offsets[0]
+            q[:, :, -low] += c * eye
             p = q
-        return BandedOperator(p)
+        return BandedOperator(p, low + np.arange(p.shape[2]))
 
     def increment_map(self, s: int, tau: float) -> BandedOperator:
         """A = P_s(tau L) - I, P_s(z) = sum_{j<=s} z^j/j!: the source-free increment

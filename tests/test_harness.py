@@ -74,6 +74,17 @@ def test_solve_at_time_zero_is_projection_error():
     assert res.steps == 0
 
 
+def test_example_one_rsv_is_all_right_radau(capsys):
+    # alpha=None is the constant 1, so the adaptive rule orients every element
+    # right-Radau and the run is the RRSV run
+    rsv = _cfg(scheme=SubdivisionRule.RSV_ADAPTIVE, k=2, s=3)
+    mesh = build_mesh(rsv, 8)
+    assert mesh.rule == SubdivisionRule.RSV_ADAPTIVE and not mesh.left_oriented.any()
+    assert run_solve(rsv).l2 == run_solve(_cfg(k=2, s=3)).l2
+    assert cli.main(["solve", "--example", "1", "--scheme", "rsv", "--k", "2", "--s", "3",
+                     "--n", "8", "--cfl", "0.1"]) == 0
+
+
 def test_convergence_requires_doubling_sizes():
     with pytest.raises(ValueError):
         run_convergence(_cfg(n_values=(8, 16)))

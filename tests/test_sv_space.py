@@ -296,12 +296,64 @@ def test_polynomial_blocks_match_dense_series(rng, mesh, alpha, degree):
         expected += c * power
         power = tau * mat @ power
     band = SpatialOperator(mesh, problem).polynomial(coeffs, tau)
-    assert band.blocks.shape[2] == (2 * degree + 1) * k1
+    # only the span of live offsets is kept: at most -d..d, its end blocks are
+    # nonzero on some element, and with alpha = 1 the upwind band is -d..0
+    assert len(band.offsets) <= 2 * degree + 1
+    assert band.blocks.shape[2] == len(band.offsets) * k1
+    blocks = band.blocks.reshape(n, k1, len(band.offsets), k1)
+    assert np.any(blocks[:, :, 0] != 0) and np.any(blocks[:, :, -1] != 0)
+    if alpha is None:
+        assert np.array_equal(band.offsets, np.arange(-degree, 1))
     scale = np.max(np.abs(expected))
     assert np.max(np.abs(band.dense() - expected)) < 1e-12 * scale
     values = rng.normal(size=(n, k1))
     got = band.apply(values).ravel()
     assert np.max(np.abs(got - expected @ values.ravel())) < 1e-12 * scale * np.max(np.abs(values))
+
+
+def _example_operator(example, scheme, n):
+    from rksv.harness import ExperimentConfig, build_mesh, problem_definition
+
+    config = ExperimentConfig(example=example, scheme=scheme, k=3, s=3, n_values=(n,), cfl=0.1)
+    return SpatialOperator(build_mesh(config, n), problem_definition(example).make())
+
+
+def test_one_way_increment_maps_are_upwind_only():
+    # alpha = 1: the upwind flux reads only the left trace, so L spans -1..0
+    # and P_s(tau L) - I spans -s..0 even where -s wraps the periodic mesh
+    ops = [_example_operator(1, scheme, 8) for scheme in ("lsv", "rrsv", "rsv")]
+    ops += [SpatialOperator(uniform_mesh(-1.0, 2.0, 16, rule, 3, BoundaryCondition.INFLOW_ZERO),
+                            Problem(u0=np.sin)) for rule in BOTH_RULES]
+    for op in ops:
+        assert np.array_equal(op.L.offsets, [-1, 0])
+        for s in range(1, 13):
+            assert np.array_equal(op.increment_map(s, 0.01).offsets, np.arange(-s, 1))
+
+
+def test_two_way_increment_maps_keep_both_sides():
+    # alpha = sin changes sign, so both neighbours are upwind of some element
+    op = _example_operator(2, "rsv", 32)
+    assert op.mesh.left_oriented.any() and not op.mesh.left_oriented.all()
+    assert np.array_equal(op.L.offsets, [-1, 0, 1])
+    for s in range(1, 13):
+        assert np.array_equal(op.increment_map(s, 0.01).offsets, np.arange(-s, s + 1))
+
+
+def test_zero_coefficient_keeps_only_offset_zero():
+    mesh = periodic_mesh(6, SubdivisionRule.RRSV, 2)
+    op = SpatialOperator(mesh, Problem(u0=np.sin, alpha=np.zeros_like))
+    assert np.array_equal(op.L.offsets, [0])
+    out = op.L.apply(np.ones((6, 3)))
+    assert out.shape == (6, 3) and not out.any()
+    assert np.array_equal(op.increment_map(4, 0.1).offsets, [0])
+
+
+def test_nan_blocks_are_kept():
+    # a NaN block is not a zero block: trimming must not hide it
+    op = SpatialOperator(periodic_mesh(4, SubdivisionRule.LSV, 1),
+                         Problem(u0=np.sin, alpha=lambda x: np.where(x > 3.0, np.nan, 1.0)))
+    assert np.array_equal(op.L.offsets, [-1, 0, 1])
+    assert np.isnan(op.L.apply(np.ones((4, 2)))).any()
 
 
 def test_operator_leaves_mesh_untouched():
