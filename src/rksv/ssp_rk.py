@@ -4,7 +4,9 @@ The s-stage linear SSP step is linear in u and in the source, so every step
 is u^{n+1} = u^n + A u^n + f^n.  A = P_s(tau L) - I, P_s(z) = sum_{j<=s}
 z^j/j!, is the source-free increment, assembled once per (s, tau) as
 per-element banded blocks (``SpatialOperator.increment_map``); the forcing
-f^n depends only on the source, not on u.
+f^n depends only on the source, not on u.  Without a source every step is the
+same map, so a long run without a per-step callback applies m steps at once
+as the one product u <- u + (P_s(tau L)^m - I) u (``_fused_steps``).
 
 A step with a source uses its samples at the s times t^n + i*tau,
 i = 0..s-1, and stage l of the Shu-Osher chain receives the combination
@@ -31,12 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import comb, factorial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .sv_space import BandedOperator, Problem, SpatialOperator, SvState
+from .sv_space import BandedOperator, Problem, SpatialOperator, SvState, _require_finite
 
 __all__ = ["MAX_STAGES", "RkTableau", "ssp_tableau", "stage_source_weights", "rk_step",
            "step_plan", "integrate"]
@@ -44,6 +47,7 @@ __all__ = ["MAX_STAGES", "RkTableau", "ssp_tableau", "stage_source_weights", "rk
 MAX_STAGES = 12
 BLOCK_STEPS = 32          # full steps whose source forcing is formed together
 _BLOCK_FLOATS = 1 << 17   # 1 MiB of float64: the bound on a block's largest temporary
+_MAX_FUSED_OFFSETS = 25   # the widest band a fused source-free map may span
 
 
 @dataclass(frozen=True)
@@ -192,10 +196,10 @@ def step_increment(values: np.ndarray, increment: BandedOperator,
                    forcing: np.ndarray | None = None) -> np.ndarray:
     """u^{n+1} - u^n = A u^n + f^n, assembled purely from O(tau) terms.
 
-    ``increment`` is A = P_s(tau L) - I for this step's tau, and ``forcing`` the
-    step's source forcing f^n (None without a source).  Keeping only the
-    increment avoids swallowing it in O(u)-sized additions, which matters for
-    runs with ~1e5 steps.
+    ``increment`` is A = P_s(tau L) - I for this step's tau, or P_s(tau L)^m - I
+    for m source-free steps at once, and ``forcing`` the step's source forcing
+    f^n (None without a source).  Keeping only the increment avoids swallowing
+    it in O(u)-sized additions, which matters for runs with ~1e5 steps.
     """
     delta = increment.apply(values)
     if forcing is not None:
@@ -210,6 +214,7 @@ def rk_step(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
     A shared ``op`` keeps the increment map of each step length, so a chain of
     calls assembles it once per tau.
     """
+    _require_finite(tau=tau)
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if op is None:
@@ -244,6 +249,43 @@ def step_plan(t0: float, tau: float, t_final: float) -> tuple[int, float]:
     return n, (rest(n) if rest(n) > tol else 0.0)
 
 
+def _fused_steps(op: SpatialOperator, s: int, n_full: int) -> int:
+    """Full steps per application of the fused map P_s(tau L)^m - I in a run of
+    n_full source-free steps: the largest m whose band keeps at most
+    ``_MAX_FUSED_OFFSETS`` offsets and fewer than N, so that no column aliases,
+    and whose assembly the run repays.
+
+    Each step widens the band by s times L's reach, to W = m*s*reach + 1
+    offsets.  Assembling a band of W offsets costs about (W-1)^2/2 one-step
+    applications, and each fused step saves about half of one (measured at
+    N = 16..128 for k = 1, s = 3 and k = 4, s = 4), so m is raised only while
+    n_full >= 2 (W-1)^2, where the saving is about twice the assembly.
+    """
+    # at least 1 per stage, so that m stays bounded when L has only offset 0
+    reach = s * max(len(op.L.offsets) - 1, 1)
+    limit = min(_MAX_FUSED_OFFSETS, op.mesh.n_elements - 1)
+    m = 1
+    while (m + 1) * reach + 1 <= limit and n_full >= 2 * ((m + 1) * reach) ** 2:
+        m += 1
+    return m
+
+
+def _applications(op: SpatialOperator, s: int, tau: float, n_full: int, last: float,
+                  fused: int):
+    """Yield (increment map, full steps it takes) for each application of a run:
+    n_full // fused groups of ``fused`` full steps, the remaining full steps one
+    at a time, then the shortened last step of length ``last`` as (map, 0).
+
+    Each map is assembled when its first application is reached.
+    """
+    groups, single = divmod(n_full, fused)
+    for count, steps in ((groups, fused), (single, 1)):
+        if count:
+            yield from repeat((op.increment_map(s, tau, steps), steps), count)
+    if last > 0.0:
+        yield op.increment_map(s, last), 0
+
+
 def integrate(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
               t_final: float, on_step=None) -> SvState:
     """Step repeatedly to t_final, shortening only the last step (``step_plan``).
@@ -252,15 +294,17 @@ def integrate(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
     accumulated with a compensated (Kahan) sum so that the many tiny step
     increments of strongly CFL-restricted runs are not lost to rounding.
 
-    Every step applies the increment map A = P_s(tau L) - I, assembled once
-    for tau and once more for a shortened last step, and adds its forcing.
-    The forcing of the full steps is formed a block of up to ``BLOCK_STEPS``
-    steps at a time from the samples at state.t + j*tau, j an integer, each
+    Every application is one product with an assembled increment map and one
+    compensated update.  A source-free run without ``on_step`` takes its full
+    steps in groups of m (``_fused_steps``) through P_s(tau L)^m - I and the
+    rest one at a time; every other run applies A = P_s(tau L) - I per step
+    and adds the step's forcing.  A shortened last step has its own A.  The
+    forcing of the full steps is formed a block of up to ``BLOCK_STEPS`` steps
+    at a time from the samples at state.t + j*tau, j an integer, each
     evaluated once (``_sample_blocks``); a shortened last step samples all s
     afresh at t + i*dt.
     """
-    if not (np.isfinite(tau) and np.isfinite(t_final)):
-        raise ValueError(f"tau and t_final must be finite, got tau={tau}, t_final={t_final}")
+    _require_finite(tau=tau, t_final=t_final)
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if t_final < state.t - 1e-14:
@@ -272,18 +316,17 @@ def integrate(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
     values = state.values.copy()
     comp = np.zeros_like(values)
     s = tableau.s
-    block = _block_steps(op)
-    if problem.source is not None:
+    sourced = problem.source is not None
+    if sourced:
+        block = _block_steps(op)
         samples = _sample_blocks(op, s, state.t, tau, n_full, block)
-    increment = op.increment_map(s, tau) if n_full else None
-    forcing = f = None
-    for step in range(n_full + (last > 0.0)):
-        short = step == n_full
-        if short:
-            increment = op.increment_map(s, last)
-            if problem.source is not None:
-                f = _step_forcing(op, s, state.t + step * tau, last)
-        elif problem.source is not None:
+    fused = 1 if sourced or on_step is not None else _fused_steps(op, s, n_full)
+    step = 0  # full steps taken
+    f = None
+    for increment, steps in _applications(op, s, tau, n_full, last, fused):
+        if sourced and steps == 0:
+            f = _step_forcing(op, s, state.t + step * tau, last)
+        elif sourced:
             if step % block == 0:
                 forcing = _forcing(op, s, tau, next(samples))
             f = forcing[step % block]
@@ -292,7 +335,8 @@ def integrate(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
         new_values = values + y
         comp = (values - new_values) + y
         values = new_values
+        step += steps
         if on_step is not None:
-            t = t_final if short else state.t + (step + 1) * tau
+            t = t_final if steps == 0 else state.t + step * tau
             on_step(SvState(state.mesh, state.k, values + comp, t))
     return SvState(state.mesh, state.k, values + comp, t_final)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import factorial
 from typing import Callable, Optional
 
@@ -36,7 +37,7 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
-_KEPT_INCREMENT_MAPS = 4   # step lengths whose increment map an operator keeps
+_KEPT_INCREMENT_MAPS = 4   # increment maps, one per (s, tau, steps), an operator keeps
 
 
 @dataclass
@@ -206,6 +207,27 @@ def _coefficients(mesh: Mesh1D, values: np.ndarray) -> np.ndarray:
                      values * (2.0 / mesh.lengths)[:, None])
 
 
+def _require_finite(**values: float) -> None:
+    """Raise ValueError naming every value if any of them is NaN or infinite."""
+    if not all(np.isfinite(v) for v in values.values()):
+        got = ", ".join(f"{name}={v}" for name, v in values.items())
+        raise ValueError(f"{' and '.join(values)} must be finite, got {got}")
+
+
+@lru_cache(maxsize=None)
+def _power_increment_coeffs(s: int, steps: int) -> tuple[float, ...]:
+    """Coefficients of P_s(z)^steps - 1, P_s(z) = sum_{j<=s} z^j/j!, in rising
+    powers of z: multiplied out in exact ``Fraction``s, then rounded once."""
+    factor = [Fraction(1, factorial(j)) for j in range(s + 1)]
+    power = [Fraction(1)]
+    for _ in range(steps):
+        power = [sum(power[i] * factor[j - i]
+                     for i in range(max(0, j - s), min(j + 1, len(power))))
+                 for j in range(len(power) + s)]
+    power[0] -= 1
+    return tuple(float(c) for c in power)
+
+
 class BandedOperator:
     """A linear map on the CV integrals, as per-element blocks over a span of neighbours.
 
@@ -287,7 +309,7 @@ class SpatialOperator:
         blocks[:, :, 1] = own[:, :-1] - own[:, 1:]
         blocks[:, -1, 2] = -right
         self.L = BandedOperator(blocks, np.arange(-1, 2))
-        self._increment_maps: dict[tuple[int, float], BandedOperator] = {}
+        self._increment_maps: dict[tuple[int, float, int], BandedOperator] = {}
         if problem.source is not None:
             gy, _ = gauss_rule(mesh.k + 3)
             self.source_points = mesh.centers[:, None] + half_h[:, None] * gy[None, :]
@@ -338,16 +360,17 @@ class SpatialOperator:
             p = q
         return BandedOperator(p, low + np.arange(p.shape[2]))
 
-    def increment_map(self, s: int, tau: float) -> BandedOperator:
-        """A = P_s(tau L) - I, P_s(z) = sum_{j<=s} z^j/j!: the source-free increment
-        of the s-stage linear SSP step.
+    def increment_map(self, s: int, tau: float, steps: int = 1) -> BandedOperator:
+        """A = P_s(tau L)^steps - I, P_s(z) = sum_{j<=s} z^j/j!: the source-free
+        increment of ``steps`` consecutive s-stage linear SSP steps of length tau.
 
-        Assembled on first use for each (s, tau) and kept for the last few.
+        Assembled on first use for each (s, tau, steps) and kept for the last few.
         """
-        key = (s, tau)
+        _require_finite(tau=tau)
+        key = (s, tau, steps)
         band = self._increment_maps.get(key)
         if band is None:
-            band = self.polynomial([0.0] + [1.0 / factorial(j) for j in range(1, s + 1)], tau)
+            band = self.polynomial(_power_increment_coeffs(s, steps), tau)
             if len(self._increment_maps) >= _KEPT_INCREMENT_MAPS:
                 del self._increment_maps[next(iter(self._increment_maps))]
             self._increment_maps[key] = band

@@ -6,9 +6,9 @@ import pytest
 
 from conftest import BOTH_RULES, periodic_mesh
 from rksv.harness import ExperimentConfig, build_mesh, problem_definition
-from rksv.mesh import BoundaryCondition, SubdivisionRule, perturbed_mesh
-from rksv.ssp_rk import (BLOCK_STEPS, _block_steps, integrate, rk_step, ssp_tableau,
-                         stage_source_weights, step_increment, step_plan)
+from rksv.mesh import BoundaryCondition, SubdivisionRule, perturbed_mesh, uniform_mesh
+from rksv.ssp_rk import (BLOCK_STEPS, _block_steps, _fused_steps, integrate, rk_step,
+                         ssp_tableau, stage_source_weights, step_increment, step_plan)
 from rksv.sv_space import Problem, SpatialOperator, materialize_operator, project_initial
 
 
@@ -174,6 +174,22 @@ def test_integrate_rejects_non_finite(tau, t_final):
     state = project_initial(problem, mesh, 1)
     with pytest.raises(ValueError, match="finite"):
         integrate(state, problem, ssp_tableau(3), tau, t_final)
+
+
+@pytest.mark.parametrize("tau", (np.nan, np.inf, -np.inf))
+@pytest.mark.parametrize("sourced", (False, True))
+def test_rk_step_rejects_non_finite_tau(tau, sourced):
+    mesh = periodic_mesh(4, SubdivisionRule.LSV, 1)
+    problem = Problem(u0=np.sin, source=(lambda x, t: np.cos(x + t)) if sourced else None)
+    state = project_initial(problem, mesh, 1)
+    op = SpatialOperator(mesh, problem)
+    kept = op.increment_map(3, 0.1)
+    for _ in range(5):  # more calls than the operator keeps maps
+        with pytest.raises(ValueError, match="tau must be finite"):
+            rk_step(state, problem, ssp_tableau(3), tau, op)
+        with pytest.raises(ValueError, match="tau must be finite"):
+            op.increment_map(3, tau)
+    assert op.increment_map(3, 0.1) is kept  # the rejected calls evicted nothing
 
 
 @pytest.mark.parametrize("s", (2, 4))
@@ -444,3 +460,77 @@ def test_source_free_integrate_assembles_the_step(monkeypatch, shortened):
     if shortened:
         u = dense_step(u, t_final - steps * tau)
     assert np.max(np.abs(got.ravel() - u)) < 1e-12 * np.max(np.abs(u))
+
+
+def _record_increment_maps(monkeypatch):
+    """The (tau, steps) of every ``increment_map`` call from here on."""
+    maps = []
+    increment_map = SpatialOperator.increment_map
+
+    def recorded(self, s, tau, steps=1):
+        maps.append((tau, steps))
+        return increment_map(self, s, tau, steps)
+
+    monkeypatch.setattr(SpatialOperator, "increment_map", recorded)
+    return maps
+
+
+def _fused_cases():
+    # (mesh, problem, s, full steps): one-sided bands on both rules, one with
+    # zero inflow, and a two-sided band on a two-orientation RSV mesh; each
+    # step count fuses at least 2 steps and is not a multiple of the group
+    rsv = perturbed_mesh(12, 5, SubdivisionRule.RSV_ADAPTIVE, 3, BoundaryCondition.PERIODIC,
+                         alpha=np.sin)
+    return [
+        (periodic_mesh(12, SubdivisionRule.LSV, 2), Problem(u0=np.sin), 2, 100),
+        (uniform_mesh(-1.0, 2.0, 16, SubdivisionRule.RRSV, 3, BoundaryCondition.INFLOW_ZERO),
+         Problem(u0=lambda x: np.exp(-4.0 * x * x)), 3, 331),
+        (rsv, Problem(u0=lambda x: np.exp(np.sin(x)), alpha=np.sin), 2, 133),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_fused_integrate_matches_chained_steps(monkeypatch, case):
+    mesh, problem, s, steps = _fused_cases()[case]
+    op = SpatialOperator(mesh, problem)
+    fused = _fused_steps(op, s, steps)
+    assert fused >= 2 and steps % fused
+    tableau = ssp_tableau(s)
+    tau = 0.5 / np.linalg.norm(op.L.dense(), 2)
+    state = project_initial(problem, mesh, mesh.k)
+    state.t = 0.3
+    t_final = state.t + (steps + 0.4) * tau
+    maps = _record_increment_maps(monkeypatch)
+    got = integrate(state, problem, tableau, tau, t_final)
+    # one map per kind of application: the groups, the rest, the short step
+    short = t_final - (state.t + steps * tau)
+    assert maps == [(tau, fused), (tau, 1), (short, 1)]
+    assert got.t == t_final
+
+    expected = state
+    for _ in range(steps):
+        expected = rk_step(expected, problem, tableau, tau, op)
+    expected = rk_step(expected, problem, tableau, t_final - expected.t, op)
+    scale = np.max(np.abs(expected.values))
+    assert np.max(np.abs(got.values - expected.values)) <= 1e-13 * scale
+
+    # a callback sees every step, so each step is applied on its own
+    maps.clear()
+    taken = []
+    stepped = integrate(state, problem, tableau, tau, t_final,
+                        on_step=lambda st: taken.append(st.t))
+    assert {m for _, m in maps} == {1}
+    assert taken == [state.t + j * tau for j in range(1, steps + 1)] + [t_final]
+    assert np.max(np.abs(stepped.values - got.values)) <= 1e-13 * scale
+
+
+def test_sourced_integrate_steps_one_at_a_time(monkeypatch):
+    # the source forcing is formed per step, so a sourced run never fuses
+    mesh = periodic_mesh(12, SubdivisionRule.LSV, 2)
+    problem = Problem(u0=np.sin, source=lambda x, t: np.cos(x - t))
+    op = SpatialOperator(mesh, problem)
+    steps, tau = 400, 2.0 ** -10
+    assert _fused_steps(op, 2, steps) > 1
+    maps = _record_increment_maps(monkeypatch)
+    integrate(project_initial(problem, mesh, 2), problem, ssp_tableau(2), tau, steps * tau)
+    assert maps == [(tau, 1)]

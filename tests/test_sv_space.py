@@ -339,6 +339,42 @@ def test_two_way_increment_maps_keep_both_sides():
         assert np.array_equal(op.increment_map(s, 0.01).offsets, np.arange(-s, s + 1))
 
 
+def _fused_map_meshes():
+    # (mesh, alpha, alpha >= 0): both rules and a two-orientation RSV mesh, periodic
+    # and with zero inflow, plus a periodic mesh narrower than every fused span
+    rsv = SubdivisionRule.RSV_ADAPTIVE
+    meshes = []
+    for bc in (BoundaryCondition.PERIODIC, BoundaryCondition.INFLOW_ZERO):
+        meshes += [(uniform_mesh(0.0, 2.0 * np.pi, 7, rule, 2, bc), None, True)
+                   for rule in BOTH_RULES]
+        two_orientations = perturbed_mesh(8, 3, rsv, 3, bc, alpha=np.sin)
+        assert two_orientations.left_oriented.any() and not two_orientations.left_oriented.all()
+        meshes.append((two_orientations, np.sin, False))
+    meshes.append((periodic_mesh(3, SubdivisionRule.LSV, 2), None, True))
+    return meshes
+
+
+@pytest.mark.parametrize("s", range(1, 13))
+def test_fused_increment_map_is_power_of_one_step(s):
+    # P_s(tau L)^m - I against the m-th matrix power of the one-step map
+    # I + A; tau ||L|| = 1 gives every power of tau L an O(1) share
+    for mesh, alpha, one_way in _fused_map_meshes():
+        op = SpatialOperator(mesh, Problem(u0=np.sin, alpha=alpha))
+        tau = 1.0 / np.linalg.norm(op.L.dense(), 2)
+        one_step = op.increment_map(s, tau).dense()
+        step = np.eye(len(one_step)) + one_step
+        for m in (1, 2, 3, 5):
+            fused = op.increment_map(s, tau, m)
+            expected = np.linalg.matrix_power(step, m) - np.eye(len(step))
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(fused.dense() - expected)) < 1e-12 * scale, (mesh.rule, m)
+            if one_way:
+                # with zero inflow, paths longer than the mesh meet a zero edge block
+                reach = m * s if mesh.bc == BoundaryCondition.PERIODIC else \
+                    min(m * s, mesh.n_elements - 1)
+                assert np.array_equal(fused.offsets, np.arange(-reach, 1))
+
+
 def test_zero_coefficient_keeps_only_offset_zero():
     mesh = periodic_mesh(6, SubdivisionRule.RRSV, 2)
     op = SpatialOperator(mesh, Problem(u0=np.sin, alpha=np.zeros_like))
