@@ -106,10 +106,17 @@ def _parse_n_list(raw):
     return tuple(int(v) for v in str(raw).replace(",", " ").split())
 
 
+def _require_writable(path) -> None:
+    """Raise OSError before any work if ``path`` cannot be opened for writing."""
+    if path:
+        open(path, "a", encoding="utf-8").close()
+
+
 def _cmd_solve(args) -> int:
     config = _build_config(args, _parse_n_list(args.n))
     if len(config.n_values) != 1:
         raise ValueError("solve expects a single --n value")
+    _require_writable(args.snapshot)
     result = run_solve(config)
     print(f"N={result.n} L2={result.l2:.3e} Linf={result.linf:.3e} "
           f"steps={result.steps} tau={result.tau:.3e} wall={result.wall_time:.2f}s")
@@ -122,6 +129,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_converge(args) -> int:
     config = _build_config(args, _parse_n_list(args.n))
+    _require_writable(args.output)
     table = run_convergence(config)
     if args.format == "csv":
         text = table.to_csv()

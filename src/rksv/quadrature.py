@@ -7,11 +7,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._basis import legendre_vandermonde
+
 __all__ = [
     "MAX_DEGREE",
     "NodeSet",
     "InterpolatoryWeights",
-    "legendre_eval",
     "legendre_deriv",
     "gauss_legendre_nodes",
     "gauss_legendre_weights",
@@ -27,28 +28,14 @@ _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100
 
 
-def legendre_eval(m, y):
-    """Evaluate the Legendre polynomial L_m at y (scalar or ndarray)."""
-    if m < 0:
-        raise ValueError(f"degree must be nonnegative, got {m}")
-    y = np.asarray(y, dtype=float)
-    p_prev = np.ones_like(y)
-    if m == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = y.copy()
-    for n in range(1, m):
-        p, p_prev = ((2 * n + 1) * y * p - n * p_prev) / (n + 1), p
-    return p if p.ndim else float(p)
-
-
 def legendre_deriv(m, y):
     """Evaluate L_m' at y via (1-y^2) L_m' = m (L_{m-1} - y L_m)."""
     y = np.asarray(y, dtype=float)
     if m == 0:
         out = np.zeros_like(y)
         return out if out.ndim else float(out)
-    lm = legendre_eval(m, y)
-    lm1 = legendre_eval(m - 1, y)
+    v = legendre_vandermonde(y, m)
+    lm, lm1 = v[..., m], v[..., m - 1]
     denom = 1.0 - y * y
     interior = np.abs(denom) > 1e-14
     out = np.empty_like(y)
@@ -97,9 +84,10 @@ def gauss_legendre_nodes(k: int) -> NodeSet:
         raise ValueError(f"k must be in 1..{MAX_DEGREE}, got {k}")
     i = np.arange(1, k + 1)
     guess = -np.cos((2 * i - 1) * np.pi / (2 * k))
-    nodes = _newton(lambda y: legendre_eval(k, y), lambda y: legendre_deriv(k, y), guess)
+    nodes = _newton(lambda y: legendre_vandermonde(y, k)[..., k],
+                    lambda y: legendre_deriv(k, y), guess)
     nodes = (nodes - nodes[::-1]) / 2.0  # enforce symmetry about 0
-    if np.max(np.abs(legendre_eval(k, nodes))) >= 1e-14:
+    if np.max(np.abs(legendre_vandermonde(nodes, k)[:, k])) >= 1e-14:
         raise RuntimeError(f"Gauss-Legendre Newton iteration failed for k={k}")
     return NodeSet("gauss_legendre", k, nodes)
 
@@ -124,7 +112,8 @@ def right_radau_nodes(m: int) -> NodeSet:
     guess = np.sort(np.cos(2.0 * np.pi * i / (2 * m - 1)))
 
     def f(y):
-        return legendre_eval(m, y) - legendre_eval(m - 1, y)
+        v = legendre_vandermonde(y, m)
+        return v[..., m] - v[..., m - 1]
 
     def fp(y):
         return legendre_deriv(m, y) - legendre_deriv(m - 1, y)

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._basis import antiderivative_values, legendre_vandermonde, mass_matrix
-from .mesh import BoundaryCondition, Mesh1D, SubdivisionRule
+from .mesh import BoundaryCondition, Mesh1D, SubdivisionRule, reference_interior_points
 from .quadrature import gauss_rule, interpolatory_weights
 
 __all__ = [
@@ -75,9 +75,6 @@ class SvState:
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
 
-    def copy(self) -> "SvState":
-        return SvState(self.mesh, self.k, self.values.copy(), self.t)
-
     @property
     def total_mass(self) -> float:
         return float(self.values.sum())
@@ -102,10 +99,7 @@ class Reconstruction:
 
 
 def _reference_nodes(rule, k, left_oriented=False):
-    from .mesh import reference_interior_points
-
-    interior = reference_interior_points(rule, k, left_oriented)
-    return np.concatenate([[-1.0], interior, [1.0]])
+    return np.concatenate([[-1.0], reference_interior_points(rule, k, left_oriented), [1.0]])
 
 
 def cv_mass_matrix(rule, k: int) -> np.ndarray:
@@ -113,35 +107,36 @@ def cv_mass_matrix(rule, k: int) -> np.ndarray:
     rule = SubdivisionRule(rule)
     if rule == SubdivisionRule.RSV_ADAPTIVE:
         raise ValueError("RSV_ADAPTIVE has per-element orientations; use the mesh workspace")
-    return _checked_mass_matrix(_reference_nodes(rule, k))
+    return _variant(rule, k, False).mass.copy()
 
 
-def _checked_mass_matrix(y: np.ndarray) -> np.ndarray:
-    m = mass_matrix(y)
-    if np.linalg.cond(m) > _COND_LIMIT:
-        raise RuntimeError("CV mass matrix is numerically singular")
-    return m
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class _VariantOps:
-    """Reference tables shared by all elements with the same reference nodes."""
+    """Reference tables of all elements with the same reference nodes, built once
+    per process for each (rule, k, left_oriented) by ``_variant``, so read-only."""
 
     def __init__(self, rule: SubdivisionRule, k: int, left_oriented: bool):
         self.rule = rule
         self.left_oriented = left_oriented
-        self.y = y = _reference_nodes(rule, k, left_oriented)
-        self.mass = _checked_mass_matrix(y)
-        self.mass_inv = np.linalg.inv(self.mass)
-        self.trace = legendre_vandermonde(y, k)        # (k+2, k+1), values at CV bounds
+        self.y = y = _read_only(_reference_nodes(rule, k, left_oriented))
+        self.mass = _read_only(mass_matrix(y))
+        if np.linalg.cond(self.mass) > _COND_LIMIT:
+            raise RuntimeError("CV mass matrix is numerically singular")
+        self.mass_inv = _read_only(np.linalg.inv(self.mass))
+        self.trace = _read_only(legendre_vandermonde(y, k))  # (k+2, k+1), values at CV bounds
         # CV integrals -> values at the CV bounds, on an element of length 2
-        self.trace_map = self.trace @ self.mass_inv
+        self.trace_map = _read_only(self.trace @ self.mass_inv)
         gy, gw = gauss_rule(k + 3)
         # per-CV quadrature in element coordinates: (k+1, k+3)
         mid = 0.5 * (y[:-1] + y[1:])
         half = 0.5 * np.diff(y)
-        self.quad_y = mid[:, None] + half[:, None] * gy[None, :]
-        self.quad_w = half[:, None] * gw[None, :]      # weights on the reference element
-        self.quad_basis = legendre_vandermonde(self.quad_y, k)
+        self.quad_y = _read_only(mid[:, None] + half[:, None] * gy[None, :])
+        self.quad_w = _read_only(half[:, None] * gw[None, :])  # weights on the reference element
+        self.quad_basis = _read_only(legendre_vandermonde(self.quad_y, k))
 
     @cached_property
     def source_map(self) -> np.ndarray:
@@ -152,28 +147,36 @@ class _VariantOps:
         """
         q = len(self.y) + 1
         gy, _ = gauss_rule(q)
-        return np.diff(antiderivative_values(self.y, q - 1), axis=0) @ \
-            np.linalg.inv(legendre_vandermonde(gy, q - 1))
+        return _read_only(np.diff(antiderivative_values(self.y, q - 1), axis=0) @
+                          np.linalg.inv(legendre_vandermonde(gy, q - 1)))
 
     @cached_property
     def node_weights(self) -> np.ndarray:
         """Reference weights A_0..A_{k+1} at the CV bounds, mirrored on left-Radau elements."""
         base = SubdivisionRule.LSV if self.rule == SubdivisionRule.LSV else SubdivisionRule.RRSV
         w = interpolatory_weights(base, len(self.y) - 2).weights
-        return w[::-1] if self.left_oriented else w
+        return _read_only(w[::-1] if self.left_oriented else w)
 
     @cached_property
     def interp_inv(self) -> np.ndarray:
         """Values at the interpolation nodes y_1..y_{k+1} -> Legendre coefficients."""
-        return np.linalg.inv(self.trace[1:])
+        return _read_only(np.linalg.inv(self.trace[1:]))
+
+
+_shared_variant = lru_cache(maxsize=None)(_VariantOps)  # keyed on (rule, k, left_oriented)
+
+
+def _variant(rule, k: int, left_oriented: bool) -> _VariantOps:
+    """The process-wide ``_VariantOps``, under a key normalised to (enum, int, bool)."""
+    return _shared_variant(SubdivisionRule(rule), int(k), bool(left_oriented))
 
 
 class _MeshWorkspace:
-    """Per-mesh cache: the reference tables of each element, stacked on first use."""
+    """Per-mesh cache: the shared variant tables of each element, stacked on first use."""
 
     def __init__(self, mesh: Mesh1D):
         flags, self.element_variant = np.unique(mesh.left_oriented, return_inverse=True)
-        self.variants = [_VariantOps(mesh.rule, mesh.k, bool(f)) for f in flags]
+        self.variants = [_variant(mesh.rule, mesh.k, f) for f in flags]
         self._tables: dict[str, np.ndarray] = {}
 
     def table(self, name: str) -> np.ndarray:

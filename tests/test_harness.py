@@ -267,6 +267,25 @@ def test_cli_converge_writes_csv(tmp_path, capsys):
     assert capsys.readouterr().out.strip().splitlines()[0] == "k,N,L2,order_L2,Linf,order_Linf"
 
 
+@pytest.mark.parametrize("command, flag", (("solve", "--snapshot"), ("converge", "--output")))
+def test_cli_unwritable_output_fails_before_solving(tmp_path, capsys, monkeypatch,
+                                                   command, flag):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved before checking the output path")
+
+    monkeypatch.setattr(cli, "run_solve", unreachable)
+    monkeypatch.setattr(cli, "run_convergence", unreachable)
+    n = "8" if command == "solve" else "8,16"
+    missing = tmp_path / "missing" / "out.txt"
+    code = cli.main([command, "--example", "1", "--scheme", "lsv", "--k", "1", "--s", "3",
+                     "--n", n, "--cfl", "0.1", flag, str(missing)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ") and "No such file or directory" in captured.err
+    assert captured.out == ""
+    assert not missing.parent.exists()
+
+
 def test_cli_usage_errors_exit_one(capsys):
     assert cli.main(["solve", "--example", "1"]) == 1       # missing flags
     assert cli.main(["frobnicate"]) == 1                    # unknown subcommand

@@ -1,13 +1,17 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as leg
 
 from conftest import BOTH_RULES, periodic_mesh, random_coeffs, state_from_coeffs
+from rksv import sv_space
+from rksv.harness import run_checks
 from rksv.mesh import BoundaryCondition, SubdivisionRule, perturbed_mesh, uniform_mesh
 from rksv.quadrature import gauss_quad
 from rksv.sv_space import (Problem, SpatialOperator, SvState, apply_L, cv_mass_matrix,
                            error_norms, materialize_operator, project_initial, reconstruct,
-                           snapshot_table)
+                           snapshot_table, workspace)
 
 
 def test_mass_matrix_lsv_k1():
@@ -28,6 +32,63 @@ def test_mass_matrix_first_column_is_cv_widths(rule, k):
     m = cv_mass_matrix(rule, k)
     widths = np.diff(_reference_nodes(rule, k))
     assert np.allclose(m[:, 0], widths, atol=1e-15)
+
+
+_VARIANT_TABLES = ("y", "mass", "mass_inv", "trace", "trace_map", "quad_y", "quad_w",
+                   "quad_basis", "source_map", "node_weights", "interp_inv")
+
+
+def test_meshes_share_one_variant_per_rule_and_k():
+    meshes = [periodic_mesh(6, SubdivisionRule.RRSV, 3),
+              perturbed_mesh(11, 2, "rrsv", 3, BoundaryCondition.INFLOW_ZERO)]
+    first, second = (workspace(mesh).variants for mesh in meshes)
+    assert len(first) == len(second) == 1
+    assert first[0] is second[0]
+    assert workspace(periodic_mesh(6, SubdivisionRule.LSV, 3)).variants[0] is not first[0]
+    # the key is normalised: a string rule and a numpy bool reach the same entry
+    sv_space._shared_variant.cache_clear()
+    ops = sv_space._variant("lsv", np.int64(2), np.bool_(False))
+    assert ops is sv_space._variant(SubdivisionRule.LSV, 2, False)
+    assert ops.rule is SubdivisionRule.LSV and ops.left_oriented is False
+
+
+def test_two_orientation_rsv_mesh_has_one_variant_per_orientation():
+    mesh = perturbed_mesh(10, 3, SubdivisionRule.RSV_ADAPTIVE, 3, BoundaryCondition.PERIODIC,
+                          alpha=np.sin)
+    variants = workspace(mesh).variants
+    assert [v.left_oriented for v in variants] == [False, True]
+    other = uniform_mesh(0.0, 2.0 * np.pi, 9, SubdivisionRule.RSV_ADAPTIVE, 3,
+                         BoundaryCondition.PERIODIC, alpha=np.sin)
+    assert [v.left_oriented for v in workspace(other).variants] == [False, True]
+    assert all(a is b for a, b in zip(variants, workspace(other).variants))
+    assert np.array_equal(variants[1].y, -variants[0].y[::-1])
+
+
+@pytest.mark.parametrize("rule, left_oriented", [("lsv", False), ("rrsv", False),
+                                                 ("rsv", False), ("rsv", True)])
+def test_variant_tables_are_read_only(rule, left_oriented):
+    ops = sv_space._variant(rule, 2, left_oriented)
+    for name in _VARIANT_TABLES:
+        table = getattr(ops, name)
+        with pytest.raises(ValueError):
+            table[...] = 0.0
+    # every array the variant holds, eager or cached, is among the names checked
+    held = {name for name, value in vars(ops).items() if isinstance(value, np.ndarray)}
+    assert held == set(_VARIANT_TABLES)
+
+
+def test_check_suite_builds_each_variant_once(monkeypatch):
+    built = Counter()
+    init = sv_space._VariantOps.__init__
+
+    def counted(self, rule, k, left_oriented):
+        built[rule, k, left_oriented] += 1
+        init(self, rule, k, left_oriented)
+
+    monkeypatch.setattr(sv_space._VariantOps, "__init__", counted)
+    sv_space._shared_variant.cache_clear()
+    assert run_checks(0, 10).passed
+    assert 1 <= len(built) <= 8 and max(built.values()) == 1
 
 
 def test_reconstruct_constant():
