@@ -60,29 +60,25 @@ class Mesh1D:
     cv_bounds: np.ndarray           # (N, k+2)
     left_oriented: np.ndarray       # (N,) bool
     domain: tuple[float, float] = field(init=False)
+    lengths: np.ndarray = field(init=False, repr=False)     # (N,) element lengths
+    centers: np.ndarray = field(init=False, repr=False)     # (N,) element midpoints
+    cv_widths: np.ndarray = field(init=False, repr=False)   # (N, k+1)
 
     def __post_init__(self):
         object.__setattr__(self, "domain", (float(self.boundaries[0]), float(self.boundaries[-1])))
-        if np.any(np.diff(self.boundaries) <= 0):
+        for name, value in (("lengths", np.diff(self.boundaries)),
+                            ("centers", 0.5 * (self.boundaries[:-1] + self.boundaries[1:])),
+                            ("cv_widths", np.diff(self.cv_bounds, axis=1))):
+            value.flags.writeable = False  # computed once, shared by every reader
+            object.__setattr__(self, name, value)
+        if np.any(self.lengths <= 0):
             raise ValueError("element boundaries must be strictly increasing")
-        if np.any(np.diff(self.cv_bounds, axis=1) <= 0):
+        if np.any(self.cv_widths <= 0):
             raise ValueError("CV boundaries must be strictly increasing")
 
     @property
     def n_elements(self) -> int:
         return len(self.boundaries) - 1
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return np.diff(self.boundaries)
-
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.boundaries[:-1] + self.boundaries[1:])
-
-    @property
-    def cv_widths(self) -> np.ndarray:
-        return np.diff(self.cv_bounds, axis=1)
 
     @property
     def regularity_ratio(self) -> float:

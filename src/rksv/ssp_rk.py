@@ -6,12 +6,14 @@ z^j/j!, is the source-free increment, assembled once per (s, tau) as
 per-element banded blocks (``SpatialOperator.increment_map``); the forcing
 f^n depends only on the source, not on u.  Without a source every step is the
 same map, so a long run without a per-step callback applies m steps at once
-as the one product u <- u + (P_s(tau L)^m - I) u (``_fused_steps``).
+as u <- u + A_m u, A_m = P_s(tau L)^m - I built by squaring A, which drops
+the outer blocks of row-sum norm <= 2^-60 (``_fused_steps``).
 
 A step with a source uses its samples at the s times t^n + i*tau,
 i = 0..s-1, and stage l of the Shu-Osher chain receives the combination
-G_l = sum_i C_s[l][i] G(t^n + i*tau) (``stage_source_weights``).  Stage l
-thereby sees the stage value of the autonomous system
+G_l = sum_i C_s[l][i] G(t^n + i*tau), C_s[l][i] = sum_{q<=l} binom(l, q)
+(V^-1)[q][i] with V[i][q] = i^q / q!.  Stage l thereby sees the stage value
+of the autonomous system
 (u, p, tau p', ..., tau^{s-1} p^{(s-1)}), p the interpolant of the samples,
 so the step is the degree-s Taylor polynomial of that system and the scheme
 stays s-th order in time with a time-dependent source (Carpenter, Gottlieb,
@@ -34,20 +36,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .sv_space import BandedOperator, Problem, SpatialOperator, SvState, _require_finite
 
-__all__ = ["MAX_STAGES", "RkTableau", "ssp_tableau", "stage_source_weights", "rk_step",
-           "step_plan", "integrate"]
+__all__ = ["MAX_STAGES", "RkTableau", "ssp_tableau", "rk_step", "step_plan", "integrate"]
 
 MAX_STAGES = 12
 BLOCK_STEPS = 32          # full steps whose source forcing is formed together
 _BLOCK_FLOATS = 1 << 17   # 1 MiB of float64: the bound on a block's largest temporary
-_MAX_FUSED_OFFSETS = 25   # the widest band a fused source-free map may span
 
 
 @dataclass(frozen=True)
@@ -109,21 +109,6 @@ def _derivatives_from_samples(s: int) -> tuple[tuple[Fraction, ...], ...]:
                 f = rows[r][col]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
     return tuple(tuple(row[s:]) for row in rows)
-
-
-@lru_cache(maxsize=None)
-def stage_source_weights(s: int) -> tuple[tuple[Fraction, ...], ...]:
-    """C_s[l][i] = sum_{q<=l} binom(l, q) (V^-1)[q][i] with V[i][q] = i^q / q!.
-
-    l forward-Euler steps of the shift
-    tau^q p^{(q)} <- tau^q p^{(q)} + tau^{q+1} p^{(q+1)} leave
-    sum_q binom(l, q) tau^q p^{(q)}(t) as the source seen by stage l.
-    """
-    if not 1 <= s <= MAX_STAGES:
-        raise ValueError(f"s must be in 1..{MAX_STAGES}, got {s}")
-    v_inv = _derivatives_from_samples(s)
-    return tuple(tuple(sum(comb(ell, q) * v_inv[q][i] for q in range(ell + 1))
-                       for i in range(s)) for ell in range(s))
 
 
 @lru_cache(maxsize=None)
@@ -249,24 +234,27 @@ def step_plan(t0: float, tau: float, t_final: float) -> tuple[int, float]:
     return n, (rest(n) if rest(n) > tol else 0.0)
 
 
-def _fused_steps(op: SpatialOperator, s: int, n_full: int) -> int:
-    """Full steps per application of the fused map P_s(tau L)^m - I in a run of
-    n_full source-free steps: the largest m whose band keeps at most
-    ``_MAX_FUSED_OFFSETS`` offsets and fewer than N, so that no column aliases,
-    and whose assembly the run repays.
+def _fused_steps(op: SpatialOperator, s: int, tau: float, n_full: int) -> int:
+    """Full steps per application of the fused map A_m = P_s(tau L)^m - I in a
+    run of n_full source-free steps of length tau.
 
-    Each step widens the band by s times L's reach, to W = m*s*reach + 1
-    offsets.  Assembling a band of W offsets costs about (W-1)^2/2 one-step
-    applications, and each fused step saves about half of one (measured at
-    N = 16..128 for k = 1, s = 3 and k = 4, s = 4), so m is raised only while
-    n_full >= 2 (W-1)^2, where the saving is about twice the assembly.
+    m = 1 is doubled by squaring A_m (``BandedOperator.compose``, which drops
+    the outer blocks with a row-sum norm <= 2^-60 on every element) while
+    more than W(k+1) applications of the doubled map remain, W the offsets
+    of A_m (a product of two W-wide bands costs about W(k+1) applications),
+    and while the doubled band is narrower than the mesh, so that no column
+    aliases.  At tau = O(h^e), e > 1, tau ||L|| shrinks with h and the outer
+    blocks of A_m decay faster than geometrically, so W grows far slower
+    than m.  The last square is kept on ``op`` as its map of (s, tau, m).
     """
-    # at least 1 per stage, so that m stays bounded when L has only offset 0
-    reach = s * max(len(op.L.offsets) - 1, 1)
-    limit = min(_MAX_FUSED_OFFSETS, op.mesh.n_elements - 1)
-    m = 1
-    while (m + 1) * reach + 1 <= limit and n_full >= 2 * ((m + 1) * reach) ** 2:
-        m += 1
+    k1, n = op.mesh.k + 1, op.mesh.n_elements
+    m, band = 1, op._increment_map(s, tau, 1)
+    while n_full // (2 * m) > len(band.offsets) * k1:
+        doubled = band.compose(band)
+        if len(doubled.offsets) >= n:
+            break
+        m, band = 2 * m, doubled
+    op._increment_map(s, tau, m, built=band)
     return m
 
 
@@ -320,7 +308,8 @@ def integrate(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
     if sourced:
         block = _block_steps(op)
         samples = _sample_blocks(op, s, state.t, tau, n_full, block)
-    fused = 1 if sourced or on_step is not None else _fused_steps(op, s, n_full)
+    fused = 1 if sourced or on_step is not None or n_full < 2 else \
+        _fused_steps(op, s, tau, n_full)
     step = 0  # full steps taken
     f = None
     for increment, steps in _applications(op, s, tau, n_full, last, fused):

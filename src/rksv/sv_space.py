@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
 from typing import Callable, Optional
@@ -27,7 +26,6 @@ __all__ = [
     "Reconstruction",
     "SpatialOperator",
     "BandedOperator",
-    "cv_mass_matrix",
     "reconstruct",
     "apply_L",
     "project_initial",
@@ -38,6 +36,7 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 _KEPT_INCREMENT_MAPS = 4   # increment maps, one per (s, tau, steps), an operator keeps
+NEGLIGIBLE = 2.0 ** -60    # row-sum norm below which a composed map's outer block is dropped
 
 
 @dataclass
@@ -87,27 +86,9 @@ class Reconstruction:
     mesh: Mesh1D
     coeffs: np.ndarray  # (N, k+1)
 
-    def evaluate(self, x) -> np.ndarray:
-        """Evaluate u_h at physical points (element-interior values at jumps)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = np.clip(np.searchsorted(self.mesh.boundaries, x, side="right") - 1, 0,
-                      self.mesh.n_elements - 1)
-        y = (x - self.mesh.centers[idx]) * 2.0 / self.mesh.lengths[idx]
-        k = self.coeffs.shape[1] - 1
-        basis = legendre_vandermonde(y, k)
-        return np.einsum("pm,pm->p", self.coeffs[idx], basis)
-
 
 def _reference_nodes(rule, k, left_oriented=False):
     return np.concatenate([[-1.0], reference_interior_points(rule, k, left_oriented), [1.0]])
-
-
-def cv_mass_matrix(rule, k: int) -> np.ndarray:
-    """M[j, m] = integral of L_m over the j-th reference CV of the rule."""
-    rule = SubdivisionRule(rule)
-    if rule == SubdivisionRule.RSV_ADAPTIVE:
-        raise ValueError("RSV_ADAPTIVE has per-element orientations; use the mesh workspace")
-    return _variant(rule, k, False).mass.copy()
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -183,8 +164,11 @@ class _MeshWorkspace:
         """The named ``_VariantOps`` table of every element: shape (N, ...), read-only."""
         stacked = self._tables.get(name)
         if stacked is None:
-            stacked = np.stack([getattr(ops, name) for ops in self.variants])[self.element_variant]
-            stacked.flags.writeable = False
+            tables = [getattr(ops, name) for ops in self.variants]
+            if len(tables) == 1:  # a view of the shared table, itself read-only
+                stacked = np.broadcast_to(tables[0], self.element_variant.shape + tables[0].shape)
+            else:
+                stacked = _read_only(np.stack(tables)[self.element_variant])
             self._tables[name] = stacked
         return stacked
 
@@ -217,18 +201,21 @@ def _require_finite(**values: float) -> None:
         raise ValueError(f"{' and '.join(values)} must be finite, got {got}")
 
 
-@lru_cache(maxsize=None)
-def _power_increment_coeffs(s: int, steps: int) -> tuple[float, ...]:
-    """Coefficients of P_s(z)^steps - 1, P_s(z) = sum_{j<=s} z^j/j!, in rising
-    powers of z: multiplied out in exact ``Fraction``s, then rounded once."""
-    factor = [Fraction(1, factorial(j)) for j in range(s + 1)]
-    power = [Fraction(1)]
-    for _ in range(steps):
-        power = [sum(power[i] * factor[j - i]
-                     for i in range(max(0, j - s), min(j + 1, len(power))))
-                 for j in range(len(power) + s)]
-    power[0] -= 1
-    return tuple(float(c) for c in power)
+def _band_product(x: np.ndarray, x_offsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The blocks of XY from X's blocks x (N, k+1, len(x_offsets), k+1) and Y's rows
+    (N, k+1, W(k+1)), from offset x_offsets[0] + (Y's first offset) on."""
+    n, k1, wk = rows.shape
+    width = wk // k1
+    q = np.zeros((n, k1, len(x_offsets) + width - 1, k1))
+    product = np.empty_like(rows)
+    for j, o in enumerate(x_offsets):
+        # block o of X acts on element (i + o) mod N: Y's rows are shifted by
+        # two slices, so no shifted copy of the band is made
+        m = n - o % n
+        np.matmul(x[:m, :, j], rows[n - m:], out=product[:m])
+        np.matmul(x[m:, :, j], rows[:n - m], out=product[m:])
+        q[:, :, j:j + width] += product.reshape(n, k1, width, k1)
+    return q
 
 
 class BandedOperator:
@@ -236,21 +223,41 @@ class BandedOperator:
 
     Row block i is sum_o B[i, o] v_{(i+o) mod N} over the explicit ``offsets``,
     not symmetric in general: only the span from the first to the last offset
-    whose block is nonzero on some element (``!= 0``, so a NaN block counts) is
-    kept, and always 0.  Stored as one (k+1, len(offsets)(k+1)) block per element
-    plus a gather index into ``values.ravel()``; offsets are taken mod N only by
-    the gather, so when the span is wider than the mesh aliased columns accumulate.
+    whose block's row-sum norm exceeds ``negligible`` (0: is nonzero) on some
+    element is kept (a NaN block counts), and always 0.  Stored as one
+    (k+1, len(offsets)(k+1)) block per element plus a gather index into
+    ``values.ravel()``; offsets are taken mod N only by the gather, so when
+    the span is wider than the mesh aliased columns accumulate.
     """
 
-    def __init__(self, blocks: np.ndarray, offsets: np.ndarray):
+    def __init__(self, blocks: np.ndarray, offsets: np.ndarray, negligible: float = 0.0):
         n, k1, _, _ = blocks.shape  # blocks[i, :, j, :] = B[i, offsets[j]]
-        live = np.flatnonzero(np.any(blocks != 0, axis=(0, 1, 3)) | (offsets == 0))
+        norms = np.abs(blocks).sum(axis=3).max(axis=(0, 1))
+        live = np.flatnonzero(~(norms <= negligible) | (offsets == 0))
         span = slice(live[0], live[-1] + 1)
         self.offsets = offsets[span]
         width = len(self.offsets)
         self.blocks = np.ascontiguousarray(blocks[:, :, span]).reshape(n, k1, width * k1)
         elements = (np.arange(n)[:, None] + self.offsets[None, :]) % n
         self.gather = (elements[:, :, None] * k1 + np.arange(k1)).reshape(n, width * k1)
+
+    def compose(self, other: BandedOperator) -> BandedOperator:
+        """X + Y + XY, X this map and Y ``other``: the increment map of (I + X)(I + Y).
+
+        The identity never enters, so every term stays the size of an
+        increment.  The outer blocks with a row-sum norm <= ``NEGLIGIBLE`` on
+        every element are dropped; each would add at most 2^-60 max|u| to an
+        increment.  Offsets stay integers, as in ``SpatialOperator.polynomial``.
+        """
+        n, k1, _ = self.blocks.shape
+        wx, wy = len(self.offsets), len(other.offsets)
+        x = self.blocks.reshape(n, k1, wx, k1)
+        q = _band_product(x, self.offsets, other.blocks)
+        # q starts at the sum of the two first offsets, each <= 0
+        x0, y0 = -other.offsets[0], -self.offsets[0]
+        q[:, :, x0:x0 + wx] += x
+        q[:, :, y0:y0 + wy] += other.blocks.reshape(n, k1, wy, k1)
+        return BandedOperator(q, np.arange(q.shape[2]) - x0 - y0, negligible=NEGLIGIBLE)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """The map applied to CV integrals of shape (N, k+1)."""
@@ -347,36 +354,45 @@ class SpatialOperator:
         p[:, :, 0] = coeffs[-1] * eye
         low = 0  # the lowest offset of p
         for c in coeffs[-2::-1]:
-            width = p.shape[2]
-            rows = p.reshape(n, k1, width * k1)
-            q = np.zeros((n, k1, width + len(l_offsets) - 1, k1))
-            product = np.empty_like(rows)
-            for j, o in enumerate(l_offsets):
-                # block o of L acts on element (i + o) mod N: the rows are shifted
-                # by two slices, so no shifted copy of the band is made
-                m = n - o % n
-                np.matmul(tau_l[:m, :, j], rows[n - m:], out=product[:m])
-                np.matmul(tau_l[m:, :, j], rows[:n - m], out=product[m:])
-                q[:, :, j:j + width] += product.reshape(n, k1, width, k1)
+            p = _band_product(tau_l, l_offsets, p.reshape(n, k1, -1))
             low += l_offsets[0]
-            q[:, :, -low] += c * eye
-            p = q
+            p[:, :, -low] += c * eye
         return BandedOperator(p, low + np.arange(p.shape[2]))
 
     def increment_map(self, s: int, tau: float, steps: int = 1) -> BandedOperator:
         """A = P_s(tau L)^steps - I, P_s(z) = sum_{j<=s} z^j/j!: the source-free
         increment of ``steps`` consecutive s-stage linear SSP steps of length tau.
 
-        Assembled on first use for each (s, tau, steps) and kept for the last few.
+        One step is ``polynomial`` with the Taylor coefficients 1/j!, more the
+        binary power of that map by ``BandedOperator.compose``, which drops
+        the outer blocks of row-sum norm <= ``NEGLIGIBLE`` on every element.
+        Assembled on first use for each (s, tau, steps); the last few are kept.
         """
         _require_finite(tau=tau)
+        return self._increment_map(s, tau, steps)
+
+    def _increment_map(self, s: int, tau: float, steps: int,
+                       built: BandedOperator | None = None) -> BandedOperator:
+        """``increment_map`` without the check; keeps ``built`` if no map is kept."""
         key = (s, tau, steps)
         band = self._increment_maps.get(key)
-        if band is None:
-            band = self.polynomial(_power_increment_coeffs(s, steps), tau)
-            if len(self._increment_maps) >= _KEPT_INCREMENT_MAPS:
-                del self._increment_maps[next(iter(self._increment_maps))]
-            self._increment_maps[key] = band
+        if band is not None:
+            return band
+        if built is not None:
+            band = built
+        elif steps == 1:
+            band = self.polynomial([0.0] + [1.0 / factorial(j) for j in range(1, s + 1)], tau)
+        else:  # the binary power of the one-step map
+            square = self._increment_map(s, tau, 1)
+            while steps:
+                if steps & 1:
+                    band = square if band is None else band.compose(square)
+                steps >>= 1
+                if steps:
+                    square = square.compose(square)
+        if len(self._increment_maps) >= _KEPT_INCREMENT_MAPS:
+            del self._increment_maps[next(iter(self._increment_maps))]
+        self._increment_maps[key] = band
         return band
 
     def source_integrals(self, t) -> np.ndarray:

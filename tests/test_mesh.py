@@ -15,6 +15,18 @@ def test_uniform_lsv_k1_splits_at_centers():
     assert np.allclose(mesh.cv_bounds[:, 1], mesh.centers)
 
 
+def test_derived_geometry_is_computed_once_and_read_only():
+    mesh = perturbed_mesh(8, 3, SubdivisionRule.RRSV, 2, BoundaryCondition.PERIODIC)
+    expected = {"lengths": np.diff(mesh.boundaries),
+                "centers": 0.5 * (mesh.boundaries[:-1] + mesh.boundaries[1:]),
+                "cv_widths": np.diff(mesh.cv_bounds, axis=1)}
+    for name, value in expected.items():
+        got = getattr(mesh, name)
+        assert got is getattr(mesh, name) and np.array_equal(got, value)
+        with pytest.raises(ValueError):
+            got[0] = 1.0
+
+
 def test_uniform_rrsv_k1_interior_point():
     mesh = uniform_mesh(0.0, 1.0, 2, SubdivisionRule.RRSV, 1,
                         BoundaryCondition.INFLOW_ZERO)

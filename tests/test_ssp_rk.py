@@ -1,15 +1,29 @@
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial
 
 import numpy as np
 import pytest
 
 from conftest import BOTH_RULES, periodic_mesh
-from rksv.harness import ExperimentConfig, build_mesh, problem_definition
+from rksv.harness import ExperimentConfig, build_mesh, problem_definition, time_step
 from rksv.mesh import BoundaryCondition, SubdivisionRule, perturbed_mesh, uniform_mesh
-from rksv.ssp_rk import (BLOCK_STEPS, _block_steps, _fused_steps, integrate, rk_step,
-                         ssp_tableau, stage_source_weights, step_increment, step_plan)
+from rksv.ssp_rk import (BLOCK_STEPS, _block_steps, _derivatives_from_samples, _fused_steps,
+                         integrate, rk_step, ssp_tableau, step_increment, step_plan)
 from rksv.sv_space import Problem, SpatialOperator, materialize_operator, project_initial
+
+
+@lru_cache(maxsize=None)
+def stage_source_weights(s):
+    """C_s[l][i] = sum_{q<=l} binom(l, q) (V^-1)[q][i] with V[i][q] = i^q / q!.
+
+    l forward-Euler steps of the shift
+    tau^q p^{(q)} <- tau^q p^{(q)} + tau^{q+1} p^{(q+1)} leave
+    sum_q binom(l, q) tau^q p^{(q)}(t) as the source seen by stage l.
+    """
+    v_inv = _derivatives_from_samples(s)
+    return tuple(tuple(sum(comb(ell, q) * v_inv[q][i] for q in range(ell + 1))
+                       for i in range(s)) for ell in range(s))
 
 
 def stage_chain_increment(values, tableau, tau, op, samples):
@@ -204,8 +218,6 @@ def test_mass_conserved_per_step(s):
 
 
 def test_stage_source_weights_reference_rows():
-    from rksv.ssp_rk import stage_source_weights
-
     # s = 1 and 2 keep the plain samples g(t), g(t + tau)
     assert stage_source_weights(1) == ((Fraction(1),),)
     assert stage_source_weights(2) == ((1, 0), (0, 1))
@@ -482,7 +494,7 @@ def _fused_cases():
     rsv = perturbed_mesh(12, 5, SubdivisionRule.RSV_ADAPTIVE, 3, BoundaryCondition.PERIODIC,
                          alpha=np.sin)
     return [
-        (periodic_mesh(12, SubdivisionRule.LSV, 2), Problem(u0=np.sin), 2, 100),
+        (periodic_mesh(12, SubdivisionRule.LSV, 2), Problem(u0=np.sin), 2, 101),
         (uniform_mesh(-1.0, 2.0, 16, SubdivisionRule.RRSV, 3, BoundaryCondition.INFLOW_ZERO),
          Problem(u0=lambda x: np.exp(-4.0 * x * x)), 3, 331),
         (rsv, Problem(u0=lambda x: np.exp(np.sin(x)), alpha=np.sin), 2, 133),
@@ -493,10 +505,10 @@ def _fused_cases():
 def test_fused_integrate_matches_chained_steps(monkeypatch, case):
     mesh, problem, s, steps = _fused_cases()[case]
     op = SpatialOperator(mesh, problem)
-    fused = _fused_steps(op, s, steps)
+    tau = 0.5 / np.linalg.norm(op.L.dense(), 2)
+    fused = _fused_steps(op, s, tau, steps)
     assert fused >= 2 and steps % fused
     tableau = ssp_tableau(s)
-    tau = 0.5 / np.linalg.norm(op.L.dense(), 2)
     state = project_initial(problem, mesh, mesh.k)
     state.t = 0.3
     t_final = state.t + (steps + 0.4) * tau
@@ -524,13 +536,44 @@ def test_fused_integrate_matches_chained_steps(monkeypatch, case):
     assert np.max(np.abs(stepped.values - got.values)) <= 1e-13 * scale
 
 
+def test_fused_run_at_the_real_cfl(monkeypatch):
+    # Example 1 at the analyzer's CFL exponent (e = 5/4 at s = 4), where
+    # tau ||L|| is small and the squared maps are trimmed: the fused run
+    # matches the stepwise one and conserves mass, and the one-step maps are
+    # the exact-coefficient Horner products
+    s, k, n = 4, 4, 32
+    config = ExperimentConfig(example=1, scheme=SubdivisionRule.RRSV, k=k, s=s, n_values=(n,),
+                              cfl=0.1, t_final=1.0)
+    problem = problem_definition(1).make()
+    mesh = build_mesh(config, n)
+    tau = time_step(config, mesh)
+    state = project_initial(problem, mesh, k)
+    n_full, last = step_plan(state.t, tau, config.t_final)
+    op = SpatialOperator(mesh, problem)
+    fused = _fused_steps(op, s, tau, n_full)
+    assert fused >= 8 and last > 0.0
+    maps = _record_increment_maps(monkeypatch)
+    got = integrate(state, problem, ssp_tableau(s), tau, config.t_final)
+    assert (tau, fused) in maps
+    stepwise = integrate(state, problem, ssp_tableau(s), tau, config.t_final,
+                         on_step=lambda st: None)
+    scale = np.max(np.abs(stepwise.values))
+    assert np.max(np.abs(got.values - stepwise.values)) <= 1e-13 * scale
+    assert abs(got.total_mass - state.total_mass) <= 1e-13
+    taylor = [0.0] + [float(Fraction(1, factorial(j))) for j in range(1, s + 1)]
+    for dt in (tau, last):
+        one_step, reference = op.increment_map(s, dt), op.polynomial(taylor, dt)
+        assert np.array_equal(one_step.offsets, reference.offsets)
+        assert np.array_equal(one_step.blocks, reference.blocks)
+
+
 def test_sourced_integrate_steps_one_at_a_time(monkeypatch):
     # the source forcing is formed per step, so a sourced run never fuses
     mesh = periodic_mesh(12, SubdivisionRule.LSV, 2)
     problem = Problem(u0=np.sin, source=lambda x, t: np.cos(x - t))
     op = SpatialOperator(mesh, problem)
     steps, tau = 400, 2.0 ** -10
-    assert _fused_steps(op, 2, steps) > 1
+    assert _fused_steps(op, 2, tau, steps) > 1
     maps = _record_increment_maps(monkeypatch)
     integrate(project_initial(problem, mesh, 2), problem, ssp_tableau(2), tau, steps * tau)
     assert maps == [(tau, 1)]

@@ -9,9 +9,14 @@ from rksv import sv_space
 from rksv.harness import run_checks
 from rksv.mesh import BoundaryCondition, SubdivisionRule, perturbed_mesh, uniform_mesh
 from rksv.quadrature import gauss_quad
-from rksv.sv_space import (Problem, SpatialOperator, SvState, apply_L, cv_mass_matrix,
-                           error_norms, materialize_operator, project_initial, reconstruct,
-                           snapshot_table, workspace)
+from rksv.sv_space import (Problem, SpatialOperator, SvState, apply_L, error_norms,
+                           materialize_operator, project_initial, reconstruct, snapshot_table,
+                           workspace)
+
+
+def cv_mass_matrix(rule, k):
+    """M[j, m] = integral of L_m over the j-th reference CV of the rule."""
+    return sv_space._variant(rule, k, False).mass
 
 
 def test_mass_matrix_lsv_k1():
@@ -77,6 +82,17 @@ def test_variant_tables_are_read_only(rule, left_oriented):
     assert held == set(_VARIANT_TABLES)
 
 
+def test_single_variant_mesh_tables_are_shared_views():
+    # one variant: each table is a read-only view of the shared table, not a copy
+    ws = workspace(periodic_mesh(6, SubdivisionRule.RRSV, 2))
+    assert len(ws.variants) == 1
+    for name in _VARIANT_TABLES:
+        table, shared = ws.table(name), getattr(ws.variants[0], name)
+        assert table.shape == (6,) + shared.shape and np.array_equal(table[4], shared)
+        assert np.shares_memory(table, shared) and not table.flags.writeable
+        assert ws.table(name) is table
+
+
 def test_check_suite_builds_each_variant_once(monkeypatch):
     built = Counter()
     init = sv_space._VariantOps.__init__
@@ -108,7 +124,10 @@ def test_reconstruct_reproduces_global_polynomial(rule):
     values = anti(mesh.cv_bounds[:, 1:]) - anti(mesh.cv_bounds[:, :-1])
     rec = reconstruct(SvState(mesh, k, values, 0.0))
     x = np.linspace(-1.0, 2.0, 201)[1:-1]
-    assert np.max(np.abs(rec.evaluate(x) - poly(x))) < 1e-12
+    idx = np.searchsorted(mesh.boundaries, x, side="right") - 1
+    y = (x - mesh.centers[idx]) * 2.0 / mesh.lengths[idx]
+    u_h = np.einsum("pm,pm->p", rec.coeffs[idx], leg.legvander(y, k))
+    assert np.max(np.abs(u_h - poly(x))) < 1e-12
 
 
 def test_reconstruct_k1_matches_direct_solve(rng):
@@ -415,6 +434,33 @@ def _fused_map_meshes():
     return meshes
 
 
+def _row_sum_norms(blocks):
+    """The largest row-sum norm over the elements of each offset's block, blocks
+    of shape (N, k+1, offsets, k+1)."""
+    return np.abs(blocks).sum(axis=3).max(axis=(0, 1))
+
+
+def _dense_power_blocks(mesh, s, tau, m, offsets):
+    """The blocks of P_s(tau L)^m - I (alpha = 1) at ``offsets``, shape
+    (N, k+1, len(offsets), k+1), read from the dense m-th power of I + A.
+
+    On a periodic mesh the offsets alias mod N, so its uniform elements are
+    first laid out on a ring long enough that none does: every element of the
+    ring has the same blocks.
+    """
+    n, k1 = mesh.n_elements, mesh.k + 1
+    if mesh.bc == BoundaryCondition.PERIODIC:
+        assert mesh.domain == (0.0, 2.0 * np.pi) and mesh.regularity_ratio < 1.0 + 1e-12
+        laps = -min(offsets) // n + 1
+        mesh = uniform_mesh(0.0, 2.0 * np.pi * laps, n * laps, mesh.rule, mesh.k, mesh.bc)
+        n = mesh.n_elements
+    step = np.eye(n * k1) + SpatialOperator(mesh, Problem(u0=np.sin)).increment_map(s, tau).dense()
+    power = (np.linalg.matrix_power(step, m) - np.eye(n * k1)).reshape(n, k1, n, k1)
+    rows = np.arange(n)
+    blocks = np.stack([power[rows, :, (rows + o) % n] for o in offsets], axis=2)
+    return blocks[:mesh.n_elements]
+
+
 @pytest.mark.parametrize("s", range(1, 13))
 def test_fused_increment_map_is_power_of_one_step(s):
     # P_s(tau L)^m - I against the m-th matrix power of the one-step map
@@ -429,11 +475,26 @@ def test_fused_increment_map_is_power_of_one_step(s):
             expected = np.linalg.matrix_power(step, m) - np.eye(len(step))
             scale = np.max(np.abs(expected))
             assert np.max(np.abs(fused.dense() - expected)) < 1e-12 * scale, (mesh.rule, m)
-            if one_way:
-                # with zero inflow, paths longer than the mesh meet a zero edge block
-                reach = m * s if mesh.bc == BoundaryCondition.PERIODIC else \
-                    min(m * s, mesh.n_elements - 1)
+            if not one_way:
+                continue
+            # with zero inflow, paths longer than the mesh meet a zero edge block
+            reach = m * s if mesh.bc == BoundaryCondition.PERIODIC else \
+                min(m * s, mesh.n_elements - 1)
+            if m == 1:
+                # the one-step map keeps every nonzero block
                 assert np.array_equal(fused.offsets, np.arange(-reach, 1))
+            else:
+                # a composed map keeps a run of -reach..0 that contains 0, both
+                # its end blocks exceed 2^-60, and every dropped offset's block is
+                # at most 2^-60 in the dense reference
+                low = fused.offsets[0]
+                assert -reach <= low and np.array_equal(fused.offsets, np.arange(low, 1))
+                kept = fused.blocks.reshape(mesh.n_elements, mesh.k + 1, -1, mesh.k + 1)
+                assert np.all(_row_sum_norms(kept[:, :, [0, -1]]) > sv_space.NEGLIGIBLE)
+                dropped = np.arange(-reach, low)
+                if len(dropped):
+                    reference = _dense_power_blocks(mesh, s, tau, m, dropped)
+                    assert np.all(_row_sum_norms(reference) <= sv_space.NEGLIGIBLE), (m, low)
 
 
 def test_zero_coefficient_keeps_only_offset_zero():
