@@ -50,7 +50,8 @@ class Mesh1D:
 
     ``cv_bounds[i]`` holds x_{i,0} < ... < x_{i,k+1} with x_{i,0} and
     x_{i,k+1} the element boundaries; ``left_oriented[i]`` marks elements
-    whose subdivision uses the mirrored (left-Radau) reference points.
+    whose subdivision uses the mirrored (left-Radau) reference points;
+    ``lengths`` are the element lengths it was built with.
     """
 
     rule: SubdivisionRule
@@ -59,14 +60,14 @@ class Mesh1D:
     boundaries: np.ndarray          # (N+1,)
     cv_bounds: np.ndarray           # (N, k+2)
     left_oriented: np.ndarray       # (N,) bool
+    lengths: np.ndarray = field(repr=False)                 # (N,) element lengths
     domain: tuple[float, float] = field(init=False)
-    lengths: np.ndarray = field(init=False, repr=False)     # (N,) element lengths
     centers: np.ndarray = field(init=False, repr=False)     # (N,) element midpoints
     cv_widths: np.ndarray = field(init=False, repr=False)   # (N, k+1)
 
     def __post_init__(self):
         object.__setattr__(self, "domain", (float(self.boundaries[0]), float(self.boundaries[-1])))
-        for name, value in (("lengths", np.diff(self.boundaries)),
+        for name, value in (("lengths", self.lengths),
                             ("centers", 0.5 * (self.boundaries[:-1] + self.boundaries[1:])),
                             ("cv_widths", np.diff(self.cv_bounds, axis=1))):
             value.flags.writeable = False  # computed once, shared by every reader
@@ -111,14 +112,14 @@ def _resolve_orientation(rule, boundaries, alpha):
     return (a_left <= 0.0) & (a_right <= 0.0) & ~((a_left >= 0.0) & (a_right >= 0.0))
 
 
-def _build_mesh(boundaries, rule, k, bc, alpha):
+def _build_mesh(boundaries, h, rule, k, bc, alpha):
+    """The mesh on ``boundaries`` with element lengths ``h``."""
     rule = SubdivisionRule(rule)
     bc = BoundaryCondition(bc)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     boundaries = np.asarray(boundaries, dtype=float)
     left = _resolve_orientation(rule, boundaries, alpha)
-    h = np.diff(boundaries)
     centers = 0.5 * (boundaries[:-1] + boundaries[1:])
     y_right = np.concatenate([[-1.0], reference_interior_points(rule, k, False), [1.0]])
     cv = centers[:, None] + 0.5 * h[:, None] * y_right[None, :]
@@ -127,16 +128,18 @@ def _build_mesh(boundaries, rule, k, bc, alpha):
         cv[left] = centers[left, None] + 0.5 * h[left, None] * y_left[None, :]
     cv[:, 0] = boundaries[:-1]
     cv[:, -1] = boundaries[1:]
-    return Mesh1D(rule, k, bc, boundaries, cv, left)
+    return Mesh1D(rule, k, bc, boundaries, cv, left, h)
 
 
 def uniform_mesh(a, b, n, rule, k, bc, alpha=None) -> Mesh1D:
-    """N equal spectral volumes on [a, b], subdivided per the rule."""
+    """N spectral volumes on [a, b], subdivided per the rule, each of length (b-a)/N
+    exactly (not np.diff of the rounded boundaries), so that with a constant
+    coefficient every element's operator row is bit-identical."""
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     if n < 2:
         raise ValueError(f"need at least 2 elements, got {n}")
-    return _build_mesh(np.linspace(a, b, n + 1), rule, k, bc, alpha)
+    return _build_mesh(np.linspace(a, b, n + 1), np.full(n, (b - a) / n), rule, k, bc, alpha)
 
 
 def splitmix64_stream(seed: int):
@@ -165,5 +168,5 @@ def perturbed_mesh(n, seed, rule, k, bc, alpha=None) -> Mesh1D:
     boundaries[1:-1] = 2.0 * np.pi * i / n + np.sin(i * np.pi / n) / (100.0 * n) * u
     if np.any(np.diff(boundaries) <= 0):
         raise RuntimeError("perturbation broke monotonicity")  # unreachable for n >= 4
-    return _build_mesh(boundaries, rule, k, bc, alpha)
+    return _build_mesh(boundaries, np.diff(boundaries), rule, k, bc, alpha)
 

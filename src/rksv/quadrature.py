@@ -1,4 +1,4 @@
-"""Legendre/Radau node sets, interpolatory weights, and Gauss quadrature."""
+"""Legendre/Radau node sets, interpolatory weights, and Gauss rules."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ __all__ = [
     "right_radau_nodes",
     "interpolatory_weights",
     "gauss_rule",
-    "gauss_quad",
 ]
 
 MAX_DEGREE = 12
@@ -200,13 +199,3 @@ def gauss_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
         return gauss_legendre_nodes(points).nodes, gauss_legendre_weights(points)
     # beyond the NodeSet range
     return np.polynomial.legendre.leggauss(points)
-
-
-def gauss_quad(f, a: float, b: float, points: int) -> float:
-    """Integrate f over [a, b] with a mapped Gauss rule (exact to degree 2*points-1)."""
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    nodes, weights = gauss_rule(points)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return float(half * np.sum(weights * np.asarray(f(mid + half * nodes), dtype=float)))

@@ -148,8 +148,12 @@ _shared_variant = lru_cache(maxsize=None)(_VariantOps)  # keyed on (rule, k, lef
 
 
 def _variant(rule, k: int, left_oriented: bool) -> _VariantOps:
-    """The process-wide ``_VariantOps``, under a key normalised to (enum, int, bool)."""
-    return _shared_variant(SubdivisionRule(rule), int(k), bool(left_oriented))
+    """The process-wide ``_VariantOps``, under a key normalised to (enum, int, bool);
+    a right-oriented ``RSV_ADAPTIVE`` element has the nodes of, and shares, ``RRSV``'s."""
+    rule, left_oriented = SubdivisionRule(rule), bool(left_oriented)
+    if rule == SubdivisionRule.RSV_ADAPTIVE and not left_oriented:
+        rule = SubdivisionRule.RRSV
+    return _shared_variant(rule, int(k), left_oriented)
 
 
 class _MeshWorkspace:
@@ -202,12 +206,19 @@ def _require_finite(**values: float) -> None:
 
 
 def _band_product(x: np.ndarray, x_offsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The blocks of XY from X's blocks x (N, k+1, len(x_offsets), k+1) and Y's rows
-    (N, k+1, W(k+1)), from offset x_offsets[0] + (Y's first offset) on."""
-    n, k1, wk = rows.shape
+    """The blocks of XY from X's blocks x (R, k+1, len(x_offsets), k+1) and Y's rows
+    (R', k+1, W(k+1)), from offset x_offsets[0] + (Y's first offset) on.
+
+    R and R' are 1 (one row that every element shares) or N; the product has
+    max(R, R') rows, so a product of one-row bands is one element's matmuls.
+    """
+    n = max(len(x), len(rows))
+    x = np.broadcast_to(x, (n,) + x.shape[1:])
+    rows = np.broadcast_to(rows, (n,) + rows.shape[1:])
+    _, k1, wk = rows.shape
     width = wk // k1
     q = np.zeros((n, k1, len(x_offsets) + width - 1, k1))
-    product = np.empty_like(rows)
+    product = np.empty(rows.shape)
     for j, o in enumerate(x_offsets):
         # block o of X acts on element (i + o) mod N: Y's rows are shifted by
         # two slices, so no shifted copy of the band is made
@@ -224,20 +235,27 @@ class BandedOperator:
     Row block i is sum_o B[i, o] v_{(i+o) mod N} over the explicit ``offsets``,
     not symmetric in general: only the span from the first to the last offset
     whose block's row-sum norm exceeds ``negligible`` (0: is nonzero) on some
-    element is kept (a NaN block counts), and always 0.  Stored as one
-    (k+1, len(offsets)(k+1)) block per element plus a gather index into
-    ``values.ravel()``; offsets are taken mod N only by the gather, so when
-    the span is wider than the mesh aliased columns accumulate.
+    element is kept (a NaN block counts), and always 0.  The blocks are stored
+    in ``row_blocks`` as one (k+1, len(offsets)(k+1)) row when every element's
+    row is bit-identical (a uniform mesh with a constant coefficient), else as
+    one row per element; ``blocks`` is the read-only (N, ...) view of either.
+    A gather index into ``values.ravel()`` reads each element's neighbours;
+    offsets are taken mod N only by the gather, so when the span is wider than
+    the mesh aliased columns accumulate.
     """
 
     def __init__(self, blocks: np.ndarray, offsets: np.ndarray, negligible: float = 0.0):
         n, k1, _, _ = blocks.shape  # blocks[i, :, j, :] = B[i, offsets[j]]
+        # a stride-0 view (a product of one-row bands) repeats one row by construction
+        if blocks.strides[0] == 0 or (blocks == blocks[:1]).all():
+            blocks = blocks[:1]
         norms = np.abs(blocks).sum(axis=3).max(axis=(0, 1))
         live = np.flatnonzero(~(norms <= negligible) | (offsets == 0))
         span = slice(live[0], live[-1] + 1)
         self.offsets = offsets[span]
         width = len(self.offsets)
-        self.blocks = np.ascontiguousarray(blocks[:, :, span]).reshape(n, k1, width * k1)
+        self.row_blocks = np.ascontiguousarray(blocks[:, :, span]).reshape(-1, k1, width * k1)
+        self.blocks = np.broadcast_to(self.row_blocks, (n, k1, width * k1))
         elements = (np.arange(n)[:, None] + self.offsets[None, :]) % n
         self.gather = (elements[:, :, None] * k1 + np.arange(k1)).reshape(n, width * k1)
 
@@ -251,21 +269,25 @@ class BandedOperator:
         """
         n, k1, _ = self.blocks.shape
         wx, wy = len(self.offsets), len(other.offsets)
-        x = self.blocks.reshape(n, k1, wx, k1)
-        q = _band_product(x, self.offsets, other.blocks)
+        x = self.row_blocks.reshape(-1, k1, wx, k1)
+        q = _band_product(x, self.offsets, other.row_blocks)
         # q starts at the sum of the two first offsets, each <= 0
         x0, y0 = -other.offsets[0], -self.offsets[0]
         q[:, :, x0:x0 + wx] += x
-        q[:, :, y0:y0 + wy] += other.blocks.reshape(n, k1, wy, k1)
-        return BandedOperator(q, np.arange(q.shape[2]) - x0 - y0, negligible=NEGLIGIBLE)
+        q[:, :, y0:y0 + wy] += other.row_blocks.reshape(-1, k1, wy, k1)
+        return BandedOperator(np.broadcast_to(q, (n,) + q.shape[1:]),
+                              np.arange(q.shape[2]) - x0 - y0, negligible=NEGLIGIBLE)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """The map applied to CV integrals of shape (N, k+1)."""
-        return np.einsum("nij,nj->ni", self.blocks, values.ravel()[self.gather])
+        gathered = values.ravel()[self.gather]
+        if len(self.row_blocks) == 1:  # one GEMM with the row every element shares
+            return gathered @ self.row_blocks[0].T
+        return np.einsum("nij,nj->ni", self.row_blocks, gathered)
 
     def apply_columns(self, columns: np.ndarray) -> np.ndarray:
         """The map applied to each column of an (N(k+1), K) stack of ``values.ravel()``."""
-        return (self.blocks @ columns[self.gather]).reshape(columns.shape)
+        return (self.row_blocks @ columns[self.gather]).reshape(columns.shape)
 
     def dense(self) -> np.ndarray:
         """The (N(k+1), N(k+1)) matrix of the map, acting on ``values.ravel()``."""
@@ -348,16 +370,16 @@ class SpatialOperator:
         """
         n, k1 = self.mesh.n_elements, self.mesh.k + 1
         l_offsets = self.L.offsets
-        tau_l = tau * self.L.blocks.reshape(n, k1, len(l_offsets), k1)
+        tau_l = tau * self.L.row_blocks.reshape(-1, k1, len(l_offsets), k1)
         eye = np.eye(k1)
-        p = np.zeros((n, k1, 1, k1))
+        p = np.zeros((1, k1, 1, k1))  # one row until a per-element L enters
         p[:, :, 0] = coeffs[-1] * eye
         low = 0  # the lowest offset of p
         for c in coeffs[-2::-1]:
-            p = _band_product(tau_l, l_offsets, p.reshape(n, k1, -1))
+            p = _band_product(tau_l, l_offsets, p.reshape(len(p), k1, -1))
             low += l_offsets[0]
             p[:, :, -low] += c * eye
-        return BandedOperator(p, low + np.arange(p.shape[2]))
+        return BandedOperator(np.broadcast_to(p, (n,) + p.shape[1:]), low + np.arange(p.shape[2]))
 
     def increment_map(self, s: int, tau: float, steps: int = 1) -> BandedOperator:
         """A = P_s(tau L)^steps - I, P_s(z) = sum_{j<=s} z^j/j!: the source-free

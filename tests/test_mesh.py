@@ -27,6 +27,19 @@ def test_derived_geometry_is_computed_once_and_read_only():
             got[0] = 1.0
 
 
+@pytest.mark.parametrize("a, b, n", [(0.0, 2.0 * np.pi, 128), (-1.0, 3.0, 7), (0.1, 0.7, 33)])
+@pytest.mark.parametrize("rule", list(SubdivisionRule))
+def test_uniform_lengths_are_exact(a, b, n, rule):
+    # every element has the length (b-a)/N bit for bit, so the operator rows of
+    # a constant coefficient are identical; np.diff of the rounded boundaries
+    # differs from it by rounding, within 4 ulp of the boundaries themselves
+    mesh = uniform_mesh(a, b, n, rule, 3, BoundaryCondition.PERIODIC, alpha=np.cos)
+    assert np.all(mesh.lengths == (b - a) / n)
+    ulp = np.spacing(np.maximum(np.abs(mesh.boundaries[:-1]), np.abs(mesh.boundaries[1:])))
+    assert np.all(np.abs(mesh.lengths - np.diff(mesh.boundaries)) <= 4.0 * ulp)
+    assert np.max(np.abs(mesh.cv_widths.sum(axis=1) - mesh.lengths)) < 1e-14
+
+
 def test_uniform_rrsv_k1_interior_point():
     mesh = uniform_mesh(0.0, 1.0, 2, SubdivisionRule.RRSV, 1,
                         BoundaryCondition.INFLOW_ZERO)

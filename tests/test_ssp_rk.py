@@ -394,6 +394,28 @@ def test_block_forcing_matches_stage_chain(s):
             assert np.max(np.abs(got - expected)) <= 1e-13 * scale, (mesh.bc, shortened)
 
 
+@pytest.mark.parametrize("s", (1, 3, 5))
+def test_one_row_sourced_integrate_matches_stage_chain(s):
+    # a uniform periodic mesh with a constant coefficient stores L as one row,
+    # so the forcing's products with L broadcast that row; the run crosses a
+    # forcing block boundary and ends in a shortened step
+    mesh = periodic_mesh(10, SubdivisionRule.RRSV, 3)
+    problem = Problem(u0=np.sin, source=lambda x, t: np.cos(x - 3.0 * t) + t)
+    op = SpatialOperator(mesh, problem)
+    assert op.L.row_blocks.shape[0] == 1
+    tableau = ssp_tableau(s)
+    tau = 2.0 ** np.floor(np.log2(0.5 / np.max(np.abs(np.linalg.eigvals(op.L.dense())))))
+    steps = _block_steps(op) + 3
+    state = project_initial(problem, mesh, mesh.k)
+    t_final = (steps + 0.4) * tau
+    got = integrate(state, problem, tableau, tau, t_final).values
+    expected = state.values
+    for step in range(steps):
+        expected = stage_chain_step(expected, tableau, step * tau, tau, op)
+    expected = stage_chain_step(expected, tableau, steps * tau, t_final - steps * tau, op)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
 @pytest.mark.parametrize("sourced", (False, True))
 def test_rk_step_assembles_once_per_step_length(monkeypatch, sourced):
     # chained rk_step calls with one shared op reuse its increment map per tau

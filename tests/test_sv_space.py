@@ -8,7 +8,6 @@ from conftest import BOTH_RULES, periodic_mesh, random_coeffs, state_from_coeffs
 from rksv import sv_space
 from rksv.harness import run_checks
 from rksv.mesh import BoundaryCondition, SubdivisionRule, perturbed_mesh, uniform_mesh
-from rksv.quadrature import gauss_quad
 from rksv.sv_space import (Problem, SpatialOperator, SvState, apply_L, error_norms,
                            materialize_operator, project_initial, reconstruct, snapshot_table,
                            workspace)
@@ -67,6 +66,16 @@ def test_two_orientation_rsv_mesh_has_one_variant_per_orientation():
     assert [v.left_oriented for v in workspace(other).variants] == [False, True]
     assert all(a is b for a, b in zip(variants, workspace(other).variants))
     assert np.array_equal(variants[1].y, -variants[0].y[::-1])
+
+
+def test_right_oriented_rsv_shares_the_rrsv_variant():
+    # both use the right-Radau nodes, so they are one process-wide entry
+    for k in (1, 3):
+        assert sv_space._variant("rsv", k, False) is sv_space._variant("rrsv", k, False)
+        assert sv_space._variant("rsv", k, True) is not sv_space._variant("rrsv", k, False)
+    mesh = perturbed_mesh(10, 3, SubdivisionRule.RSV_ADAPTIVE, 3, BoundaryCondition.PERIODIC,
+                          alpha=np.sin)
+    assert workspace(mesh).variants[0] is workspace(periodic_mesh(6, "rrsv", 3)).variants[0]
 
 
 @pytest.mark.parametrize("rule, left_oriented", [("lsv", False), ("rrsv", False),
@@ -512,6 +521,99 @@ def test_nan_blocks_are_kept():
                          Problem(u0=np.sin, alpha=lambda x: np.where(x > 3.0, np.nan, 1.0)))
     assert np.array_equal(op.L.offsets, [-1, 0, 1])
     assert np.isnan(op.L.apply(np.ones((4, 2)))).any()
+
+
+def _one_row(band):
+    return band.row_blocks.shape[0] == 1
+
+
+@pytest.mark.parametrize("scheme", ("lsv", "rrsv"))
+@pytest.mark.parametrize("k", (1, 4))
+def test_example_1_bands_store_one_row(scheme, k):
+    # Example 1 (alpha = 1 on a uniform periodic mesh): L, the one-step map and
+    # a fused map each store the one row that every element shares, and
+    # ``blocks`` still reads as a read-only (N, k+1, W(k+1)) array
+    from rksv.harness import ExperimentConfig, build_mesh, problem_definition, time_step
+
+    n, s = 32, 4
+    config = ExperimentConfig(example=1, scheme=scheme, k=k, s=s, n_values=(n,), cfl=0.1)
+    mesh = build_mesh(config, n)
+    op = SpatialOperator(mesh, problem_definition(1).make())
+    tau = time_step(config, mesh)
+    for band in (op.L, op.increment_map(s, tau), op.increment_map(s, tau, 8)):
+        assert _one_row(band)
+        assert band.blocks.shape == (n, k + 1, len(band.offsets) * (k + 1))
+        assert not band.blocks.flags.writeable
+
+
+def test_varying_rows_stay_per_element():
+    # alpha = sin on the Example 2 mesh, and the zeroed edge rows of an
+    # INFLOW_ZERO mesh, give rows that differ from element to element
+    ops = [_example_operator(2, "rsv", 32)]
+    ops += [SpatialOperator(uniform_mesh(0.0, 1.0, 16, rule, 3, BoundaryCondition.INFLOW_ZERO),
+                            Problem(u0=np.sin)) for rule in BOTH_RULES]
+    for op in ops:
+        for band in (op.L, op.increment_map(4, 0.01), op.increment_map(4, 0.01, 4)):
+            assert band.row_blocks.shape[0] == op.mesh.n_elements
+
+
+def test_one_row_band_matches_per_element_band(rng):
+    # N explicit copies of one row are stored as one row; the same band with one
+    # entry of one element moved by 1 ulp is stored per element, and the two
+    # agree in every operation, including powers by ``compose``
+    n, k1 = 9, 3
+    offsets = np.arange(-2, 2)
+    row = 0.2 * rng.uniform(-1.0, 1.0, (1, k1, len(offsets), k1))
+    copies = np.repeat(row, n, axis=0)
+    nudged = copies.copy()
+    nudged[4, 1, 2, 0] = np.nextafter(nudged[4, 1, 2, 0], np.inf)
+    one, per = sv_space.BandedOperator(copies, offsets), sv_space.BandedOperator(nudged, offsets)
+    assert _one_row(one) and per.row_blocks.shape[0] == n
+    assert one.blocks.shape == per.blocks.shape and np.array_equal(one.gather, per.gather)
+
+    def close(got, expected):
+        assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+    close(one.apply(values := rng.normal(size=(n, k1))), per.apply(values))
+    close(one.apply_columns(columns := rng.normal(size=(n * k1, 5))), per.apply_columns(columns))
+    close(one.dense(), per.dense())
+    one_power, per_power = one, per
+    for m in range(2, 6):
+        one_power, per_power = one_power.compose(one), per_power.compose(per)
+        if m in (2, 3, 5):
+            assert _one_row(one_power) and per_power.row_blocks.shape[0] == n
+            assert np.array_equal(one_power.offsets, per_power.offsets)
+            close(one_power.dense(), per_power.dense())
+            close(one_power.apply(values), per_power.apply(values))
+    # a product of a one-row band and a per-element one has a row per element
+    other = sv_space.BandedOperator(0.2 * rng.uniform(-1.0, 1.0, copies.shape), offsets)
+    for x, y in ((one, other), (other, one)):
+        mixed = x.compose(y)
+        assert mixed.row_blocks.shape[0] == n
+        close(mixed.dense(), x.dense() + y.dense() + x.dense() @ y.dense())
+
+
+@pytest.mark.parametrize("s", (1, 3, 4))
+@pytest.mark.parametrize("k", (1, 3))
+def test_one_row_symbol_eigenvalues_match_dense(s, k):
+    # on a uniform periodic mesh the increment map is block circulant, so its
+    # spectrum is that of the symbols sum_o B_o e^{2 pi i o j / N}, j = 0..N-1,
+    # B_o the blocks of the one stored row
+    from scipy.optimize import linear_sum_assignment
+
+    n, k1 = 12, k + 1
+    for rule in BOTH_RULES:
+        op = SpatialOperator(periodic_mesh(n, rule, k), Problem(u0=np.sin))
+        band = op.increment_map(s, 1.0 / np.linalg.norm(op.L.dense(), 2))
+        assert _one_row(band)
+        b = band.blocks[0].reshape(k1, len(band.offsets), k1)
+        theta = 2.0 * np.pi * np.arange(n) / n
+        symbols = np.einsum("iok,jo->jik", b, np.exp(1j * np.outer(theta, band.offsets)))
+        from_symbols = np.linalg.eigvals(symbols).ravel()
+        dense = np.linalg.eigvals(band.dense())
+        distance = np.abs(from_symbols[:, None] - dense[None, :])
+        rows, cols = linear_sum_assignment(distance)
+        assert np.max(distance[rows, cols]) <= 1e-12, (rule, s, k)
 
 
 def test_operator_leaves_mesh_untouched():
