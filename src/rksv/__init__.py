@@ -6,8 +6,7 @@ analyzer that classifies each scheme's stability and CFL requirement.
 """
 
 from .mesh import BoundaryCondition, Mesh1D, SubdivisionRule, perturbed_mesh, uniform_mesh
-from .quadrature import (InterpolatoryWeights, NodeSet, gauss_legendre_nodes,
-                         interpolatory_weights, right_radau_nodes)
+from .quadrature import InterpolatoryWeights, interpolatory_weights, right_radau_nodes
 from .sv_space import (Problem, Reconstruction, SvState, apply_L, error_norms,
                        materialize_operator, project_initial, reconstruct, snapshot_table)
 from .ssp_rk import RkTableau, integrate, rk_step, ssp_tableau

@@ -4,20 +4,24 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import gauss_legendre_nodes, right_radau_nodes
+from .quadrature import gauss_rule, right_radau_nodes
 
 __all__ = [
+    "MAX_DEGREE",
     "SubdivisionRule",
     "BoundaryCondition",
     "Mesh1D",
-    "reference_interior_points",
+    "reference_nodes",
     "uniform_mesh",
     "perturbed_mesh",
     "splitmix64_stream",
 ]
+
+MAX_DEGREE = 12
 
 
 class SubdivisionRule(str, enum.Enum):
@@ -33,15 +37,20 @@ class BoundaryCondition(str, enum.Enum):
     INFLOW_ZERO = "inflow_zero"
 
 
-def reference_interior_points(rule, k: int, left_oriented: bool = False) -> np.ndarray:
-    """Interior subdivision points y_1..y_k on the reference element."""
+@lru_cache(maxsize=None)
+def reference_nodes(rule, k: int, left_oriented: bool = False) -> np.ndarray:
+    """Subdivision points y_0 = -1 < y_1 .. y_k < y_{k+1} = 1 of the reference element:
+    the k Gauss-Legendre points (LSV) or the interior right-Radau points (RRSV, RSV),
+    mirrored on left-oriented RSV elements. Cached, read-only."""
     rule = SubdivisionRule(rule)
-    if rule == SubdivisionRule.LSV:
-        return gauss_legendre_nodes(k).nodes
-    pts = right_radau_nodes(k + 1).nodes[:-1]
+    if not 1 <= k <= MAX_DEGREE:
+        raise ValueError(f"k must be in 1..{MAX_DEGREE}, got {k}")
+    interior = gauss_rule(k)[0] if rule == SubdivisionRule.LSV else right_radau_nodes(k + 1)[:-1]
+    y = np.concatenate([[-1.0], interior, [1.0]])
     if rule == SubdivisionRule.RSV_ADAPTIVE and left_oriented:
-        return -pts[::-1]
-    return pts
+        y = -y[::-1]
+    y.flags.writeable = False
+    return y
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,16 +125,13 @@ def _build_mesh(boundaries, h, rule, k, bc, alpha):
     """The mesh on ``boundaries`` with element lengths ``h``."""
     rule = SubdivisionRule(rule)
     bc = BoundaryCondition(bc)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    y = reference_nodes(rule, k)
     boundaries = np.asarray(boundaries, dtype=float)
     left = _resolve_orientation(rule, boundaries, alpha)
-    centers = 0.5 * (boundaries[:-1] + boundaries[1:])
-    y_right = np.concatenate([[-1.0], reference_interior_points(rule, k, False), [1.0]])
-    cv = centers[:, None] + 0.5 * h[:, None] * y_right[None, :]
     if left.any():
-        y_left = np.concatenate([[-1.0], reference_interior_points(rule, k, True), [1.0]])
-        cv[left] = centers[left, None] + 0.5 * h[left, None] * y_left[None, :]
+        y = np.where(left[:, None], reference_nodes(rule, k, True), y)
+    centers = 0.5 * (boundaries[:-1] + boundaries[1:])
+    cv = centers[:, None] + 0.5 * h[:, None] * y
     cv[:, 0] = boundaries[:-1]
     cv[:, -1] = boundaries[1:]
     return Mesh1D(rule, k, bc, boundaries, cv, left, h)

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._basis import antiderivative_values, legendre_vandermonde, mass_matrix
-from .mesh import BoundaryCondition, Mesh1D, SubdivisionRule, reference_interior_points
+from .mesh import BoundaryCondition, Mesh1D, SubdivisionRule, reference_nodes
 from .quadrature import gauss_rule, interpolatory_weights
 
 __all__ = [
@@ -87,10 +87,6 @@ class Reconstruction:
     coeffs: np.ndarray  # (N, k+1)
 
 
-def _reference_nodes(rule, k, left_oriented=False):
-    return np.concatenate([[-1.0], reference_interior_points(rule, k, left_oriented), [1.0]])
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -103,7 +99,7 @@ class _VariantOps:
     def __init__(self, rule: SubdivisionRule, k: int, left_oriented: bool):
         self.rule = rule
         self.left_oriented = left_oriented
-        self.y = y = _read_only(_reference_nodes(rule, k, left_oriented))
+        self.y = y = reference_nodes(rule, k, left_oriented)
         self.mass = _read_only(mass_matrix(y))
         if np.linalg.cond(self.mass) > _COND_LIMIT:
             raise RuntimeError("CV mass matrix is numerically singular")

@@ -291,6 +291,10 @@ def test_cli_usage_errors_exit_one(capsys):
     assert cli.main(["frobnicate"]) == 1                    # unknown subcommand
     assert cli.main(["analyze", "--format", "yaml"]) == 1   # bad choice
     capsys.readouterr()
+    for scheme in ("lsv", "rrsv", "rsv"):                   # k beyond the node tables
+        assert cli.main(["solve", "--example", "1", "--scheme", scheme, "--k", "13",
+                         "--s", "3", "--n", "8", "--cfl", "0.1"]) == 1
+        assert "k must be in 1..12, got 13" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("t_final", ("inf", "nan", "-1"))

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from rksv.mesh import (BoundaryCondition, SubdivisionRule, perturbed_mesh, splitmix64_stream,
-                       uniform_mesh)
+from rksv.mesh import (BoundaryCondition, SubdivisionRule, perturbed_mesh, reference_nodes,
+                       splitmix64_stream, uniform_mesh)
 
 
 def test_uniform_lsv_k1_splits_at_centers():
@@ -72,12 +72,26 @@ def test_cvs_tile_each_element(rule, k):
 
 @pytest.mark.parametrize("rule", (SubdivisionRule.LSV, SubdivisionRule.RRSV))
 def test_affine_map_consistency(rule):
-    from rksv.mesh import reference_interior_points
-
     mesh = perturbed_mesh(16, 3, rule, 3, BoundaryCondition.PERIODIC)
-    ref = np.concatenate([[-1.0], reference_interior_points(rule, 3), [1.0]])
+    ref = reference_nodes(rule, 3)
     for i in (0, 5, 15):
         assert np.max(np.abs(mesh.reference_nodes(i) - ref)) < 1e-14
+
+
+def test_k_range_checked_for_every_rule():
+    for rule in SubdivisionRule:
+        for k in (0, 13):
+            with pytest.raises(ValueError, match=f"k must be in 1..12, got {k}"):
+                reference_nodes(rule, k)
+
+
+def test_left_oriented_rsv_nodes_are_mirrored():
+    right = reference_nodes(SubdivisionRule.RSV_ADAPTIVE, 4)
+    assert np.array_equal(right, reference_nodes(SubdivisionRule.RRSV, 4))
+    assert np.array_equal(reference_nodes(SubdivisionRule.RSV_ADAPTIVE, 4, True), -right[::-1])
+    for rule in (SubdivisionRule.LSV, SubdivisionRule.RRSV):
+        assert np.array_equal(reference_nodes(rule, 4, True), reference_nodes(rule, 4))
+    assert right[0] == -1.0 and right[-1] == 1.0 and not right.flags.writeable
 
 
 def test_perturbed_endpoints_exact_and_deterministic():

@@ -31,10 +31,10 @@ def test_mass_matrix_rrsv_k1():
 @pytest.mark.parametrize("rule", BOTH_RULES)
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
 def test_mass_matrix_first_column_is_cv_widths(rule, k):
-    from rksv.sv_space import _reference_nodes
+    from rksv.mesh import reference_nodes
 
     m = cv_mass_matrix(rule, k)
-    widths = np.diff(_reference_nodes(rule, k))
+    widths = np.diff(reference_nodes(rule, k))
     assert np.allclose(m[:, 0], widths, atol=1e-15)
 
 
