@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from fractions import Fraction
 
 from .harness import (ExperimentConfig, NumericalError, config_from_file, run_checks,
                       run_convergence, run_solve)
@@ -51,7 +50,6 @@ def _add_solve_flags(p, n_help):
 
 
 def _build_config(args, n_values) -> ExperimentConfig:
-    exponent = None if args.cfl_exp is None else Fraction(str(args.cfl_exp))
     if args.config is not None:
         return config_from_file(
             args.config,
@@ -61,7 +59,7 @@ def _build_config(args, n_values) -> ExperimentConfig:
             s=args.s,
             n=n_values,
             cfl=args.cfl,
-            cfl_exp=exponent,
+            cfl_exp=args.cfl_exp,
             t_final=args.t_final,
             seed=args.seed,
         )
@@ -79,7 +77,7 @@ def _build_config(args, n_values) -> ExperimentConfig:
         s=args.s,
         n_values=n_values,
         cfl=args.cfl,
-        cfl_exponent=exponent,
+        cfl_exponent=args.cfl_exp,
         t_final=args.t_final,
         seed=0 if args.seed is None else args.seed,
     )

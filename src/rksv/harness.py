@@ -69,7 +69,6 @@ def _advection_sine() -> Problem:
         alpha=None,
         source=None,
         u_exact=lambda x, t: np.sin(x - t),
-        t_final=1.0,
     )
 
 
@@ -94,7 +93,6 @@ def _degenerate_sine() -> Problem:
         alpha=np.sin,
         source=_degenerate_source,
         u_exact=_degenerate_u,
-        t_final=0.1,
     )
 
 
@@ -140,7 +138,7 @@ class ExperimentConfig:
     s: int
     n_values: tuple[int, ...]
     cfl: float
-    cfl_exponent: Optional[Fraction] = None
+    cfl_exponent: Fraction | str | float | None = None  # parsed to a Fraction
     t_final: Optional[float] = None
     seed: int = 0
 
@@ -152,9 +150,16 @@ class ExperimentConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.t_final is not None and not (isfinite(self.t_final) and self.t_final >= 0.0):
             raise ValueError(f"t_final must be finite and non-negative, got {self.t_final}")
-        if self.cfl_exponent is not None and self.cfl_exponent <= 0:
-            raise ValueError(f"cfl_exponent must be positive (tau = cfl * h^e), "
-                             f"got {self.cfl_exponent}")
+        if self.cfl_exponent is not None:
+            try:
+                exponent = Fraction(str(self.cfl_exponent))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"cfl_exponent must be a number or a fraction p/q with "
+                                 f"q != 0, got {self.cfl_exponent!r}") from None
+            if exponent <= 0:
+                raise ValueError(f"cfl_exponent must be positive (tau = cfl * h^e), "
+                                 f"got {exponent}")
+            object.__setattr__(self, "cfl_exponent", exponent)
         definition = problem_definition(self.example)
         allowed = definition.allowed_schemes
         if allowed is not None and self.scheme not in allowed:
@@ -172,7 +177,7 @@ def problem_definition(example) -> ProblemDefinition:
 
 def resolve_cfl_exponent(config: ExperimentConfig) -> Fraction:
     if config.cfl_exponent is not None:
-        return Fraction(config.cfl_exponent)
+        return config.cfl_exponent
     default = problem_definition(config.example).default_exponent
     if default is not None:
         return default
@@ -508,7 +513,6 @@ def config_from_file(path, **overrides) -> ExperimentConfig:
         n_values = tuple(int(v) for v in n_raw.replace(",", " ").split())
     else:
         n_values = tuple(n_raw)
-    exp_raw = pick("cfl_exp")
     return ExperimentConfig(
         example=problem,
         scheme=SubdivisionRule(pick("scheme", "rrsv")),
@@ -516,7 +520,7 @@ def config_from_file(path, **overrides) -> ExperimentConfig:
         s=int(pick("s", 3)),
         n_values=n_values,
         cfl=float(pick("cfl", 0.1)),
-        cfl_exponent=None if exp_raw is None else Fraction(str(exp_raw)),
+        cfl_exponent=pick("cfl_exp"),
         t_final=None if pick("t_final") is None else float(pick("t_final")),
         seed=int(pick("seed", 0)),
     )

@@ -99,12 +99,6 @@ class Mesh1D:
     def min_cv_width(self) -> float:
         return float(self.cv_widths.min())
 
-    def reference_nodes(self, element: int) -> np.ndarray:
-        """Reference coordinates y_0..y_{k+1} used by the given element."""
-        x = self.cv_bounds[element]
-        h = x[-1] - x[0]
-        return (x - 0.5 * (x[0] + x[-1])) * (2.0 / h)
-
 
 def _resolve_orientation(rule, boundaries, alpha):
     """Per-element left/right Radau orientation for the adaptive rule."""

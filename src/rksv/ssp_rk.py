@@ -2,12 +2,13 @@
 
 The s-stage linear SSP step is linear in u and in the source, so every step
 is u^{n+1} = u^n + A u^n + f^n.  A = P_s(tau L) - I, P_s(z) = sum_{j<=s}
-z^j/j!, is the source-free increment, assembled once per (s, tau) as
-per-element banded blocks (``SpatialOperator.increment_map``); the forcing
-f^n depends only on the source, not on u.  Without a source every step is the
-same map, so a long run without a per-step callback applies m steps at once
-as u <- u + A_m u, A_m = P_s(tau L)^m - I built by squaring A, which drops
-the outer blocks of row-sum norm <= 2^-60 (``_fused_steps``).
+z^j/j!, is the source-free increment, assembled as per-element banded blocks
+(``SpatialOperator.increment_map``) once per run of ``integrate`` for its step
+length and once for a shortened last step; the forcing f^n depends only on
+the source, not on u.  Without a source every step is the same map, so a long
+run without a per-step callback applies m steps at once as u <- u + A_m u,
+A_m = P_s(tau L)^m - I built by squaring A, which drops the outer blocks of
+row-sum norm <= 2^-60 (``_fused_steps``).
 
 A step with a source uses its samples at the s times t^n + i*tau,
 i = 0..s-1, and stage l of the Shu-Osher chain receives the combination
@@ -35,17 +36,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from math import factorial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .matrix_transfer import MAX_STAGES
 from .sv_space import BandedOperator, Problem, SpatialOperator, SvState, _require_finite
 
 __all__ = ["MAX_STAGES", "RkTableau", "ssp_tableau", "rk_step", "step_plan", "integrate"]
 
-MAX_STAGES = 12
 BLOCK_STEPS = 32          # full steps whose source forcing is formed together
 _BLOCK_FLOATS = 1 << 17   # 1 MiB of float64: the bound on a block's largest temporary
 
@@ -192,18 +193,12 @@ def step_increment(values: np.ndarray, increment: BandedOperator,
     return delta
 
 
-def rk_step(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
-            op: SpatialOperator | None = None) -> SvState:
-    """Advance one step of length tau, sampling the source afresh at t + i*tau.
-
-    A shared ``op`` keeps the increment map of each step length, so a chain of
-    calls assembles it once per tau.
-    """
+def rk_step(state: SvState, problem: Problem, tableau: RkTableau, tau: float) -> SvState:
+    """Advance one step of length tau, sampling the source afresh at t + i*tau."""
     _require_finite(tau=tau)
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if op is None:
-        op = SpatialOperator(state.mesh, problem)
+    op = SpatialOperator(state.mesh, problem)
     s = tableau.s
     forcing = None if problem.source is None else _step_forcing(op, s, state.t, tau)
     delta = step_increment(state.values, op.increment_map(s, tau), forcing)
@@ -234,9 +229,10 @@ def step_plan(t0: float, tau: float, t_final: float) -> tuple[int, float]:
     return n, (rest(n) if rest(n) > tol else 0.0)
 
 
-def _fused_steps(op: SpatialOperator, s: int, tau: float, n_full: int) -> int:
-    """Full steps per application of the fused map A_m = P_s(tau L)^m - I in a
-    run of n_full source-free steps of length tau.
+def _fused_steps(one: BandedOperator, n_full: int) -> tuple[int, BandedOperator]:
+    """(m, A_m): the full steps per application of the fused map
+    A_m = P_s(tau L)^m - I in a run of n_full source-free steps whose one-step
+    map is ``one``, and that map.
 
     m = 1 is doubled by squaring A_m (``BandedOperator.compose``, which drops
     the outer blocks with a row-sum norm <= 2^-60 on every element) while
@@ -245,33 +241,16 @@ def _fused_steps(op: SpatialOperator, s: int, tau: float, n_full: int) -> int:
     and while the doubled band is narrower than the mesh, so that no column
     aliases.  At tau = O(h^e), e > 1, tau ||L|| shrinks with h and the outer
     blocks of A_m decay faster than geometrically, so W grows far slower
-    than m.  The last square is kept on ``op`` as its map of (s, tau, m).
+    than m.
     """
-    k1, n = op.mesh.k + 1, op.mesh.n_elements
-    m, band = 1, op._increment_map(s, tau, 1)
+    n, k1, _ = one.blocks.shape
+    m, band = 1, one
     while n_full // (2 * m) > len(band.offsets) * k1:
         doubled = band.compose(band)
         if len(doubled.offsets) >= n:
             break
         m, band = 2 * m, doubled
-    op._increment_map(s, tau, m, built=band)
-    return m
-
-
-def _applications(op: SpatialOperator, s: int, tau: float, n_full: int, last: float,
-                  fused: int):
-    """Yield (increment map, full steps it takes) for each application of a run:
-    n_full // fused groups of ``fused`` full steps, the remaining full steps one
-    at a time, then the shortened last step of length ``last`` as (map, 0).
-
-    Each map is assembled when its first application is reached.
-    """
-    groups, single = divmod(n_full, fused)
-    for count, steps in ((groups, fused), (single, 1)):
-        if count:
-            yield from repeat((op.increment_map(s, tau, steps), steps), count)
-    if last > 0.0:
-        yield op.increment_map(s, last), 0
+    return m, band
 
 
 def integrate(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
@@ -308,11 +287,18 @@ def integrate(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
     if sourced:
         block = _block_steps(op)
         samples = _sample_blocks(op, s, state.t, tau, n_full, block)
-    fused = 1 if sourced or on_step is not None or n_full < 2 else \
-        _fused_steps(op, s, tau, n_full)
+    one = op.increment_map(s, tau) if n_full else None
+    m, group = 1, one
+    if not sourced and on_step is None and n_full >= 2:
+        m, group = _fused_steps(one, n_full)
+    groups, single = divmod(n_full, m)
+    # (map, full steps it takes): the groups of m, the rest one at a time, then
+    # the shortened last step as (map, 0)
+    shortened = [(op.increment_map(s, last), 0)] if last > 0.0 else []
     step = 0  # full steps taken
     f = None
-    for increment, steps in _applications(op, s, tau, n_full, last, fused):
+    for increment, steps in chain(repeat((group, m), groups), repeat((one, 1), single),
+                                  shortened):
         if sourced and steps == 0:
             f = _step_forcing(op, s, state.t + step * tau, last)
         elif sourced:

@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
-_KEPT_INCREMENT_MAPS = 4   # increment maps, one per (s, tau, steps), an operator keeps
 NEGLIGIBLE = 2.0 ** -60    # row-sum norm below which a composed map's outer block is dropped
 
 
@@ -52,7 +51,6 @@ class Problem:
     alpha: Optional[Callable[[np.ndarray], np.ndarray]] = None  # None: constant 1
     source: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     u_exact: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    t_final: float = 1.0
 
     def alpha_values(self, x: np.ndarray) -> np.ndarray:
         if self.alpha is None:
@@ -337,7 +335,6 @@ class SpatialOperator:
         blocks[:, :, 1] = own[:, :-1] - own[:, 1:]
         blocks[:, -1, 2] = -right
         self.L = BandedOperator(blocks, np.arange(-1, 2))
-        self._increment_maps: dict[tuple[int, float, int], BandedOperator] = {}
         if problem.source is not None:
             gy, _ = gauss_rule(mesh.k + 3)
             self.source_points = mesh.centers[:, None] + half_h[:, None] * gy[None, :]
@@ -377,41 +374,12 @@ class SpatialOperator:
             p[:, :, -low] += c * eye
         return BandedOperator(np.broadcast_to(p, (n,) + p.shape[1:]), low + np.arange(p.shape[2]))
 
-    def increment_map(self, s: int, tau: float, steps: int = 1) -> BandedOperator:
-        """A = P_s(tau L)^steps - I, P_s(z) = sum_{j<=s} z^j/j!: the source-free
-        increment of ``steps`` consecutive s-stage linear SSP steps of length tau.
-
-        One step is ``polynomial`` with the Taylor coefficients 1/j!, more the
-        binary power of that map by ``BandedOperator.compose``, which drops
-        the outer blocks of row-sum norm <= ``NEGLIGIBLE`` on every element.
-        Assembled on first use for each (s, tau, steps); the last few are kept.
-        """
+    def increment_map(self, s: int, tau: float) -> BandedOperator:
+        """A = P_s(tau L) - I, P_s(z) = sum_{j<=s} z^j/j!: the source-free
+        increment of one s-stage linear SSP step of length tau, which is
+        ``polynomial`` with the Taylor coefficients 1/j!."""
         _require_finite(tau=tau)
-        return self._increment_map(s, tau, steps)
-
-    def _increment_map(self, s: int, tau: float, steps: int,
-                       built: BandedOperator | None = None) -> BandedOperator:
-        """``increment_map`` without the check; keeps ``built`` if no map is kept."""
-        key = (s, tau, steps)
-        band = self._increment_maps.get(key)
-        if band is not None:
-            return band
-        if built is not None:
-            band = built
-        elif steps == 1:
-            band = self.polynomial([0.0] + [1.0 / factorial(j) for j in range(1, s + 1)], tau)
-        else:  # the binary power of the one-step map
-            square = self._increment_map(s, tau, 1)
-            while steps:
-                if steps & 1:
-                    band = square if band is None else band.compose(square)
-                steps >>= 1
-                if steps:
-                    square = square.compose(square)
-        if len(self._increment_maps) >= _KEPT_INCREMENT_MAPS:
-            del self._increment_maps[next(iter(self._increment_maps))]
-        self._increment_maps[key] = band
-        return band
+        return self.polynomial([0.0] + [1.0 / factorial(j) for j in range(1, s + 1)], tau)
 
     def source_integrals(self, t) -> np.ndarray:
         """CV integrals of the source g(., t); the problem must have a source.

@@ -315,6 +315,26 @@ def test_cli_rejects_non_positive_cfl_exp(capsys, command, exponent):
     assert "cfl_exponent must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ("solve", "converge"))
+def test_cli_rejects_zero_denominator_cfl_exp(capsys, command):
+    n = "8" if command == "solve" else "8,16,32"
+    code = cli.main([command, "--example", "1", "--scheme", "lsv", "--k", "2", "--s", "3",
+                     "--n", n, "--cfl", "0.1", "--cfl-exp", "1/0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cfl_exponent must be a number" in err
+
+
+def test_config_file_rejects_zero_denominator_cfl_exp(capsys, tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("problem: advection_sine\nscheme: lsv\nk: 2\ns: 3\nn: 8\ncfl_exp: 3/0\n")
+    with pytest.raises(ValueError, match="cfl_exponent must be a number"):
+        config_from_file(path)
+    assert cli.main(["solve", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'3/0'" in err
+
+
 def test_python_dash_m_runs_cli():
     # a clean checkout: the package on PYTHONPATH, no installed entry point
     src = Path(__file__).resolve().parents[1] / "src"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import BOTH_RULES, periodic_mesh
+from rksv import ssp_rk
 from rksv.harness import ExperimentConfig, build_mesh, problem_definition, time_step
 from rksv.mesh import BoundaryCondition, SubdivisionRule, perturbed_mesh, uniform_mesh
 from rksv.ssp_rk import (BLOCK_STEPS, _block_steps, _derivatives_from_samples, _fused_steps,
@@ -196,14 +197,10 @@ def test_rk_step_rejects_non_finite_tau(tau, sourced):
     mesh = periodic_mesh(4, SubdivisionRule.LSV, 1)
     problem = Problem(u0=np.sin, source=(lambda x, t: np.cos(x + t)) if sourced else None)
     state = project_initial(problem, mesh, 1)
-    op = SpatialOperator(mesh, problem)
-    kept = op.increment_map(3, 0.1)
-    for _ in range(5):  # more calls than the operator keeps maps
-        with pytest.raises(ValueError, match="tau must be finite"):
-            rk_step(state, problem, ssp_tableau(3), tau, op)
-        with pytest.raises(ValueError, match="tau must be finite"):
-            op.increment_map(3, tau)
-    assert op.increment_map(3, 0.1) is kept  # the rejected calls evicted nothing
+    with pytest.raises(ValueError, match="tau must be finite"):
+        rk_step(state, problem, ssp_tableau(3), tau)
+    with pytest.raises(ValueError, match="tau must be finite"):
+        SpatialOperator(mesh, problem).increment_map(3, tau)
 
 
 @pytest.mark.parametrize("s", (2, 4))
@@ -278,7 +275,8 @@ def test_source_integrals_exact_to_degree_k_plus_2(rng, k):
     for i in range(mesh.n_elements):
         c, half = mesh.centers[i], 0.5 * mesh.lengths[i]
         on_ref = np.polynomial.Polynomial(poly.convert(domain=[c - half, c + half]).coef)
-        exact[i] = half * np.diff(on_ref.integ()(mesh.reference_nodes(i)))
+        y = (mesh.cv_bounds[i] - c) * (2 / mesh.lengths[i])
+        exact[i] = half * np.diff(on_ref.integ()(y))
     assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
@@ -333,12 +331,11 @@ def test_integrate_source_window_matches_fresh_steps(s, shortened):
     tableau = ssp_tableau(s)
     t_final = (steps + (0.4 if shortened else 0.0)) * tau
     got = integrate(state, problem, tableau, tau, t_final).values
-    op = SpatialOperator(mesh, problem)
     fresh = state
     for _ in range(steps):
-        fresh = rk_step(fresh, problem, tableau, tau, op)
+        fresh = rk_step(fresh, problem, tableau, tau)
     if shortened:
-        fresh = rk_step(fresh, problem, tableau, t_final - fresh.t, op)
+        fresh = rk_step(fresh, problem, tableau, t_final - fresh.t)
     assert np.max(np.abs(got - fresh.values)) <= 1e-13 * np.max(np.abs(fresh.values))
 
 
@@ -416,27 +413,6 @@ def test_one_row_sourced_integrate_matches_stage_chain(s):
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("sourced", (False, True))
-def test_rk_step_assembles_once_per_step_length(monkeypatch, sourced):
-    # chained rk_step calls with one shared op reuse its increment map per tau
-    mesh = periodic_mesh(6, SubdivisionRule.RRSV, 2)
-    problem = Problem(u0=np.sin, source=(lambda x, t: np.cos(x + t)) if sourced else None)
-    state = project_initial(problem, mesh, 2)
-    calls = []
-    polynomial = SpatialOperator.polynomial
-
-    def counted_polynomial(self, coeffs, tau=1.0):
-        calls.append(tau)
-        return polynomial(self, coeffs, tau)
-
-    monkeypatch.setattr(SpatialOperator, "polynomial", counted_polynomial)
-    op = SpatialOperator(mesh, problem)
-    tau = 0.01
-    for dt in [tau] * 5 + [tau / 2] * 3 + [tau] * 2:
-        state = rk_step(state, problem, ssp_tableau(4), dt, op)
-    assert calls == [tau, tau / 2]
-
-
 @pytest.mark.parametrize("s", range(1, 13))
 def test_stage_chain_matches_assembled_step(s):
     # with zero source samples the stage chain is P_s(tau L) u - u, which the
@@ -497,16 +473,23 @@ def test_source_free_integrate_assembles_the_step(monkeypatch, shortened):
 
 
 def _record_increment_maps(monkeypatch):
-    """The (tau, steps) of every ``increment_map`` call from here on."""
-    maps = []
+    """The tau of every ``increment_map`` call and the (n_full, m) of every
+    ``_fused_steps`` call from here on."""
+    maps, fusions = [], []
     increment_map = SpatialOperator.increment_map
 
-    def recorded(self, s, tau, steps=1):
-        maps.append((tau, steps))
-        return increment_map(self, s, tau, steps)
+    def recorded(self, s, tau):
+        maps.append(tau)
+        return increment_map(self, s, tau)
+
+    def recorded_fusion(one, n_full):
+        m, band = _fused_steps(one, n_full)
+        fusions.append((n_full, m))
+        return m, band
 
     monkeypatch.setattr(SpatialOperator, "increment_map", recorded)
-    return maps
+    monkeypatch.setattr(ssp_rk, "_fused_steps", recorded_fusion)
+    return maps, fusions
 
 
 def _fused_cases():
@@ -528,32 +511,33 @@ def test_fused_integrate_matches_chained_steps(monkeypatch, case):
     mesh, problem, s, steps = _fused_cases()[case]
     op = SpatialOperator(mesh, problem)
     tau = 0.5 / np.linalg.norm(op.L.dense(), 2)
-    fused = _fused_steps(op, s, tau, steps)
+    fused, _ = _fused_steps(op.increment_map(s, tau), steps)
     assert fused >= 2 and steps % fused
     tableau = ssp_tableau(s)
     state = project_initial(problem, mesh, mesh.k)
     state.t = 0.3
     t_final = state.t + (steps + 0.4) * tau
-    maps = _record_increment_maps(monkeypatch)
+    maps, fusions = _record_increment_maps(monkeypatch)
     got = integrate(state, problem, tableau, tau, t_final)
-    # one map per kind of application: the groups, the rest, the short step
+    # one map for a step of tau, squared into the groups' map, one for the short step
     short = t_final - (state.t + steps * tau)
-    assert maps == [(tau, fused), (tau, 1), (short, 1)]
+    assert maps == [tau, short] and fusions == [(steps, fused)]
     assert got.t == t_final
 
     expected = state
     for _ in range(steps):
-        expected = rk_step(expected, problem, tableau, tau, op)
-    expected = rk_step(expected, problem, tableau, t_final - expected.t, op)
+        expected = rk_step(expected, problem, tableau, tau)
+    expected = rk_step(expected, problem, tableau, t_final - expected.t)
     scale = np.max(np.abs(expected.values))
     assert np.max(np.abs(got.values - expected.values)) <= 1e-13 * scale
 
     # a callback sees every step, so each step is applied on its own
     maps.clear()
+    fusions.clear()
     taken = []
     stepped = integrate(state, problem, tableau, tau, t_final,
                         on_step=lambda st: taken.append(st.t))
-    assert {m for _, m in maps} == {1}
+    assert maps == [tau, short] and fusions == []
     assert taken == [state.t + j * tau for j in range(1, steps + 1)] + [t_final]
     assert np.max(np.abs(stepped.values - got.values)) <= 1e-13 * scale
 
@@ -572,11 +556,11 @@ def test_fused_run_at_the_real_cfl(monkeypatch):
     state = project_initial(problem, mesh, k)
     n_full, last = step_plan(state.t, tau, config.t_final)
     op = SpatialOperator(mesh, problem)
-    fused = _fused_steps(op, s, tau, n_full)
+    fused, _ = _fused_steps(op.increment_map(s, tau), n_full)
     assert fused >= 8 and last > 0.0
-    maps = _record_increment_maps(monkeypatch)
+    _, fusions = _record_increment_maps(monkeypatch)
     got = integrate(state, problem, ssp_tableau(s), tau, config.t_final)
-    assert (tau, fused) in maps
+    assert fusions == [(n_full, fused)]
     stepwise = integrate(state, problem, ssp_tableau(s), tau, config.t_final,
                          on_step=lambda st: None)
     scale = np.max(np.abs(stepwise.values))
@@ -595,7 +579,7 @@ def test_sourced_integrate_steps_one_at_a_time(monkeypatch):
     problem = Problem(u0=np.sin, source=lambda x, t: np.cos(x - t))
     op = SpatialOperator(mesh, problem)
     steps, tau = 400, 2.0 ** -10
-    assert _fused_steps(op, 2, tau, steps) > 1
-    maps = _record_increment_maps(monkeypatch)
+    assert _fused_steps(op.increment_map(2, tau), steps)[0] > 1
+    maps, fusions = _record_increment_maps(monkeypatch)
     integrate(project_initial(problem, mesh, 2), problem, ssp_tableau(2), tau, steps * tau)
-    assert maps == [(tau, 1)]
+    assert maps == [tau] and fusions == []
