@@ -9,8 +9,8 @@ import argparse
 import re
 import sys
 
-from .harness import (ExperimentConfig, NumericalError, config_from_file, run_checks,
-                      run_convergence, run_solve)
+from .harness import (ExperimentConfig, NumericalError, config_from_file, parse_n_values,
+                      run_checks, run_convergence, run_solve)
 from .matrix_transfer import (error_transfer, key_factor_table, render_matrices,
                               render_table, stability_transfer)
 from .mesh import SubdivisionRule
@@ -49,7 +49,8 @@ def _add_solve_flags(p, n_help):
     p.add_argument("--seed", type=int, default=None)
 
 
-def _build_config(args, n_values) -> ExperimentConfig:
+def _build_config(args) -> ExperimentConfig:
+    n_values = None if args.n is None else parse_n_values(args.n, "--n")
     if args.config is not None:
         return config_from_file(
             args.config,
@@ -96,14 +97,6 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _parse_n_list(raw):
-    if raw is None:
-        return None
-    if isinstance(raw, tuple):
-        return raw
-    return tuple(int(v) for v in str(raw).replace(",", " ").split())
-
-
 def _require_writable(path) -> None:
     """Raise OSError before any work if ``path`` cannot be opened for writing."""
     if path:
@@ -111,7 +104,7 @@ def _require_writable(path) -> None:
 
 
 def _cmd_solve(args) -> int:
-    config = _build_config(args, _parse_n_list(args.n))
+    config = _build_config(args)
     if len(config.n_values) != 1:
         raise ValueError("solve expects a single --n value")
     _require_writable(args.snapshot)
@@ -126,7 +119,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    config = _build_config(args, _parse_n_list(args.n))
+    config = _build_config(args)
     _require_writable(args.output)
     table = run_convergence(config)
     if args.format == "csv":

@@ -35,6 +35,7 @@ __all__ = [
     "run_convergence",
     "run_checks",
     "parse_config_file",
+    "parse_n_values",
     "config_from_file",
 ]
 
@@ -240,10 +241,10 @@ def run_solve(config: ExperimentConfig, n: int | None = None) -> SolveResult:
         raise NumericalError(
             f"solve failed for example={config.example} scheme={config.scheme.value} "
             f"k={config.k} s={config.s} N={n}: {exc}") from exc
-    if not (np.isfinite(l2) and np.isfinite(linf)):
+    if not (l2 <= DIVERGENCE_LIMIT and np.isfinite(linf)):
         raise NumericalError(
             f"solve diverged for example={config.example} scheme={config.scheme.value} "
-            f"k={config.k} s={config.s} N={n}")
+            f"k={config.k} s={config.s} N={n}: L2={l2:.3e} (limit {DIVERGENCE_LIMIT:g})")
     return SolveResult(n, l2, linf, steps, tau, wall, state)
 
 
@@ -289,7 +290,8 @@ class ConvergenceTable:
 
 
 def run_convergence(config: ExperimentConfig) -> ConvergenceTable:
-    """Solve on each mesh size and report observed orders between doublings."""
+    """Solve on each mesh size and report observed orders between doublings; a
+    size whose solve fails or diverges (``NumericalError``) reads nan."""
     ns = config.n_values
     if len(ns) < 3:
         raise ValueError("need at least 3 mesh sizes")
@@ -300,8 +302,6 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceTable:
     for n in ns:
         try:
             res = run_solve(config, n)
-            if res.l2 > DIVERGENCE_LIMIT:
-                raise NumericalError(f"L2={res.l2:.3e} exceeds divergence limit at N={n}")
         except NumericalError:
             rows.append(TableRow(config.k, n, float("nan"), None, float("nan"), None))
             prev = None
@@ -496,31 +496,52 @@ def parse_config_file(path) -> dict[str, str]:
     return entries
 
 
+CONFIG_KEYS = ("problem", "scheme", "k", "s", "n", "cfl", "cfl_exp", "t_final", "seed")
+
+
+def _convert(convert, raw, where: str, expected: str):
+    """convert(raw), or a ValueError naming where ``raw`` came from and what it should be."""
+    try:
+        return convert(raw)
+    except ValueError:
+        raise ValueError(f"{where} must be {expected}, got {raw!r}") from None
+
+
+def parse_n_values(raw: str, where: str) -> tuple[int, ...]:
+    """Element counts from a string such as '16,32 64'; ``where`` names it in errors."""
+    return _convert(lambda r: tuple(int(v) for v in r.replace(",", " ").split()), raw, where,
+                    "integers separated by commas or spaces")
+
+
 def config_from_file(path, **overrides) -> ExperimentConfig:
-    """Build an ExperimentConfig from a plain-text file plus keyword overrides."""
+    """An ExperimentConfig from a plain-text file of ``CONFIG_KEYS`` plus keyword overrides."""
     entries = parse_config_file(path)
-    def pick(key, default=None):
+    unknown = [key for key in entries if key not in CONFIG_KEYS]
+    if unknown:
+        raise ValueError(f"{path}: unknown key {unknown[0]!r} (keys: {', '.join(CONFIG_KEYS)})")
+
+    def pick(key, convert=str, expected="", default=None):
         if key in overrides and overrides[key] is not None:
             return overrides[key]
-        return entries.get(key, default)
+        if key not in entries:
+            return default
+        return _convert(convert, entries[key], f"{path}: {key}", expected)
     problem = pick("problem")
     if problem is None:
         raise ValueError(f"{path}: missing 'problem' entry")
     n_raw = pick("n")
     if n_raw is None:
         raise ValueError(f"{path}: missing 'n' entry")
-    if isinstance(n_raw, str):
-        n_values = tuple(int(v) for v in n_raw.replace(",", " ").split())
-    else:
-        n_values = tuple(n_raw)
+    n_values = parse_n_values(n_raw, f"{path}: n") if isinstance(n_raw, str) else n_raw
+    rules = "/".join(r.value for r in SubdivisionRule)
     return ExperimentConfig(
         example=problem,
-        scheme=SubdivisionRule(pick("scheme", "rrsv")),
-        k=int(pick("k", 1)),
-        s=int(pick("s", 3)),
-        n_values=n_values,
-        cfl=float(pick("cfl", 0.1)),
+        scheme=pick("scheme", SubdivisionRule, f"one of {rules}", SubdivisionRule.RRSV),
+        k=pick("k", int, "an integer", 1),
+        s=pick("s", int, "an integer", 3),
+        n_values=tuple(n_values),
+        cfl=pick("cfl", float, "a number", 0.1),
         cfl_exponent=pick("cfl_exp"),
-        t_final=None if pick("t_final") is None else float(pick("t_final")),
-        seed=int(pick("seed", 0)),
+        t_final=pick("t_final", float, "a number"),
+        seed=pick("seed", int, "an integer", 0),
     )

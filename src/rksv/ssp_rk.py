@@ -25,10 +25,12 @@ source part of that polynomial is
 
 with D_m = tau^m p^{(m)}(t^n) the scaled derivatives of the interpolant, so
 E_r = sum_i W[r][i] G(t^n + i*tau) with exact weights W
-(``_forcing_weights``).  ``integrate`` forms f for a block of consecutive
-steps at once: one source call for all their sample times, one small product
-per step for the E_r, and s-1 products with L by Horner's rule, each over the
-whole block.
+(``_forcing_weights``).  Every sourced step takes f from one stream,
+``_forcings``, which forms it for a block of consecutive steps at once: one
+source call for all their sample times, one small product per step for the
+E_r, and s-1 products with L by Horner's rule, each over the whole block.
+``integrate`` draws its full steps and its shortened last step from it, and
+``rk_step`` a stream of one step.
 """
 
 from __future__ import annotations
@@ -153,21 +155,16 @@ def _forcing(op: SpatialOperator, s: int, tau: float, samples: np.ndarray) -> np
     return np.ascontiguousarray(h.T).reshape((count,) + op.L.blocks.shape[:2])
 
 
-def _step_forcing(op: SpatialOperator, s: int, t: float, dt: float) -> np.ndarray:
-    """The forcing of one step of length dt from t, sampled afresh at t + i*dt."""
-    samples = op.source_integrals(t + np.arange(s) * dt)
-    return _forcing(op, s, dt, samples.reshape(-1, s).T)[0]
+def _forcings(op: SpatialOperator, s: int, t0: float, tau: float, n_steps: int):
+    """Yield the forcing f^n of each of ``n_steps`` steps of length tau from t0.
 
-
-def _sample_blocks(op: SpatialOperator, s: int, t0: float, tau: float, n_steps: int,
-                   block: int):
-    """Yield the samples of each block of up to ``block`` full steps, for ``_forcing``.
-
-    The block of steps j0..j0+count-1 needs G(t0 + j*tau), j = j0..j0+count+s-2.
-    The first s-1 of them are the previous block's last, so every sample time
-    is evaluated once, in one source call per block; j is an integer, so a
-    sample time does not drift with the step count.
+    The steps are formed in blocks of up to ``_block_steps(op)``.  The block of
+    steps j0..j0+count-1 needs G(t0 + j*tau), j = j0..j0+count+s-2.  The first
+    s-1 of them are the previous block's last, so every sample time is
+    evaluated once, in one source call per block; j is an integer, so a sample
+    time does not drift with the step count.
     """
+    block = _block_steps(op)
     window = np.empty((0, op.mesh.n_elements * (op.mesh.k + 1)))
     for j0 in range(0, n_steps, block):
         count = min(block, n_steps - j0)
@@ -175,7 +172,7 @@ def _sample_blocks(op: SpatialOperator, s: int, t0: float, tau: float, n_steps: 
         j = np.arange(j0 + len(keep), j0 + count + s - 1)
         fresh = op.source_integrals(t0 + j * tau)
         window = np.concatenate([keep, fresh.reshape(-1, len(j)).T])
-        yield window
+        yield from _forcing(op, s, tau, window)
 
 
 def step_increment(values: np.ndarray, increment: BandedOperator,
@@ -194,13 +191,14 @@ def step_increment(values: np.ndarray, increment: BandedOperator,
 
 
 def rk_step(state: SvState, problem: Problem, tableau: RkTableau, tau: float) -> SvState:
-    """Advance one step of length tau, sampling the source afresh at t + i*tau."""
+    """Advance one step of length tau, sampling the source afresh at t + i*tau
+    (``_forcings`` for a single step)."""
     _require_finite(tau=tau)
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     op = SpatialOperator(state.mesh, problem)
     s = tableau.s
-    forcing = None if problem.source is None else _step_forcing(op, s, state.t, tau)
+    forcing = None if problem.source is None else next(_forcings(op, s, state.t, tau, 1))
     delta = step_increment(state.values, op.increment_map(s, tau), forcing)
     return SvState(state.mesh, state.k, state.values + delta, state.t + tau)
 
@@ -266,10 +264,8 @@ def integrate(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
     steps in groups of m (``_fused_steps``) through P_s(tau L)^m - I and the
     rest one at a time; every other run applies A = P_s(tau L) - I per step
     and adds the step's forcing.  A shortened last step has its own A.  The
-    forcing of the full steps is formed a block of up to ``BLOCK_STEPS`` steps
-    at a time from the samples at state.t + j*tau, j an integer, each
-    evaluated once (``_sample_blocks``); a shortened last step samples all s
-    afresh at t + i*dt.
+    forcings come from one stream: ``_forcings`` over the full steps from
+    state.t, then over the shortened step from state.t + n_full*tau.
     """
     _require_finite(tau=tau, t_final=t_final)
     if tau <= 0:
@@ -283,28 +279,21 @@ def integrate(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
     values = state.values.copy()
     comp = np.zeros_like(values)
     s = tableau.s
-    sourced = problem.source is not None
-    if sourced:
-        block = _block_steps(op)
-        samples = _sample_blocks(op, s, state.t, tau, n_full, block)
     one = op.increment_map(s, tau) if n_full else None
     m, group = 1, one
-    if not sourced and on_step is None and n_full >= 2:
+    if problem.source is None and on_step is None and n_full >= 2:
         m, group = _fused_steps(one, n_full)
     groups, single = divmod(n_full, m)
     # (map, full steps it takes): the groups of m, the rest one at a time, then
     # the shortened last step as (map, 0)
     shortened = [(op.increment_map(s, last), 0)] if last > 0.0 else []
+    forcings = repeat(None)
+    if problem.source is not None:
+        forcings = chain(_forcings(op, s, state.t, tau, n_full),
+                         _forcings(op, s, state.t + n_full * tau, last, len(shortened)))
     step = 0  # full steps taken
-    f = None
-    for increment, steps in chain(repeat((group, m), groups), repeat((one, 1), single),
-                                  shortened):
-        if sourced and steps == 0:
-            f = _step_forcing(op, s, state.t + step * tau, last)
-        elif sourced:
-            if step % block == 0:
-                forcing = _forcing(op, s, tau, next(samples))
-            f = forcing[step % block]
+    for (increment, steps), f in zip(chain(repeat((group, m), groups),
+                                           repeat((one, 1), single), shortened), forcings):
         delta = step_increment(values, increment, f)
         y = delta + comp
         new_values = values + y

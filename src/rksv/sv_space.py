@@ -341,15 +341,11 @@ class SpatialOperator:
             self.source_map = half_h[:, None, None] * ws.table("source_map")
 
     def tendency(self, values: np.ndarray, t: float) -> np.ndarray:
-        """d/dt of the CV integrals at time t: ``linear(values) + source_integrals(t)``."""
-        out = self.linear(values)
+        """d/dt of the CV integrals at time t: ``L.apply(values) + source_integrals(t)``."""
+        out = self.L.apply(values)
         if self.problem.source is not None:
             out += self.source_integrals(t)
         return out
-
-    def linear(self, values: np.ndarray) -> np.ndarray:
-        """The flux differences across each CV: the tendency without the source."""
-        return self.L.apply(values)
 
     def polynomial(self, coeffs, tau: float = 1.0) -> BandedOperator:
         """sum_j coeffs[j] (tau L)^j, multiplied out by Horner's rule in tau L.

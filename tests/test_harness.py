@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -173,6 +174,38 @@ def test_config_file_rejects_malformed(tmp_path):
         config_from_file(path)
 
 
+_GOOD_CONFIG = {"problem": "advection_sine", "scheme": "lsv", "k": "2", "s": "3", "n": "8"}
+
+
+def _write_config(path, **entries):
+    path.write_text("".join(f"{key}: {value}\n"
+                            for key, value in {**_GOOD_CONFIG, **entries}.items()))
+    return path
+
+
+@pytest.mark.parametrize("key, raw, expected", (("k", "2.5", "an integer"),
+                                                ("n", "16,x", "integers separated"),
+                                                ("cfl", "fast", "a number")))
+def test_config_file_names_bad_values(tmp_path, capsys, key, raw, expected):
+    path = _write_config(tmp_path / "exp.cfg", **{key: raw})
+    message = f"{path}: {key} must be {expected}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config_from_file(path)
+    assert cli.main(["solve", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.rstrip().endswith(f"got {raw!r}")
+
+
+@pytest.mark.parametrize("key", ("cfl_exponent", "t-final"))
+def test_config_file_rejects_unknown_keys(tmp_path, capsys, key):
+    # a misspelled key would otherwise leave its setting at the default
+    path = _write_config(tmp_path / "exp.cfg", **{key: "1/2"})
+    with pytest.raises(ValueError, match=re.escape(f"{path}: unknown key {key!r}")):
+        config_from_file(path)
+    assert cli.main(["solve", "--config", str(path)]) == 1
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -295,6 +328,10 @@ def test_cli_usage_errors_exit_one(capsys):
         assert cli.main(["solve", "--example", "1", "--scheme", scheme, "--k", "13",
                          "--s", "3", "--n", "8", "--cfl", "0.1"]) == 1
         assert "k must be in 1..12, got 13" in capsys.readouterr().err
+    assert cli.main(["solve", "--example", "1", "--scheme", "lsv", "--k", "2", "--s", "3",
+                     "--n", "16,x", "--cfl", "0.1"]) == 1               # malformed --n
+    assert "error: --n must be integers separated by commas or spaces, got '16,x'" in (
+        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("t_final", ("inf", "nan", "-1"))
@@ -346,11 +383,14 @@ def test_python_dash_m_runs_cli():
 
 
 def test_cli_numerical_failure_exit_two(capsys):
-    code = cli.main(["solve", "--example", "1", "--scheme", "lsv", "--k", "4",
-                     "--s", "1", "--n", "16", "--cfl", "0.9", "--cfl-exp", "1/2",
-                     "--t-final", "40"])
-    assert code == 2
-    assert "numerical failure" in capsys.readouterr().err
+    # T=40 overflows to nan; T=5 ends finite at L2 ~ 2e17, past the divergence
+    # limit that solve and converge share
+    for t_final in ("40", "5"):
+        code = cli.main(["solve", "--example", "1", "--scheme", "lsv", "--k", "4",
+                         "--s", "1", "--n", "16", "--cfl", "0.9", "--cfl-exp", "1/2",
+                         "--t-final", t_final])
+        assert code == 2, t_final
+        assert "numerical failure" in capsys.readouterr().err
 
 
 def test_cli_check_exit_codes(monkeypatch, capsys):

@@ -43,10 +43,10 @@ def stage_chain_increment(values, tableau, tau, op, samples):
     u = values
     delta = np.zeros_like(values)
     for ell in range(s - 1):
-        d = tau * (op.linear(u) + sources[ell])
+        d = tau * (op.L.apply(u) + sources[ell])
         delta += tails[ell] * d
         u = u + d
-    delta += (float(final[-1]) * tau) * (op.linear(u) + sources[s - 1])
+    delta += (float(final[-1]) * tau) * (op.L.apply(u) + sources[s - 1])
     return delta
 
 
@@ -315,13 +315,22 @@ def test_source_sampled_s_times_per_step_on_element_rule(s):
     assert set(shapes) == {(n, k + 3)}
     assert times == full + [t_last + i * dt for i in range(s)]
 
+    # a run shorter than one step is that shortened step alone: one call
+    shapes.clear()
+    times.clear()
+    integrate(state, problem, ssp_tableau(s), tau, state.t + dt)
+    assert shapes == [(n, k + 3)]
+    assert times == [state.t + i * dt for i in range(s)]
+
 
 @pytest.mark.parametrize("shortened", (False, True))
 @pytest.mark.parametrize("s", (3, 5))
 def test_integrate_source_window_matches_fresh_steps(s, shortened):
     # integrate reuses s-1 samples per step; chained rk_step calls sample afresh.
-    # A dyadic tau makes the unshortened run exactly `steps` full steps.
-    k, steps, tau = 3, 7, 2.0 ** -6
+    # A dyadic tau makes the unshortened run exactly `steps` full steps.  With
+    # steps = 0 the run is the shortened step alone, whose forcing integrate
+    # and rk_step both take from a one-step ``_forcings`` stream.
+    k, tau = 3, 2.0 ** -6
     mesh = perturbed_mesh(12, 5, SubdivisionRule.RSV_ADAPTIVE, k, BoundaryCondition.PERIODIC,
                           alpha=np.sin)
     assert mesh.left_oriented.any() and not mesh.left_oriented.all()
@@ -329,14 +338,16 @@ def test_integrate_source_window_matches_fresh_steps(s, shortened):
                       source=lambda x, t: np.cos(x - 7.0 * t) + np.sin(3.0 * x) * t ** 2)
     state = project_initial(problem, mesh, k)
     tableau = ssp_tableau(s)
-    t_final = (steps + (0.4 if shortened else 0.0)) * tau
-    got = integrate(state, problem, tableau, tau, t_final).values
-    fresh = state
-    for _ in range(steps):
-        fresh = rk_step(fresh, problem, tableau, tau)
-    if shortened:
-        fresh = rk_step(fresh, problem, tableau, t_final - fresh.t)
-    assert np.max(np.abs(got - fresh.values)) <= 1e-13 * np.max(np.abs(fresh.values))
+    for steps in ((7, 0) if shortened else (7,)):
+        t_final = (steps + (0.4 if shortened else 0.0)) * tau
+        got = integrate(state, problem, tableau, tau, t_final).values
+        fresh = state
+        for _ in range(steps):
+            fresh = rk_step(fresh, problem, tableau, tau)
+        if shortened:
+            fresh = rk_step(fresh, problem, tableau, t_final - fresh.t)
+        scale = np.max(np.abs(fresh.values))
+        assert np.max(np.abs(got - fresh.values)) <= 1e-13 * scale, steps
 
 
 def _forcing_cases():
@@ -437,21 +448,21 @@ def test_source_free_integrate_assembles_the_step(monkeypatch, shortened):
     problem = Problem(u0=lambda x: np.exp(np.sin(x)), alpha=np.sin)
     state = project_initial(problem, mesh, k)
     t_final = (steps + (0.3 if shortened else 0.0)) * tau
-    calls = {"linear": 0, "polynomial": []}
-    linear, polynomial = SpatialOperator.linear, SpatialOperator.polynomial
+    calls = {"tendency": 0, "polynomial": []}
+    tendency, polynomial = SpatialOperator.tendency, SpatialOperator.polynomial
 
-    def counted_linear(self, values):
-        calls["linear"] += 1
-        return linear(self, values)
+    def counted_tendency(self, values, t):
+        calls["tendency"] += 1
+        return tendency(self, values, t)
 
     def counted_polynomial(self, coeffs, tau=1.0):
         calls["polynomial"].append(tau)
         return polynomial(self, coeffs, tau)
 
-    monkeypatch.setattr(SpatialOperator, "linear", counted_linear)
+    monkeypatch.setattr(SpatialOperator, "tendency", counted_tendency)
     monkeypatch.setattr(SpatialOperator, "polynomial", counted_polynomial)
     got = integrate(state, problem, ssp_tableau(s), tau, t_final).values
-    assert calls["linear"] == 0
+    assert calls["tendency"] == 0
     assert calls["polynomial"] == [tau] + ([t_final - steps * tau] if shortened else [])
 
     # the same steps through the dense truncated exponential

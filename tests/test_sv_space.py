@@ -345,7 +345,7 @@ def test_linear_matches_upwind_oracle(rng, k):
         values = rng.normal(size=(mesh.n_elements, k + 1))
         expected = _oracle_linear(mesh, alpha, values)
         tol = 1e-11 * np.max(np.abs(expected))
-        assert np.max(np.abs(SpatialOperator(mesh, problem).linear(values) - expected)) < tol
+        assert np.max(np.abs(SpatialOperator(mesh, problem).L.apply(values) - expected)) < tol
         dense = materialize_operator(mesh, problem) @ values.ravel()
         assert np.max(np.abs(dense - expected.ravel())) < tol
 
