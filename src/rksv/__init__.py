@@ -6,9 +6,8 @@ analyzer that classifies each scheme's stability and CFL requirement.
 """
 
 from .mesh import BoundaryCondition, Mesh1D, SubdivisionRule, perturbed_mesh, uniform_mesh
-from .quadrature import InterpolatoryWeights, interpolatory_weights, right_radau_nodes
-from .sv_space import (Problem, Reconstruction, SvState, apply_L, error_norms,
-                       materialize_operator, project_initial, reconstruct, snapshot_table)
+from .quadrature import interpolatory_weights, right_radau_nodes
+from .sv_space import Problem, SvState, error_norms, project_initial, reconstruct, snapshot_table
 from .ssp_rk import RkTableau, integrate, rk_step, ssp_tableau
 from .petrov_galerkin import (bilinear_ah, energy_norm, inner_star,
                               lagrange_interpolant, map_to_test, quadrature_residual)

@@ -13,10 +13,11 @@ import numpy as np
 from . import matrix_transfer, petrov_galerkin as pg
 from ._basis import legendre_vandermonde
 from ._markdown import markdown_table
-from .mesh import BoundaryCondition, Mesh1D, SubdivisionRule, perturbed_mesh, uniform_mesh
+from .mesh import (BoundaryCondition, Mesh1D, SubdivisionRule, perturbed_mesh,
+                   reference_nodes, uniform_mesh)
 from .quadrature import interpolatory_weights
 from .ssp_rk import integrate, ssp_tableau, step_plan
-from .sv_space import Problem, SvState, apply_L, error_norms, project_initial, workspace
+from .sv_space import Problem, SpatialOperator, SvState, error_norms, project_initial, workspace
 
 __all__ = [
     "NumericalError",
@@ -149,6 +150,8 @@ class ExperimentConfig:
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        if not 1 <= self.s <= matrix_transfer.MAX_STAGES:
+            raise ValueError(f"s must be in 1..{matrix_transfer.MAX_STAGES}, got {self.s}")
         if self.t_final is not None and not (isfinite(self.t_final) and self.t_final >= 0.0):
             raise ValueError(f"t_final must be finite and non-negative, got {self.t_final}")
         if self.cfl_exponent is not None:
@@ -431,9 +434,8 @@ def run_checks(seed: int = 0, trials: int = 100) -> CheckReport:
         v, w = _random_coeffs(rng, mesh), _random_coeffs(rng, mesh)
         values = 0.5 * mesh.lengths[:, None] * np.einsum("ijm,im->ij",
                                                          workspace(mesh).table("mass"), v)
-        state = SvState(mesh, mesh.k, values, 0.0)
         problem = Problem(u0=lambda x: np.zeros_like(x))
-        tendency = apply_L(state, problem)
+        tendency = SpatialOperator(mesh, problem).tendency(values, 0.0)
         star = pg.map_to_test(w, mesh)
         return _rel_defect(float(np.sum(star * tendency)), pg.bilinear_ah(v, w, mesh))
 
@@ -449,10 +451,10 @@ def run_checks(seed: int = 0, trials: int = 100) -> CheckReport:
     worst = 0.0
     for k in range(1, 13):
         for rule, degree in ((SubdivisionRule.LSV, 2 * k - 1), (SubdivisionRule.RRSV, 2 * k)):
-            iw = interpolatory_weights(rule, k)
+            nodes, weights = reference_nodes(rule, k), interpolatory_weights(rule, k)
             for m in range(degree + 1):
                 exact = 2.0 / (m + 1) if m % 2 == 0 else 0.0
-                worst = max(worst, abs(iw.apply(iw.nodes**m) - exact))
+                worst = max(worst, abs(float(weights @ nodes**m) - exact))
     results.append(CheckResult("quadrature exactness (2k-1 LSV / 2k RRSV)", worst, 1e-13))
 
     # analyzer cross-checks are exact: defect is 0 or 1
@@ -488,8 +490,10 @@ def parse_config_file(path) -> dict[str, str]:
                 continue
             for sep in (":", "="):
                 if sep in line:
-                    key, value = line.split(sep, 1)
-                    entries[key.strip()] = value.strip()
+                    key, value = (part.strip() for part in line.split(sep, 1))
+                    if key in entries:
+                        raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+                    entries[key] = value
                     break
             else:
                 raise ValueError(f"{path}:{lineno}: expected 'key: value', got {raw!r}")
@@ -525,23 +529,25 @@ def config_from_file(path, **overrides) -> ExperimentConfig:
             return overrides[key]
         if key not in entries:
             return default
-        return _convert(convert, entries[key], f"{path}: {key}", expected)
-    problem = pick("problem")
-    if problem is None:
-        raise ValueError(f"{path}: missing 'problem' entry")
-    n_raw = pick("n")
-    if n_raw is None:
-        raise ValueError(f"{path}: missing 'n' entry")
-    n_values = parse_n_values(n_raw, f"{path}: n") if isinstance(n_raw, str) else n_raw
+        return _convert(convert, entries[key], key, expected)
     rules = "/".join(r.value for r in SubdivisionRule)
-    return ExperimentConfig(
-        example=problem,
-        scheme=pick("scheme", SubdivisionRule, f"one of {rules}", SubdivisionRule.RRSV),
-        k=pick("k", int, "an integer", 1),
-        s=pick("s", int, "an integer", 3),
-        n_values=tuple(n_values),
-        cfl=pick("cfl", float, "a number", 0.1),
-        cfl_exponent=pick("cfl_exp"),
-        t_final=pick("t_final", float, "a number"),
-        seed=pick("seed", int, "an integer", 0),
-    )
+    try:  # every ValueError below names the file
+        problem = pick("problem")
+        if problem is None:
+            raise ValueError("missing 'problem' entry")
+        n_raw = pick("n")
+        if n_raw is None:
+            raise ValueError("missing 'n' entry")
+        return ExperimentConfig(
+            example=problem,
+            scheme=pick("scheme", SubdivisionRule, f"one of {rules}", SubdivisionRule.RRSV),
+            k=pick("k", int, "an integer", 1),
+            s=pick("s", int, "an integer", 3),
+            n_values=parse_n_values(n_raw, "n") if isinstance(n_raw, str) else tuple(n_raw),
+            cfl=pick("cfl", float, "a number", 0.1),
+            cfl_exponent=pick("cfl_exp"),
+            t_final=pick("t_final", float, "a number"),
+            seed=pick("seed", int, "an integer", 0),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

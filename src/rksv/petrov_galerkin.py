@@ -1,7 +1,8 @@
 """Executable analysis machinery: trial-to-test mapping, bilinear form, energy norm.
 
 Piecewise polynomials are passed as (N, k+1) arrays of per-element Legendre
-coefficients on the reference element, matching Reconstruction.coeffs.
+coefficients on the reference element, the array that ``sv_space.reconstruct``
+returns.
 """
 
 from __future__ import annotations

@@ -7,7 +7,6 @@ right-Radau nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -16,7 +15,6 @@ from numpy.polynomial import legendre
 from ._basis import legendre_vandermonde
 
 __all__ = [
-    "InterpolatoryWeights",
     "right_radau_nodes",
     "interpolatory_weights",
     "gauss_rule",
@@ -49,28 +47,6 @@ def right_radau_nodes(m: int) -> np.ndarray:
     return nodes
 
 
-@dataclass(frozen=True)
-class InterpolatoryWeights:
-    """Weights A_0..A_{k+1} of the subdivision-point quadrature on [-1, 1]."""
-
-    nodes: np.ndarray  # y_0 = -1 < y_1 < ... < y_{k+1} = 1
-    weights: np.ndarray
-    exactness_degree: int
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        if nodes.shape != weights.shape:
-            raise ValueError("nodes/weights shape mismatch")
-        if abs(weights.sum() - 2.0) > 1e-13:
-            raise ValueError("weights must sum to 2")
-
-    def apply(self, values: np.ndarray) -> float:
-        return float(self.weights @ np.asarray(values, dtype=float))
-
-
 def _moment_weights(nodes: np.ndarray) -> np.ndarray:
     """Interpolatory weights on the given nodes, from the Legendre moments
     sum_j w_j L_m(y_j) = integral of L_m = (2, 0, ..., 0)."""
@@ -82,16 +58,17 @@ def _moment_weights(nodes: np.ndarray) -> np.ndarray:
 def _verify_exactness(nodes, weights, degree):
     for m in range(degree + 1):
         exact = 2.0 / (m + 1) if m % 2 == 0 else 0.0
-        if abs(weights @ nodes**m - exact) > 1e-12:
+        if abs(weights @ nodes**m - exact) > 1e-13:
             raise RuntimeError(f"quadrature not exact at degree {m}")
 
 
-def interpolatory_weights(rule, k: int) -> InterpolatoryWeights:
-    """Subdivision-point weights (A_0, ..., A_{k+1}) for the LSV or RRSV rule.
+def interpolatory_weights(rule, k: int) -> np.ndarray:
+    """Read-only subdivision-point weights (A_0, ..., A_{k+1}) for the LSV or RRSV
+    rule, at the nodes -1 = y_0 < ... < y_{k+1} = 1 of ``reference_nodes(rule, k)``.
 
     LSV pads the k-point Gauss rule with zero endpoint weights (exact to
     degree 2k-1); RRSV pads the (k+1)-point right-Radau rule with a zero
-    weight at -1 (exact to degree 2k).
+    weight at -1 (exact to degree 2k), checked to 1e-13 at every degree.
     """
     from .mesh import SubdivisionRule, reference_nodes  # local import to avoid a cycle
 
@@ -106,4 +83,5 @@ def interpolatory_weights(rule, k: int) -> InterpolatoryWeights:
         weights = np.concatenate([[0.0], _moment_weights(nodes[1:])])
         degree = 2 * k
     _verify_exactness(nodes, weights, degree)
-    return InterpolatoryWeights(nodes, weights, degree)
+    weights.flags.writeable = False
+    return weights

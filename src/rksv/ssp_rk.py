@@ -200,7 +200,7 @@ def rk_step(state: SvState, problem: Problem, tableau: RkTableau, tau: float) ->
     s = tableau.s
     forcing = None if problem.source is None else next(_forcings(op, s, state.t, tau, 1))
     delta = step_increment(state.values, op.increment_map(s, tau), forcing)
-    return SvState(state.mesh, state.k, state.values + delta, state.t + tau)
+    return SvState(state.mesh, state.values + delta, state.t + tau)
 
 
 def step_plan(t0: float, tau: float, t_final: float) -> tuple[int, float]:
@@ -302,5 +302,5 @@ def integrate(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
         step += steps
         if on_step is not None:
             t = t_final if steps == 0 else state.t + step * tau
-            on_step(SvState(state.mesh, state.k, values + comp, t))
-    return SvState(state.mesh, state.k, values + comp, t_final)
+            on_step(SvState(state.mesh, values + comp, t))
+    return SvState(state.mesh, values + comp, t_final)

@@ -23,15 +23,12 @@ from .quadrature import gauss_rule, interpolatory_weights
 __all__ = [
     "Problem",
     "SvState",
-    "Reconstruction",
     "SpatialOperator",
     "BandedOperator",
     "reconstruct",
-    "apply_L",
     "project_initial",
     "error_norms",
     "snapshot_table",
-    "materialize_operator",
 ]
 
 _COND_LIMIT = 1e12
@@ -63,26 +60,21 @@ class SvState:
     """Control-volume integrals of u_h: values[i, j] = integral over C_{i,j}."""
 
     mesh: Mesh1D
-    k: int
-    values: np.ndarray  # (N, k+1)
+    values: np.ndarray  # (N, mesh.k+1)
     t: float = 0.0
 
     def __post_init__(self):
-        expected = (self.mesh.n_elements, self.k + 1)
+        expected = (self.mesh.n_elements, self.mesh.k + 1)
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
 
     @property
+    def k(self) -> int:
+        return self.mesh.k
+
+    @property
     def total_mass(self) -> float:
         return float(self.values.sum())
-
-
-@dataclass
-class Reconstruction:
-    """Per-element Legendre coefficients of u_h on the reference element."""
-
-    mesh: Mesh1D
-    coeffs: np.ndarray  # (N, k+1)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -129,7 +121,7 @@ class _VariantOps:
     def node_weights(self) -> np.ndarray:
         """Reference weights A_0..A_{k+1} at the CV bounds, mirrored on left-Radau elements."""
         base = SubdivisionRule.LSV if self.rule == SubdivisionRule.LSV else SubdivisionRule.RRSV
-        w = interpolatory_weights(base, len(self.y) - 2).weights
+        w = interpolatory_weights(base, len(self.y) - 2)
         return _read_only(w[::-1] if self.left_oriented else w)
 
     @cached_property
@@ -182,14 +174,11 @@ def workspace(mesh: Mesh1D) -> _MeshWorkspace:
     return ws
 
 
-def reconstruct(state: SvState) -> Reconstruction:
-    """Recover per-element Legendre coefficients from CV integrals."""
-    return Reconstruction(state.mesh, _coefficients(state.mesh, state.values))
-
-
-def _coefficients(mesh: Mesh1D, values: np.ndarray) -> np.ndarray:
+def reconstruct(state: SvState) -> np.ndarray:
+    """The (N, k+1) reference-element Legendre coefficients of u_h, from the CV integrals."""
+    mesh = state.mesh
     return np.einsum("imj,ij->im", workspace(mesh).table("mass_inv"),
-                     values * (2.0 / mesh.lengths)[:, None])
+                     state.values * (2.0 / mesh.lengths)[:, None])
 
 
 def _require_finite(**values: float) -> None:
@@ -390,12 +379,6 @@ class SpatialOperator:
         return (self.source_map @ g).reshape(self.source_map.shape[:2] + times.shape)
 
 
-def apply_L(state: SvState, problem: Problem, t: float | None = None) -> np.ndarray:
-    """Tendency of the CV integrals at stage time t (defaults to state.t)."""
-    op = SpatialOperator(state.mesh, problem)
-    return op.tendency(state.values, state.t if t is None else t)
-
-
 def project_initial(problem: Problem, mesh: Mesh1D, k: int) -> SvState:
     """CV integrals of u0 by (k+3)-point Gauss quadrature per control volume.
 
@@ -410,7 +393,7 @@ def project_initial(problem: Problem, mesh: Mesh1D, k: int) -> SvState:
     x = mesh.centers[:, None, None] + half_h * ws.table("quad_y")
     w = half_h * ws.table("quad_w")
     vals = np.asarray(problem.u0(x), dtype=float)
-    return SvState(mesh, k, np.einsum("ijq,ijq->ij", vals, w), 0.0)
+    return SvState(mesh, np.einsum("ijq,ijq->ij", vals, w), 0.0)
 
 
 def error_norms(state: SvState, problem: Problem, t: float | None = None) -> tuple[float, float]:
@@ -420,7 +403,7 @@ def error_norms(state: SvState, problem: Problem, t: float | None = None) -> tup
     t = state.t if t is None else t
     mesh = state.mesh
     ws = workspace(mesh)
-    coeffs = _coefficients(mesh, state.values)
+    coeffs = reconstruct(state)
     half_h = 0.5 * mesh.lengths[:, None]
     xq = mesh.centers[:, None, None] + half_h[:, :, None] * ws.table("quad_y")
     err = np.einsum("im,ijqm->ijq", coeffs, ws.table("quad_basis")) - \
@@ -439,18 +422,13 @@ def snapshot_table(state: SvState, points_per_element: int = 8) -> str:
     """Plain-text (x, u_h(x)) records sampled uniformly inside each element."""
     if points_per_element < 2:
         raise ValueError("need at least 2 sample points per element")
-    recon = reconstruct(state)
+    coeffs = reconstruct(state)
     mesh = state.mesh
     y = np.linspace(-1.0, 1.0, points_per_element)
     basis = legendre_vandermonde(y, mesh.k)
     lines = ["# x u_h"]
     for i in range(mesh.n_elements):
         xs = mesh.centers[i] + 0.5 * mesh.lengths[i] * y
-        us = basis @ recon.coeffs[i]
+        us = basis @ coeffs[i]
         lines.extend(f"{x:.15g} {u:.15g}" for x, u in zip(xs, us))
     return "\n".join(lines)
-
-
-def materialize_operator(mesh: Mesh1D, problem: Problem) -> np.ndarray:
-    """Dense matrix of the linear part of the tendency (source excluded)."""
-    return SpatialOperator(mesh, problem).L.dense()

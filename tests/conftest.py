@@ -22,7 +22,7 @@ def state_from_coeffs(mesh, coeffs):
     """SvState whose CV integrals are the exact integrals of the given polynomial."""
     mass = workspace(mesh).table("mass")
     values = 0.5 * mesh.lengths[:, None] * np.einsum("ijm,im->ij", mass, coeffs)
-    return SvState(mesh, mesh.k, values, 0.0)
+    return SvState(mesh, values, 0.0)
 
 
 BOTH_RULES = (SubdivisionRule.LSV, SubdivisionRule.RRSV)

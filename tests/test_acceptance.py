@@ -13,7 +13,7 @@ from rksv.harness import (ExperimentConfig, build_mesh, problem_definition, run_
 from rksv.matrix_transfer import error_transfer, key_factor_table, stability_transfer
 from rksv.mesh import BoundaryCondition, SubdivisionRule, uniform_mesh
 from rksv.ssp_rk import integrate, rk_step, ssp_tableau
-from rksv.sv_space import Problem, materialize_operator, project_initial, reconstruct
+from rksv.sv_space import Problem, SpatialOperator, project_initial, reconstruct
 
 
 def _verdict(criterion, ok, detail=""):
@@ -107,9 +107,9 @@ def test_criterion_5_energy_monotonicity(scheme):
     cfg = ExperimentConfig(example=1, scheme=scheme, k=2, s=3, n_values=(32,), cfl=0.05)
     tau = time_step(cfg, mesh)
     state = project_initial(problem, mesh, 2)
-    energies = [pg.energy_norm(reconstruct(state).coeffs, mesh)]
+    energies = [pg.energy_norm(reconstruct(state), mesh)]
     integrate(state, problem, ssp_tableau(3), tau, 1.0,
-              on_step=lambda s: energies.append(pg.energy_norm(reconstruct(s).coeffs, mesh)))
+              on_step=lambda s: energies.append(pg.energy_norm(reconstruct(s), mesh)))
     increments = np.diff(energies)
     ok = bool(np.all(increments <= 1e-12))
     assert _verdict(5, ok,
@@ -128,7 +128,7 @@ def test_criterion_7_linear_equivalence():
     for scheme in (SubdivisionRule.LSV, SubdivisionRule.RRSV):
         mesh = uniform_mesh(0.0, 2.0 * np.pi, 8, scheme, 1, BoundaryCondition.PERIODIC)
         problem = Problem(u0=np.sin)
-        mat = materialize_operator(mesh, problem)
+        mat = SpatialOperator(mesh, problem).L.dense()
         state = project_initial(problem, mesh, 1)
         tau = 0.05
         for s in range(1, 9):

@@ -125,12 +125,12 @@ def test_weak_two_stability_witness():
     mesh = build_mesh(cfg, 32)
     tau = time_step(cfg, mesh)
     state = project_initial(problem, mesh, 1)
-    e0 = pg.energy_norm(reconstruct(state).coeffs, mesh)
+    e0 = pg.energy_norm(reconstruct(state), mesh)
     peak = 0.0
 
     def track(s):
         nonlocal peak
-        peak = max(peak, pg.energy_norm(reconstruct(s).coeffs, mesh) / e0)
+        peak = max(peak, pg.energy_norm(reconstruct(s), mesh) / e0)
 
     integrate(state, problem, ssp_tableau(1), tau, 1.0, on_step=track)
     assert peak <= 1.01
@@ -204,6 +204,29 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys, key):
         config_from_file(path)
     assert cli.main(["solve", "--config", str(path)]) == 1
     assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+def test_config_file_rejects_repeated_keys(tmp_path, capsys):
+    # a second 'k' would otherwise silently override the first
+    path = tmp_path / "exp.cfg"
+    path.write_text("problem: advection_sine\nscheme: lsv\nk: 2\ns: 3\nn: 8\nk = 3\n")
+    message = f"{path}:6: repeated key 'k'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config_from_file(path)
+    assert cli.main(["solve", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("key, raw, expected", (("cfl", "2", "cfl must be in (0, 1], got 2.0"),
+                                                ("s", "13", "s must be in 1..12, got 13"),
+                                                ("k", "0", "k must be >= 1, got 0")))
+def test_config_file_names_out_of_range_values(tmp_path, capsys, key, raw, expected):
+    path = _write_config(tmp_path / "exp.cfg", **{key: raw})
+    message = f"{path}: {expected}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config_from_file(path)
+    assert cli.main(["solve", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 # ---------------------------------------------------------------------------

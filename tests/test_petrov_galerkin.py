@@ -5,8 +5,7 @@ from conftest import BOTH_RULES, periodic_mesh, random_coeffs, state_from_coeffs
 from rksv import petrov_galerkin as pg
 from rksv._basis import antiderivative_values, legendre_vandermonde
 from rksv.mesh import BoundaryCondition, SubdivisionRule, perturbed_mesh, uniform_mesh
-from rksv.quadrature import interpolatory_weights
-from rksv.sv_space import Problem, apply_L
+from rksv.sv_space import Problem, SpatialOperator
 
 
 RSV = SubdivisionRule.RSV_ADAPTIVE
@@ -255,7 +254,7 @@ def test_galerkin_identity_links_solver_and_form(rule, bc, rng):
         v, w = random_coeffs(rng, mesh), random_coeffs(rng, mesh)
         state = state_from_coeffs(mesh, v)
         problem = Problem(u0=np.sin)
-        tendency = apply_L(state, problem)
+        tendency = SpatialOperator(mesh, problem).tendency(state.values, 0.0)
         star = pg.map_to_test(w, mesh)
         lhs = float(np.sum(star * tendency))
         rhs = pg.bilinear_ah(v, w, mesh)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rksv._basis import legendre_vandermonde
-from rksv.mesh import SubdivisionRule
+from rksv.mesh import SubdivisionRule, reference_nodes
 from rksv.quadrature import gauss_rule, interpolatory_weights, right_radau_nodes
 
 _MP = mpmath.mp.clone()
@@ -122,11 +122,11 @@ def test_interior_points_strictly_inside(k):
 
 def test_interpolatory_weights_examples():
     lsv1 = interpolatory_weights(SubdivisionRule.LSV, 1)
-    assert np.allclose(lsv1.weights, [0.0, 2.0, 0.0])
+    assert np.allclose(lsv1, [0.0, 2.0, 0.0])
     lsv2 = interpolatory_weights(SubdivisionRule.LSV, 2)
-    assert np.allclose(lsv2.weights, [0.0, 1.0, 1.0, 0.0])
+    assert np.allclose(lsv2, [0.0, 1.0, 1.0, 0.0])
     rrsv1 = interpolatory_weights(SubdivisionRule.RRSV, 1)
-    assert np.allclose(rrsv1.weights, [0.0, 1.5, 0.5])
+    assert np.allclose(rrsv1, [0.0, 1.5, 0.5])
 
 
 @pytest.mark.parametrize("rule,degree_of", [
@@ -135,15 +135,16 @@ def test_interpolatory_weights_examples():
 ])
 @pytest.mark.parametrize("k", range(1, 13))
 def test_interpolatory_weights_exactness(rule, degree_of, k):
-    iw = interpolatory_weights(rule, k)
-    assert iw.exactness_degree == degree_of(k)
-    assert iw.weights[0] == 0.0
+    nodes, weights = reference_nodes(rule, k), interpolatory_weights(rule, k)
+    assert weights.shape == nodes.shape == (k + 2,)
+    assert not weights.flags.writeable
+    assert weights[0] == 0.0
     if rule == SubdivisionRule.LSV:
-        assert iw.weights[-1] == 0.0
-    assert abs(iw.weights.sum() - 2.0) < 1e-13
-    for m in range(iw.exactness_degree + 1):
+        assert weights[-1] == 0.0
+    assert abs(weights.sum() - 2.0) < 1e-13
+    for m in range(degree_of(k) + 1):
         exact = 2.0 / (m + 1) if m % 2 == 0 else 0.0
-        assert abs(iw.apply(iw.nodes**m) - exact) < 1e-13
+        assert abs(weights @ nodes**m - exact) < 1e-13
 
 
 @pytest.mark.parametrize("points", range(1, 21))
@@ -163,7 +164,7 @@ def test_gauss_rule_matches_leggauss_and_is_exact(points):
 def test_radau_nodes_and_rrsv_weights_match_mpmath(m):
     ref_nodes, ref_weights = mp_right_radau(m)
     assert _max_error(right_radau_nodes(m), ref_nodes) <= 4e-16
-    weights = interpolatory_weights(SubdivisionRule.RRSV, m - 1).weights
+    weights = interpolatory_weights(SubdivisionRule.RRSV, m - 1)
     assert weights[0] == 0.0
     assert _max_error(weights[1:], ref_weights) <= 4e-15
 

@@ -11,7 +11,7 @@ from rksv.harness import ExperimentConfig, build_mesh, problem_definition, time_
 from rksv.mesh import BoundaryCondition, SubdivisionRule, perturbed_mesh, uniform_mesh
 from rksv.ssp_rk import (BLOCK_STEPS, _block_steps, _derivatives_from_samples, _fused_steps,
                          integrate, rk_step, ssp_tableau, step_increment, step_plan)
-from rksv.sv_space import Problem, SpatialOperator, materialize_operator, project_initial
+from rksv.sv_space import Problem, SpatialOperator, project_initial
 
 
 @lru_cache(maxsize=None)
@@ -86,10 +86,8 @@ def test_single_stage_is_forward_euler():
     problem = Problem(u0=np.sin)
     state = project_initial(problem, mesh, 1)
     tau = 0.01
-    from rksv.sv_space import apply_L
-
     stepped = rk_step(state, problem, ssp_tableau(1), tau)
-    euler = state.values + tau * apply_L(state, problem)
+    euler = state.values + tau * SpatialOperator(mesh, problem).tendency(state.values, 0.0)
     assert np.allclose(stepped.values, euler, atol=1e-15)
     assert stepped.t == tau
 
@@ -108,7 +106,7 @@ def test_constant_state_is_fixed_point(s):
 def test_step_equals_truncated_exponential(rule, s):
     mesh = periodic_mesh(8, rule, 1)
     problem = Problem(u0=np.sin)
-    mat = materialize_operator(mesh, problem)
+    mat = SpatialOperator(mesh, problem).L.dense()
     state = project_initial(problem, mesh, 1)
     tau = 0.02
     stepped = rk_step(state, problem, ssp_tableau(s), tau)
@@ -433,7 +431,7 @@ def test_stage_chain_matches_assembled_step(s):
     problem = Problem(u0=lambda x: np.exp(np.sin(x)), alpha=np.sin)
     op = SpatialOperator(mesh, problem)
     values = project_initial(problem, mesh, 3).values
-    tau = 0.5 / np.linalg.norm(materialize_operator(mesh, problem), 2)
+    tau = 0.5 / np.linalg.norm(op.L.dense(), 2)
     chain = stage_chain_increment(values, ssp_tableau(s), tau, op, np.zeros((s,) + values.shape))
     assembled = step_increment(values, op.increment_map(s, tau))
     assert np.max(np.abs(assembled - chain)) < 1e-13 * np.max(np.abs(chain))
@@ -466,7 +464,7 @@ def test_source_free_integrate_assembles_the_step(monkeypatch, shortened):
     assert calls["polynomial"] == [tau] + ([t_final - steps * tau] if shortened else [])
 
     # the same steps through the dense truncated exponential
-    mat = materialize_operator(mesh, problem)
+    mat = SpatialOperator(mesh, problem).L.dense()
 
     def dense_step(u, dt):
         acc, term = u.copy(), u.copy()

@@ -8,9 +8,8 @@ from conftest import BOTH_RULES, periodic_mesh, random_coeffs, state_from_coeffs
 from rksv import sv_space
 from rksv.harness import run_checks
 from rksv.mesh import BoundaryCondition, SubdivisionRule, perturbed_mesh, uniform_mesh
-from rksv.sv_space import (Problem, SpatialOperator, SvState, apply_L, error_norms,
-                           materialize_operator, project_initial, reconstruct, snapshot_table,
-                           workspace)
+from rksv.sv_space import (Problem, SpatialOperator, SvState, error_norms, project_initial,
+                           reconstruct, snapshot_table, workspace)
 
 
 def cv_mass_matrix(rule, k):
@@ -119,9 +118,15 @@ def test_check_suite_builds_each_variant_once(monkeypatch):
 def test_reconstruct_constant():
     mesh = periodic_mesh(6, SubdivisionRule.RRSV, 2)
     values = mesh.cv_widths.copy()  # integrals of the unit function
-    rec = reconstruct(SvState(mesh, 2, values, 0.0))
-    assert np.allclose(rec.coeffs[:, 0], 1.0, atol=1e-14)
-    assert np.allclose(rec.coeffs[:, 1:], 0.0, atol=1e-14)
+    state = SvState(mesh, values, 0.0)
+    assert state.k == mesh.k == 2  # the degree is the mesh's, not a second field
+    with pytest.raises(AttributeError):
+        state.k = 3
+    with pytest.raises(ValueError, match="values shape"):
+        SvState(mesh, np.zeros((6, 4)))
+    coeffs = reconstruct(state)
+    assert np.allclose(coeffs[:, 0], 1.0, atol=1e-14)
+    assert np.allclose(coeffs[:, 1:], 0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("rule", BOTH_RULES)
@@ -131,11 +136,11 @@ def test_reconstruct_reproduces_global_polynomial(rule):
     poly = np.polynomial.Polynomial([0.3, -1.2, 0.5, 2.0])
     anti = poly.integ()
     values = anti(mesh.cv_bounds[:, 1:]) - anti(mesh.cv_bounds[:, :-1])
-    rec = reconstruct(SvState(mesh, k, values, 0.0))
+    coeffs = reconstruct(SvState(mesh, values, 0.0))
     x = np.linspace(-1.0, 2.0, 201)[1:-1]
     idx = np.searchsorted(mesh.boundaries, x, side="right") - 1
     y = (x - mesh.centers[idx]) * 2.0 / mesh.lengths[idx]
-    u_h = np.einsum("pm,pm->p", rec.coeffs[idx], leg.legvander(y, k))
+    u_h = np.einsum("pm,pm->p", coeffs[idx], leg.legvander(y, k))
     assert np.max(np.abs(u_h - poly(x))) < 1e-12
 
 
@@ -144,12 +149,12 @@ def test_reconstruct_k1_matches_direct_solve(rng):
     # over half an element, integral of 1 is h/2 and of y(x) is -+h/4
     mesh = uniform_mesh(0.0, 1.0, 2, SubdivisionRule.LSV, 1, BoundaryCondition.PERIODIC)
     values = np.array([[0.2, 0.3], [0.1, -0.4]])
-    rec = reconstruct(SvState(mesh, 1, values, 0.0))
+    coeffs = reconstruct(SvState(mesh, values, 0.0))
     for i in range(2):
         h = mesh.lengths[i]
         a = np.array([[h / 2.0, -h / 4.0], [h / 2.0, h / 4.0]])
         c = np.linalg.solve(a, values[i])
-        assert np.allclose(rec.coeffs[i], c, atol=1e-13)
+        assert np.allclose(coeffs[i], c, atol=1e-13)
 
 
 def test_reconstruction_round_trip(rng):
@@ -157,8 +162,7 @@ def test_reconstruction_round_trip(rng):
         mesh = periodic_mesh(9, rule, 4)
         coeffs = random_coeffs(rng, mesh)
         state = state_from_coeffs(mesh, coeffs)
-        rec = reconstruct(state)
-        assert np.max(np.abs(rec.coeffs - coeffs)) < 1e-12
+        assert np.max(np.abs(reconstruct(state) - coeffs)) < 1e-12
 
 
 @pytest.mark.parametrize("rule", BOTH_RULES)
@@ -168,21 +172,21 @@ def test_apply_L_constant_state(rule, s_shape):
     mesh = periodic_mesh(n, rule, k)
     problem = Problem(u0=lambda x: np.ones_like(x))
     state = project_initial(problem, mesh, k)
-    assert np.max(np.abs(apply_L(state, problem))) < 1e-13
+    assert np.max(np.abs(SpatialOperator(mesh, problem).tendency(state.values, 0.0))) < 1e-13
 
 
 def test_apply_L_telescopes_to_zero(rng):
     mesh = periodic_mesh(8, SubdivisionRule.RRSV, 2)
     problem = Problem(u0=np.sin)
     state = project_initial(problem, mesh, 2)
-    assert abs(apply_L(state, problem).sum()) < 1e-12
+    assert abs(SpatialOperator(mesh, problem).tendency(state.values, 0.0).sum()) < 1e-12
 
 
 def test_apply_L_global_linear_inflow():
     mesh = uniform_mesh(0.0, 1.0, 4, SubdivisionRule.LSV, 1, BoundaryCondition.INFLOW_ZERO)
     problem = Problem(u0=lambda x: x)
     state = project_initial(problem, mesh, 1)
-    tendency = apply_L(state, problem)
+    tendency = SpatialOperator(mesh, problem).tendency(state.values, 0.0)
     expected = mesh.cv_bounds[:, :-1] - mesh.cv_bounds[:, 1:]
     expected[0, 0] = 0.0 - mesh.cv_bounds[0, 1]  # zero ghost at the inflow
     assert np.max(np.abs(tendency - expected)) < 1e-13
@@ -193,7 +197,7 @@ def test_apply_L_is_linear(rng):
     problem = Problem(u0=np.sin)
     u = rng.normal(size=(6, 3))
     v = rng.normal(size=(6, 3))
-    f = lambda w: apply_L(SvState(mesh, 2, w, 0.0), problem)
+    f = lambda w: SpatialOperator(mesh, problem).tendency(w, 0.0)
     assert np.allclose(f(2.0 * u - 3.0 * v), 2.0 * f(u) - 3.0 * f(v), atol=1e-12)
 
 
@@ -285,9 +289,10 @@ def test_snapshot_table_matches_projected_polynomial():
 def test_materialize_operator_matches_apply(rng):
     mesh = periodic_mesh(4, SubdivisionRule.RRSV, 1)
     problem = Problem(u0=np.sin)
-    mat = materialize_operator(mesh, problem)
+    op = SpatialOperator(mesh, problem)
+    mat = op.L.dense()
     u = rng.normal(size=(4, 2))
-    direct = apply_L(SvState(mesh, 1, u, 0.0), problem)
+    direct = op.tendency(u, 0.0)
     assert np.allclose(mat @ u.ravel(), direct.ravel(), atol=1e-13)
 
 
@@ -346,7 +351,7 @@ def test_linear_matches_upwind_oracle(rng, k):
         expected = _oracle_linear(mesh, alpha, values)
         tol = 1e-11 * np.max(np.abs(expected))
         assert np.max(np.abs(SpatialOperator(mesh, problem).L.apply(values) - expected)) < tol
-        dense = materialize_operator(mesh, problem) @ values.ravel()
+        dense = SpatialOperator(mesh, problem).L.dense() @ values.ravel()
         assert np.max(np.abs(dense - expected.ravel())) < tol
 
 
@@ -645,7 +650,7 @@ def test_variable_coefficient_rsv_consistency():
         mesh = uniform_mesh(0.0, 2.0 * np.pi, n, SubdivisionRule.RSV_ADAPTIVE, 2,
                             BoundaryCondition.PERIODIC, alpha=problem.alpha)
         state = project_initial(problem, mesh, 2)
-        tendency = apply_L(state, problem, t=0.0)
+        tendency = SpatialOperator(mesh, problem).tendency(state.values, 0.0)
         # compare against the exact rate of change of the CV integrals
         eps = 1e-6
         exact_now = project_initial(Problem(u0=lambda x: problem.u_exact(x, 0.0)), mesh, 2)
