@@ -47,6 +47,14 @@ class NumericalError(RuntimeError):
     """A solve failed or diverged; carries the (example, scheme, k, s, N) context."""
 
 
+class _FieldError(ValueError):
+    """An out-of-range ``ExperimentConfig`` value; ``key`` is its config-file key."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
+
+
 # ---------------------------------------------------------------------------
 # problem definitions
 
@@ -147,28 +155,30 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "scheme", SubdivisionRule(self.scheme))
         if not 0.0 < self.cfl <= 1.0:
-            raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
+            raise _FieldError("cfl", f"cfl must be in (0, 1], got {self.cfl}")
         if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+            raise _FieldError("k", f"k must be >= 1, got {self.k}")
         if not 1 <= self.s <= matrix_transfer.MAX_STAGES:
-            raise ValueError(f"s must be in 1..{matrix_transfer.MAX_STAGES}, got {self.s}")
+            raise _FieldError("s", f"s must be in 1..{matrix_transfer.MAX_STAGES}, got {self.s}")
         if self.t_final is not None and not (isfinite(self.t_final) and self.t_final >= 0.0):
-            raise ValueError(f"t_final must be finite and non-negative, got {self.t_final}")
+            raise _FieldError("t_final",
+                              f"t_final must be finite and non-negative, got {self.t_final}")
         if self.cfl_exponent is not None:
             try:
                 exponent = Fraction(str(self.cfl_exponent))
             except (ValueError, ZeroDivisionError):
-                raise ValueError(f"cfl_exponent must be a number or a fraction p/q with "
-                                 f"q != 0, got {self.cfl_exponent!r}") from None
+                raise _FieldError("cfl_exp", f"cfl_exponent must be a number or a fraction "
+                                  f"p/q with q != 0, got {self.cfl_exponent!r}") from None
             if exponent <= 0:
-                raise ValueError(f"cfl_exponent must be positive (tau = cfl * h^e), "
-                                 f"got {exponent}")
+                raise _FieldError("cfl_exp", f"cfl_exponent must be positive "
+                                  f"(tau = cfl * h^e), got {exponent}")
             object.__setattr__(self, "cfl_exponent", exponent)
         definition = problem_definition(self.example)
         allowed = definition.allowed_schemes
         if allowed is not None and self.scheme not in allowed:
             names = "/".join(r.value for r in allowed)
-            raise ValueError(f"{definition.name} supports only {names}, got {self.scheme.value}")
+            raise _FieldError("scheme",
+                              f"{definition.name} supports only {names}, got {self.scheme.value}")
 
 
 def problem_definition(example) -> ProblemDefinition:
@@ -518,7 +528,11 @@ def parse_n_values(raw: str, where: str) -> tuple[int, ...]:
 
 
 def config_from_file(path, **overrides) -> ExperimentConfig:
-    """An ExperimentConfig from a plain-text file of ``CONFIG_KEYS`` plus keyword overrides."""
+    """An ExperimentConfig from a plain-text file of ``CONFIG_KEYS`` plus keyword overrides.
+
+    A bad value is reported with the file it came from, or, when an override
+    (a CLI flag of the same name) set it, with that flag: ``--cfl: ...``.
+    """
     entries = parse_config_file(path)
     unknown = [key for key in entries if key not in CONFIG_KEYS]
     if unknown:
@@ -549,5 +563,8 @@ def config_from_file(path, **overrides) -> ExperimentConfig:
             t_final=pick("t_final", float, "a number"),
             seed=pick("seed", int, "an integer", 0),
         )
+    except _FieldError as exc:  # named after the flag where an override set the value
+        where = f"--{exc.key.replace('_', '-')}" if overrides.get(exc.key) is not None else path
+        raise ValueError(f"{where}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

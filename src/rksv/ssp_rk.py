@@ -31,6 +31,24 @@ source call for all their sample times, one small product per step for the
 E_r, and s-1 products with L by Horner's rule, each over the whole block.
 ``integrate`` draws its full steps and its shortened last step from it, and
 ``rk_step`` a stream of one step.
+
+A sourced run without a callback fuses its full steps too, in groups of m:
+u <- u + A_m u + W, W = sum_j (I + A)^{m-1-j} f^{n+j} the group's forced
+response (``_group_forcings``).  W comes from one chain over the source
+samples, S_t = (I + A) S_{t-1} + G_{n+t}, run for B groups at once as the
+columns of one stack, and two Horner sums of the chain's snapshots, so a
+fused step costs neither a forcing nor a product of A with one vector.  Over
+the ~1e5 steps of a run, the float64 rounding of a squared A_m would lower
+the k=5 Example 2 order from 5.91 to 5.63, so A_m is built by the same
+Horner and squaring in ``np.longdouble`` and applied as a float64 (hi, lo)
+pair (``_sourced_fusion``).  m is the largest power of two <= 64 whose band
+is narrower than the mesh with two or more groups in the run, and at least
+s-1; B is at most 8, fewer where the chain's products would pass
+``_BLOCK_FLOATS``.  Where ``np.longdouble`` is no wider than float64 the
+pair would lose its low part, so there sourced runs take m = 1: the
+per-step forcings of an unfused run, in the same loop.  The steps left over
+(n_full mod m) and a shortened last step take their forcing from
+``_forcings``.
 """
 
 from __future__ import annotations
@@ -40,6 +58,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -51,6 +70,10 @@ __all__ = ["MAX_STAGES", "RkTableau", "ssp_tableau", "rk_step", "step_plan", "in
 
 BLOCK_STEPS = 32          # full steps whose source forcing is formed together
 _BLOCK_FLOATS = 1 << 17   # 1 MiB of float64: the bound on a block's largest temporary
+MAX_GROUP = 64            # full steps per fused sourced update at most
+MAX_BATCH = 8             # groups whose forced response is formed together at most
+# the platform probe: an np.longdouble no wider than float64 cannot hold A_m's low part
+_LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
 
 
 @dataclass(frozen=True)
@@ -136,43 +159,46 @@ def _block_steps(op: SpatialOperator) -> int:
     return max(1, min(BLOCK_STEPS, _BLOCK_FLOATS // (3 * m)))
 
 
-def _forcing(op: SpatialOperator, s: int, tau: float, samples: np.ndarray) -> np.ndarray:
-    """The forcing f of each step of a block, shape (count, N, k+1).
+def _forcing(op: SpatialOperator, s: int, tau: float, windows: np.ndarray) -> np.ndarray:
+    """sum_i F_i windows[c, i] for each window c, as the columns of an (N(k+1), count) array.
 
-    ``samples`` holds the source integrals G(t + j*tau), j = 0..count+s-2, as
-    rows of a (count+s-1, N(k+1)) array; step m reads rows m..m+s-1.  With
+    F_i = sum_r tau^(r+1) W[r][i] L^r, so a window of the source integrals
+    G(t + i*tau), i = 0..s-1, gives the forcing of the step from t.
+    ``windows`` has shape (count, s, N(k+1)) and may be a strided view.  With
     tau^(r+1) folded into row r of W, Horner's rule f = E'_0 + L(E'_1 + L(...))
-    needs s-1 products with L, each over all the steps of the block.
+    needs s-1 products with L, each over all the windows.
     """
     weights = _forcing_weights(s) * tau ** np.arange(1, s + 1)[:, None]
-    count = len(samples) - s + 1
-    # windows[m] = samples[m:m+s], a view; weights[r] @ windows[m] is E'_r of step m
-    windows = sliding_window_view(samples, s, axis=0).transpose(0, 2, 1)
     h = np.matmul(weights[s - 1], windows).T
     for r in range(s - 2, -1, -1):
         h = op.L.apply_columns(h)
         h += np.matmul(weights[r], windows).T
-    return np.ascontiguousarray(h.T).reshape((count,) + op.L.blocks.shape[:2])
+    return h
 
 
-def _forcings(op: SpatialOperator, s: int, t0: float, tau: float, n_steps: int):
-    """Yield the forcing f^n of each of ``n_steps`` steps of length tau from t0.
+def _forcings(op: SpatialOperator, s: int, t0: float, tau: float, n_steps: int,
+              first: int = 0, window: np.ndarray | None = None):
+    """Yield the forcing f^n of each step n = first..first+n_steps-1 of length tau from t0.
 
     The steps are formed in blocks of up to ``_block_steps(op)``.  The block of
     steps j0..j0+count-1 needs G(t0 + j*tau), j = j0..j0+count+s-2.  The first
-    s-1 of them are the previous block's last, so every sample time is
-    evaluated once, in one source call per block; j is an integer, so a sample
-    time does not drift with the step count.
+    s-1 of them are the previous block's last (for the first block, the rows
+    of ``window`` if given), so every sample time is evaluated once, in one
+    source call per block; j is an integer, so a sample time does not drift
+    with the step count.
     """
     block = _block_steps(op)
-    window = np.empty((0, op.mesh.n_elements * (op.mesh.k + 1)))
-    for j0 in range(0, n_steps, block):
-        count = min(block, n_steps - j0)
+    shape = op.L.blocks.shape[:2]
+    if window is None:
+        window = np.empty((0, shape[0] * shape[1]))
+    for j0 in range(first, first + n_steps, block):
+        count = min(block, first + n_steps - j0)
         keep = window[len(window) - (s - 1):]
         j = np.arange(j0 + len(keep), j0 + count + s - 1)
         fresh = op.source_integrals(t0 + j * tau)
         window = np.concatenate([keep, fresh.reshape(-1, len(j)).T])
-        yield from _forcing(op, s, tau, window)
+        windows = sliding_window_view(window, s, axis=0).transpose(0, 2, 1)
+        yield from np.ascontiguousarray(_forcing(op, s, tau, windows).T).reshape((count,) + shape)
 
 
 def step_increment(values: np.ndarray, increment: BandedOperator,
@@ -251,6 +277,103 @@ def _fused_steps(one: BandedOperator, n_full: int) -> tuple[int, BandedOperator]
     return m, band
 
 
+class _SplitMap(NamedTuple):
+    """An increment map applied as the float64 pair of ``BandedOperator.split``."""
+
+    hi: BandedOperator
+    lo: BandedOperator
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        return self.hi.apply(values) + self.lo.apply(values)
+
+    def apply_columns(self, columns: np.ndarray) -> np.ndarray:
+        return self.hi.apply_columns(columns) + self.lo.apply_columns(columns)
+
+
+def _sourced_fusion(op: SpatialOperator, s: int, tau: float, one: BandedOperator,
+                    n_full: int) -> tuple[int, BandedOperator | _SplitMap]:
+    """(m, A_m): the full steps per group of a sourced run of n_full steps whose
+    one-step map is ``one``, and A_m = P_s(tau L)^m - I as a ``_SplitMap``;
+    (1, one) where the run is not fused.
+
+    m is the largest power of two <= ``MAX_GROUP`` for which the band of A_m
+    stays narrower than the mesh and two or more groups fit in the full steps.
+    A_m is the Horner map ``increment_map`` squared by ``compose``, all in
+    ``np.longdouble``, then split into float64 (hi, lo).  Fusing needs
+    m >= s-1, so that a group shares samples with the next group only, and an
+    extended ``np.longdouble`` (``_LONGDOUBLE_EPS`` < 1e-18).
+    """
+    least = 1 << (max(2, s - 1) - 1).bit_length()  # the least power of two >= 2, s-1
+    if _LONGDOUBLE_EPS >= 1e-18 or n_full // least < 2:
+        return 1, one
+    m, band = 1, op.increment_map(s, np.longdouble(tau))
+    while 2 * m <= MAX_GROUP and n_full // (2 * m) >= 2:
+        doubled = band.compose(band)
+        if len(doubled.offsets) >= op.mesh.n_elements:
+            break
+        m, band = 2 * m, doubled
+    return (m, _SplitMap(*band.split())) if m >= least else (1, one)
+
+
+def _group_forcings(op: SpatialOperator, s: int, t0: float, tau: float,
+                    one: BandedOperator, fused: _SplitMap, m: int, n_full: int):
+    """Yield the forcing W of each group of m steps of length tau from t0, then
+    the forcing of each of the n_full mod m steps left (``_forcings``).
+
+    With P = I + A, A = ``one``, and G_j the source integrals at t0 + j*tau,
+    the group of steps n..n+m-1 adds W = sum_j P^{m-1-j} f^{n+j} to P^m u.
+    The chain S_{-1} = 0, S_t = P S_{t-1} + G_{n+t}, t = 0..m+s-2, gives
+    W = F - P^m V with F = sum_i F_i S_{m-1+i} and V = sum_{i>=1} F_i S_{i-1}
+    (F_i as in ``_forcing``, which forms F and V from the chain's snapshots).
+    B groups run the chain together as the columns of an (N(k+1), B) stack:
+    B is the most, up to ``MAX_BATCH``, that keep the gathered (N, W(k+1), B)
+    temporary of a product with A within ``_BLOCK_FLOATS``.  The samples of
+    chain steps s-1..m-1 are fetched about ``_block_steps(op)`` at a time, in
+    whole chain steps.  A group's first s-1 samples, fetched together for the
+    B groups, are also the previous group's last, and the next group's are
+    carried over, so every sample time t0 + j*tau is evaluated once.
+    """
+    shape = op.L.blocks.shape[:2]
+    size = shape[0] * shape[1]
+    groups, single = divmod(n_full, m)
+    batch = max(1, min(MAX_BATCH, _BLOCK_FLOATS // (len(one.offsets) * size)))
+    chunk = max(1, _block_steps(op) // batch)
+
+    def samples(j):  # (N(k+1), *j.shape), without a source call for no times
+        if j.size == 0:
+            return np.empty((size,) + j.shape)
+        return op.source_integrals(t0 + j.ravel() * tau).reshape((size,) + j.shape)
+
+    lead = np.arange(s - 1)[:, None]  # a group's first s-1 steps
+    carry = samples(lead)  # (N(k+1), s-1, 1): the first s-1 samples of the next group
+    for g0 in range(0, groups, batch):
+        b = min(batch, groups - g0)
+        first = m * (g0 + np.arange(b + 1))  # the first step of each group, and of the next
+        head = np.concatenate([carry, samples(first[1:] + lead)], axis=2)
+        chain_s = np.zeros((size, b))
+        # the windows of V ([0, S_0..S_{s-2}]) and of F ([S_{m-1}..S_{m+s-2}]), side by side
+        snaps = np.zeros((s, size, 2 * b))
+        for t in range(m + s - 1):
+            if t < s - 1:
+                g = head[:, t, :b]
+            elif t < m:
+                if (t - s + 1) % chunk == 0:
+                    block = samples(first[:b] + np.arange(t, min(t + chunk, m))[:, None])
+                g = block[:, (t - s + 1) % chunk]
+            else:  # the next group's head
+                g = head[:, t - m, 1:]
+            chain_s = chain_s + one.apply_columns(chain_s) + g
+            if t < s - 1:
+                snaps[t + 1, :, :b] = chain_s
+            if t >= m - 1:
+                snaps[t - m + 1, :, b:] = chain_s
+        h = _forcing(op, s, tau, snaps.transpose(2, 0, 1))
+        v, f = h[:, :b], h[:, b:]
+        yield from (f - v - fused.apply_columns(v)).T.reshape((b,) + shape)
+        carry = head[:, :, b:]
+    yield from _forcings(op, s, t0, tau, single, groups * m, carry[:, :, 0].T)
+
+
 def integrate(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
               t_final: float, on_step=None) -> SvState:
     """Step repeatedly to t_final, shortening only the last step (``step_plan``).
@@ -259,13 +382,20 @@ def integrate(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
     accumulated with a compensated (Kahan) sum so that the many tiny step
     increments of strongly CFL-restricted runs are not lost to rounding.
 
-    Every application is one product with an assembled increment map and one
-    compensated update.  A source-free run without ``on_step`` takes its full
-    steps in groups of m (``_fused_steps``) through P_s(tau L)^m - I and the
-    rest one at a time; every other run applies A = P_s(tau L) - I per step
-    and adds the step's forcing.  A shortened last step has its own A.  The
-    forcings come from one stream: ``_forcings`` over the full steps from
-    state.t, then over the shortened step from state.t + n_full*tau.
+    Every application is one product with an assembled increment map, plus
+    a forcing with a source, and one compensated update.  A run without
+    ``on_step`` takes its full steps in groups of m through
+    A_m = P_s(tau L)^m - I and the rest one at a time through
+    A = P_s(tau L) - I; a shortened last step has its own A.  Without a
+    source, A_m is A squared in float64 (``_fused_steps``).  With one, A_m is
+    squared in ``np.longdouble`` and applied as a float64 (hi, lo) pair, and
+    a group adds its forced response W (``_sourced_fusion``,
+    ``_group_forcings``): m is the largest power of two <= ``MAX_GROUP``
+    whose band stays narrower than the mesh with two or more groups in the
+    run, at least s-1, else 1 (also where ``np.longdouble`` is no wider than
+    float64).  The forcings come from one stream: the groups' W and the
+    per-step ``_forcings`` of the steps left from state.t, then ``_forcings``
+    over the shortened step from state.t + n_full*tau.
     """
     _require_finite(tau=tau, t_final=t_final)
     if tau <= 0:
@@ -281,16 +411,20 @@ def integrate(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
     s = tableau.s
     one = op.increment_map(s, tau) if n_full else None
     m, group = 1, one
-    if problem.source is None and on_step is None and n_full >= 2:
-        m, group = _fused_steps(one, n_full)
+    if on_step is None and n_full >= 2:
+        if problem.source is None:
+            m, group = _fused_steps(one, n_full)
+        else:
+            m, group = _sourced_fusion(op, s, tau, one, n_full)
     groups, single = divmod(n_full, m)
     # (map, full steps it takes): the groups of m, the rest one at a time, then
     # the shortened last step as (map, 0)
     shortened = [(op.increment_map(s, last), 0)] if last > 0.0 else []
     forcings = repeat(None)
     if problem.source is not None:
-        forcings = chain(_forcings(op, s, state.t, tau, n_full),
-                         _forcings(op, s, state.t + n_full * tau, last, len(shortened)))
+        full = (_forcings(op, s, state.t, tau, n_full) if m == 1 else
+                _group_forcings(op, s, state.t, tau, one, group, m, n_full))
+        forcings = chain(full, _forcings(op, s, state.t + n_full * tau, last, len(shortened)))
     step = 0  # full steps taken
     for (increment, steps), f in zip(chain(repeat((group, m), groups),
                                            repeat((one, 1), single), shortened), forcings):

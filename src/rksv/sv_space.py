@@ -194,14 +194,16 @@ def _band_product(x: np.ndarray, x_offsets: np.ndarray, rows: np.ndarray) -> np.
 
     R and R' are 1 (one row that every element shares) or N; the product has
     max(R, R') rows, so a product of one-row bands is one element's matmuls.
+    The product is formed in the wider of the two dtypes.
     """
     n = max(len(x), len(rows))
     x = np.broadcast_to(x, (n,) + x.shape[1:])
     rows = np.broadcast_to(rows, (n,) + rows.shape[1:])
     _, k1, wk = rows.shape
     width = wk // k1
-    q = np.zeros((n, k1, len(x_offsets) + width - 1, k1))
-    product = np.empty(rows.shape)
+    dtype = np.result_type(x, rows)
+    q = np.zeros((n, k1, len(x_offsets) + width - 1, k1), dtype)
+    product = np.empty(rows.shape, dtype)
     for j, o in enumerate(x_offsets):
         # block o of X acts on element (i + o) mod N: Y's rows are shifted by
         # two slices, so no shifted copy of the band is made
@@ -232,15 +234,33 @@ class BandedOperator:
         # a stride-0 view (a product of one-row bands) repeats one row by construction
         if blocks.strides[0] == 0 or (blocks == blocks[:1]).all():
             blocks = blocks[:1]
-        norms = np.abs(blocks).sum(axis=3).max(axis=(0, 1))
+        # per offset, so that no temporary the size of the blocks is made
+        norms = np.array([np.abs(blocks[:, :, j]).sum(axis=2).max() for j in range(len(offsets))])
         live = np.flatnonzero(~(norms <= negligible) | (offsets == 0))
         span = slice(live[0], live[-1] + 1)
         self.offsets = offsets[span]
         width = len(self.offsets)
         self.row_blocks = np.ascontiguousarray(blocks[:, :, span]).reshape(-1, k1, width * k1)
         self.blocks = np.broadcast_to(self.row_blocks, (n, k1, width * k1))
+
+    @cached_property
+    def gather(self) -> np.ndarray:
+        """The (N, W(k+1)) index into ``values.ravel()`` of each element's
+        neighbours, built on first use: intermediate bands are never applied."""
+        n, k1, wk = self.blocks.shape
         elements = (np.arange(n)[:, None] + self.offsets[None, :]) % n
-        self.gather = (elements[:, :, None] * k1 + np.arange(k1)).reshape(n, width * k1)
+        return (elements[:, :, None] * k1 + np.arange(k1)).reshape(n, wk)
+
+    def split(self) -> tuple[BandedOperator, BandedOperator]:
+        """(hi, lo): float64 maps, hi = float64(B) on this map's offsets and
+        lo = float64(B - hi), whose sum holds an extended-precision B to about
+        2^-106 of its size (exactly for x87's 64-bit-significand long double)."""
+        n, k1, wk = self.blocks.shape
+        hi = self.row_blocks.astype(np.float64)
+        lo = (self.row_blocks - hi).astype(np.float64)
+        return tuple(BandedOperator(np.broadcast_to(b.reshape(len(b), k1, -1, k1),
+                                                    (n, k1, wk // k1, k1)), self.offsets)
+                     for b in (hi, lo))
 
     def compose(self, other: BandedOperator) -> BandedOperator:
         """X + Y + XY, X this map and Y ``other``: the increment map of (I + X)(I + Y).
@@ -344,13 +364,16 @@ class SpatialOperator:
         a one-sided L over -1..0 at -d..0.  The offsets stay integers until
         the gather takes them mod N: on a mesh narrower than the span the
         aliased columns then accumulate, and on an INFLOW_ZERO mesh every
-        path through a domain end meets a zero edge block of L.
+        path through a domain end meets a zero edge block of L.  The blocks
+        take the widest dtype of tau, the coefficients and L's float64 (a
+        ``np.longdouble`` tau gives extended-precision blocks).
         """
         n, k1 = self.mesh.n_elements, self.mesh.k + 1
         l_offsets = self.L.offsets
         tau_l = tau * self.L.row_blocks.reshape(-1, k1, len(l_offsets), k1)
         eye = np.eye(k1)
-        p = np.zeros((1, k1, 1, k1))  # one row until a per-element L enters
+        # one row until a per-element L enters
+        p = np.zeros((1, k1, 1, k1), np.result_type(tau_l, *coeffs))
         p[:, :, 0] = coeffs[-1] * eye
         low = 0  # the lowest offset of p
         for c in coeffs[-2::-1]:
@@ -362,9 +385,10 @@ class SpatialOperator:
     def increment_map(self, s: int, tau: float) -> BandedOperator:
         """A = P_s(tau L) - I, P_s(z) = sum_{j<=s} z^j/j!: the source-free
         increment of one s-stage linear SSP step of length tau, which is
-        ``polynomial`` with the Taylor coefficients 1/j!."""
+        ``polynomial`` with the Taylor coefficients 1/j!, rounded to tau's dtype."""
         _require_finite(tau=tau)
-        return self.polynomial([0.0] + [1.0 / factorial(j) for j in range(1, s + 1)], tau)
+        unit = np.result_type(tau, np.float64).type(1)
+        return self.polynomial([0.0] + [unit / factorial(j) for j in range(1, s + 1)], tau)
 
     def source_integrals(self, t) -> np.ndarray:
         """CV integrals of the source g(., t); the problem must have a source.

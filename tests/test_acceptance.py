@@ -87,17 +87,20 @@ def test_criterion_3_example1_convergence():
 
 def test_criterion_4_example2_convergence():
     start = time.perf_counter()
-    failures = []
+    failures, orders = [], []
     for k in (3, 4, 5):
         cfg = ExperimentConfig(example=2, scheme=SubdivisionRule.RSV_ADAPTIVE, k=k, s=5,
                                n_values=(32, 64, 128, 256), cfl=1e-3, t_final=0.1)
         table = run_convergence(cfg)
         ord_l2, _ = table.final_orders
+        orders.append(f"{ord_l2:.4f}")
         if abs(ord_l2 - (k + 1)) > 0.2:
             failures.append(f"k={k}: final L2 order {ord_l2:.2f}")
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 600.0
-    assert _verdict(4, ok, f"(k=3,4,5 to N=256, {elapsed:.0f} s){'; ' + '; '.join(failures) if failures else ''}")
+    detail = (f"(k=3,4,5 to N=256, {elapsed:.0f} s, final L2 orders "
+              f"{'/'.join(orders)})")
+    assert _verdict(4, ok, f"{detail}{'; ' + '; '.join(failures) if failures else ''}")
 
 
 @pytest.mark.parametrize("scheme", (SubdivisionRule.LSV, SubdivisionRule.RRSV))

@@ -229,6 +229,22 @@ def test_config_file_names_out_of_range_values(tmp_path, capsys, key, raw, expec
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("flag, raw, expected", (("--cfl", "2", "cfl must be in (0, 1], got 2.0"),
+                                                 ("--s", "13", "s must be in 1..12, got 13"),
+                                                 ("--k", "0", "k must be >= 1, got 0")))
+def test_config_range_errors_name_their_source(tmp_path, capsys, flag, raw, expected):
+    # the same bad value from the file names the file, and from a flag on top
+    # of a valid file names the flag, not the file
+    key = flag[2:]
+    bad = _write_config(tmp_path / "bad.cfg", **{key: raw})
+    assert cli.main(["solve", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {expected}")
+    good = _write_config(tmp_path / "good.cfg")
+    assert cli.main(["solve", "--config", str(good), flag, raw]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: {expected}") and str(good) not in err
+
+
 # ---------------------------------------------------------------------------
 # CLI
 

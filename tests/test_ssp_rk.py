@@ -2,6 +2,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,8 +10,9 @@ from conftest import BOTH_RULES, periodic_mesh
 from rksv import ssp_rk
 from rksv.harness import ExperimentConfig, build_mesh, problem_definition, time_step
 from rksv.mesh import BoundaryCondition, SubdivisionRule, perturbed_mesh, uniform_mesh
-from rksv.ssp_rk import (BLOCK_STEPS, _block_steps, _derivatives_from_samples, _fused_steps,
-                         integrate, rk_step, ssp_tableau, step_increment, step_plan)
+from rksv.ssp_rk import (BLOCK_STEPS, MAX_BATCH, _block_steps, _derivatives_from_samples,
+                         _fused_steps, _sourced_fusion, integrate, rk_step, ssp_tableau,
+                         step_increment, step_plan)
 from rksv.sv_space import Problem, SpatialOperator, project_initial
 
 
@@ -283,7 +285,8 @@ def test_source_sampled_s_times_per_step_on_element_rule(s):
     # every step uses the source at its s times t + i*tau, but s-1 of them are
     # the previous step's: across all calls integrate evaluates each sample time
     # t0 + j*tau once, bit-exactly, on the N(k+3) element points, also across
-    # the boundaries of its forcing blocks
+    # the boundaries of its forcing blocks and of its fused groups (s = 1, 3;
+    # s = 5 steps one at a time, since its A_2 would be as wide as the mesh)
     k, n = 3, 8
     steps = 2 * BLOCK_STEPS + 5
     mesh = periodic_mesh(n, SubdivisionRule.LSV, k)
@@ -298,20 +301,35 @@ def test_source_sampled_s_times_per_step_on_element_rule(s):
     state = project_initial(problem, mesh, k)
     state.t = 0.375
     tau = 2.0 ** -7
+    op = SpatialOperator(mesh, problem)
+    m, _ = _sourced_fusion(op, s, tau, op.increment_map(s, tau), steps)
+    assert m == {1: 4, 3: 2, 5: 1}[s]
     full = [state.t + j * tau for j in range(steps + s - 1)]
     integrate(state, problem, ssp_tableau(s), tau, state.t + steps * tau)
     assert set(shapes) == {(n, k + 3)}
-    assert len(shapes) == -(-steps // BLOCK_STEPS)  # one call per block on this small mesh
-    assert times == full
+    groups, single = divmod(steps, m)
+    if m == 1:  # one call per block on this small mesh
+        calls = -(-steps // BLOCK_STEPS)
+    else:
+        # one call for the first group's first s-1 samples; per super-block of
+        # MAX_BATCH groups, one for the next groups' first s-1 and one per chunk
+        # of chain steps s-1..m-1 (BLOCK_STEPS // MAX_BATCH of them on this
+        # small mesh); then one per block of the steps left
+        chunk = BLOCK_STEPS // MAX_BATCH
+        calls = ((s > 1) + -(-groups // MAX_BATCH) * ((s > 1) + -(-(m - s + 1) // chunk))
+                 + -(-single // BLOCK_STEPS))
+    assert len(shapes) == calls
+    assert sorted(times) == full
 
-    # a shortened last step samples all s afresh at t + i*dt
+    # a shortened last step samples all s afresh at t + i*dt, after the full steps
     shapes.clear()
     times.clear()
     dt = 0.75 * tau
     integrate(state, problem, ssp_tableau(s), tau, state.t + steps * tau + dt)
     t_last = state.t + steps * tau
     assert set(shapes) == {(n, k + 3)}
-    assert times == full + [t_last + i * dt for i in range(s)]
+    assert sorted(times[:len(full)]) == full
+    assert times[len(full):] == [t_last + i * dt for i in range(s)]
 
     # a run shorter than one step is that shortened step alone: one call
     shapes.clear()
@@ -583,12 +601,112 @@ def test_fused_run_at_the_real_cfl(monkeypatch):
 
 
 def test_sourced_integrate_steps_one_at_a_time(monkeypatch):
-    # the source forcing is formed per step, so a sourced run never fuses
+    # a sourced run fuses its full steps through an extended-precision A_m
+    # (one float64 map for tau, one np.longdouble Horner map squared into the
+    # group map), unless a callback must see every step; and it never goes
+    # through the float64 squaring of source-free runs
     mesh = periodic_mesh(12, SubdivisionRule.LSV, 2)
     problem = Problem(u0=np.sin, source=lambda x, t: np.cos(x - t))
     op = SpatialOperator(mesh, problem)
     steps, tau = 400, 2.0 ** -10
     assert _fused_steps(op.increment_map(2, tau), steps)[0] > 1
+    assert _sourced_fusion(op, 2, tau, op.increment_map(2, tau), steps)[0] > 1
     maps, fusions = _record_increment_maps(monkeypatch)
-    integrate(project_initial(problem, mesh, 2), problem, ssp_tableau(2), tau, steps * tau)
+    state = project_initial(problem, mesh, 2)
+    fused = integrate(state, problem, ssp_tableau(2), tau, steps * tau)
+    assert maps == [tau, tau] and fusions == []
+    assert [np.result_type(dt) for dt in maps] == [np.float64, np.longdouble]
+
+    maps.clear()
+    stepwise = integrate(state, problem, ssp_tableau(2), tau, steps * tau,
+                         on_step=lambda st: None)
     assert maps == [tau] and fusions == []
+    scale = np.max(np.abs(stepwise.values))
+    assert np.max(np.abs(fused.values - stepwise.values)) <= 1e-13 * scale
+
+
+def test_sourced_run_without_extended_longdouble_steps_one_at_a_time(monkeypatch):
+    # where np.longdouble is no wider than float64 (its eps probe reads
+    # float64's), A_m's low part would be lost, so a sourced run takes m = 1:
+    # no extended build, and the stepwise arithmetic bit for bit
+    mesh, problem = _forcing_cases()[0]
+    op = SpatialOperator(mesh, problem)
+    s, steps = 3, 150
+    tau = 2.0 ** np.floor(np.log2(1e-3 / np.max(np.abs(np.linalg.eigvals(op.L.dense())))))
+    assert _sourced_fusion(op, s, tau, op.increment_map(s, tau), steps)[0] > 1
+    monkeypatch.setattr(ssp_rk, "_LONGDOUBLE_EPS", float(np.finfo(np.float64).eps))
+    one = op.increment_map(s, tau)
+    assert _sourced_fusion(op, s, tau, one, steps) == (1, one)
+    maps, _ = _record_increment_maps(monkeypatch)
+    state = project_initial(problem, mesh, mesh.k)
+    t_final = (steps + 0.5) * tau
+    got = integrate(state, problem, ssp_tableau(s), tau, t_final)
+    assert maps == [tau, t_final - steps * tau]
+    assert all(np.result_type(dt) == np.float64 for dt in maps)
+    stepwise = integrate(state, problem, ssp_tableau(s), tau, t_final, on_step=lambda st: None)
+    assert np.array_equal(got.values, stepwise.values)
+
+
+@pytest.mark.parametrize("s", (3, 5))
+def test_extended_fused_map_matches_mpmath(s):
+    # A_m = P_s(tau L)^m - I by Horner and squaring in np.longdouble, split
+    # into float64 (hi, lo), against the same Horner and squaring in 128-bit
+    # mpmath from the float64 L, on a two-orientation mesh; tau ||L|| ~ 1e-3
+    # keeps the band of A_16 (11 offsets) narrower than the mesh, and the
+    # float64 ladder of compose misses the same bound by ~20x
+    mesh = perturbed_mesh(12, 5, SubdivisionRule.RSV_ADAPTIVE, 1, BoundaryCondition.PERIODIC,
+                          alpha=np.sin)
+    assert mesh.left_oriented.any() and not mesh.left_oriented.all()
+    op = SpatialOperator(mesh, Problem(u0=np.sin, alpha=np.sin, source=lambda x, t: x))
+    l_dense = op.L.dense()
+    tau = 2.0 ** np.floor(np.log2(1e-3 / np.max(np.abs(np.linalg.eigvals(l_dense)))))
+    one = op.increment_map(s, tau)
+    m, fused = _sourced_fusion(op, s, tau, one, 1000)
+    assert m == 16 and len(fused.hi.offsets) < mesh.n_elements
+    with mpmath.workprec(128):
+        tau_l = mpmath.matrix(l_dense.tolist()) * tau
+        eye = mpmath.eye(tau_l.rows)
+        p = eye
+        for j in range(s, 0, -1):  # P_s(z) = 1 + z/1 (1 + z/2 (1 + ...))
+            p = eye + tau_l * p / j
+        exact = p - eye
+        for _ in range(4):
+            exact = exact + exact + exact * exact
+        # hi + lo - exact, summed in 128 bits and rounded once
+        defect = np.array((mpmath.matrix(fused.hi.dense().tolist())
+                           + mpmath.matrix(fused.lo.dense().tolist()) - exact).tolist(),
+                          dtype=float)
+        squared = one
+        for _ in range(4):
+            squared = squared.compose(squared)
+        float64_defect = np.array((mpmath.matrix(squared.dense().tolist()) - exact).tolist(),
+                                  dtype=float)
+    scale = np.max(np.abs(fused.hi.dense()))
+    assert np.max(np.abs(defect)) <= 1e-17 * scale
+    assert np.max(np.abs(float64_defect)) > 1e-17 * scale
+
+
+@pytest.mark.parametrize("s", (1, 2, 3, 5, 8, 12))
+def test_fused_sourced_integrate_matches_stage_chain(s):
+    # the fused run (groups of m steps through A_m and the batched forced
+    # response, then the steps left one at a time and a shortened step)
+    # against the stage chain stepped one step at a time with fresh samples;
+    # the groups fill two or more super-blocks of MAX_BATCH groups
+    tableau = ssp_tableau(s)
+    for mesh, problem in _forcing_cases():
+        op = SpatialOperator(mesh, problem)
+        tau = 2.0 ** np.floor(np.log2(1e-3 / np.max(np.abs(np.linalg.eigvals(op.L.dense())))))
+        m, _ = _sourced_fusion(op, s, tau, op.increment_map(s, tau), 10 ** 6)
+        assert m >= 16
+        steps = (MAX_BATCH + 1) * m + 5
+        state = project_initial(problem, mesh, mesh.k)
+        state.t = 0.3
+        t_final = state.t + (steps + 0.4) * tau
+        got = integrate(state, problem, tableau, tau, t_final).values
+        expected = state.values
+        for step in range(steps):
+            expected = stage_chain_step(expected, tableau, state.t + step * tau, tau, op)
+        t_last = state.t + steps * tau
+        expected = stage_chain_step(expected, tableau, t_last, t_final - t_last, op)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(got - expected)) <= 1e-13 * scale, mesh.bc
