@@ -69,7 +69,7 @@ from .sv_space import BandedOperator, Problem, SpatialOperator, SvState, _requir
 __all__ = ["MAX_STAGES", "RkTableau", "ssp_tableau", "rk_step", "step_plan", "integrate"]
 
 BLOCK_STEPS = 32          # full steps whose source forcing is formed together
-_BLOCK_FLOATS = 1 << 17   # 1 MiB of float64: the bound on a block's largest temporary
+_BLOCK_FLOATS = 1 << 17   # 1 MiB of float64: the bound on a block's source values or padded stack
 MAX_GROUP = 64            # full steps per fused sourced update at most
 MAX_BATCH = 8             # groups whose forced response is formed together at most
 # the platform probe: an np.longdouble no wider than float64 cannot hold A_m's low part
@@ -153,10 +153,10 @@ def _forcing_weights(s: int) -> np.ndarray:
 
 def _block_steps(op: SpatialOperator) -> int:
     """Steps per forcing block: ``BLOCK_STEPS``, fewer where the largest block
-    temporary, the 3N(k+1) floats per step that a product with L gathers,
-    would pass ``_BLOCK_FLOATS``."""
-    m = op.mesh.n_elements * (op.mesh.k + 1)
-    return max(1, min(BLOCK_STEPS, _BLOCK_FLOATS // (3 * m)))
+    temporary, the source's values at the N(k+3) element points of each
+    step, would pass ``_BLOCK_FLOATS``."""
+    points = op.mesh.n_elements * (op.mesh.k + 3)
+    return max(1, min(BLOCK_STEPS, _BLOCK_FLOATS // points))
 
 
 def _forcing(op: SpatialOperator, s: int, tau: float, windows: np.ndarray) -> np.ndarray:
@@ -326,17 +326,19 @@ def _group_forcings(op: SpatialOperator, s: int, t0: float, tau: float,
     W = F - P^m V with F = sum_i F_i S_{m-1+i} and V = sum_{i>=1} F_i S_{i-1}
     (F_i as in ``_forcing``, which forms F and V from the chain's snapshots).
     B groups run the chain together as the columns of an (N(k+1), B) stack:
-    B is the most, up to ``MAX_BATCH``, that keep the gathered (N, W(k+1), B)
-    temporary of a product with A within ``_BLOCK_FLOATS``.  The samples of
-    chain steps s-1..m-1 are fetched about ``_block_steps(op)`` at a time, in
-    whole chain steps.  A group's first s-1 samples, fetched together for the
-    B groups, are also the previous group's last, and the next group's are
-    carried over, so every sample time t0 + j*tau is evaluated once.
+    B is the most, up to ``MAX_BATCH``, that keep the wrap-padded
+    ((N+W-1)(k+1), B) copy that a product with A reads within
+    ``_BLOCK_FLOATS``.  The samples of chain steps s-1..m-1 are fetched about
+    ``_block_steps(op)`` at a time, in whole chain steps.  A group's first s-1
+    samples, fetched together for the B groups, are also the previous group's
+    last, and the next group's are carried over, so every sample time
+    t0 + j*tau is evaluated once.
     """
     shape = op.L.blocks.shape[:2]
     size = shape[0] * shape[1]
     groups, single = divmod(n_full, m)
-    batch = max(1, min(MAX_BATCH, _BLOCK_FLOATS // (len(one.offsets) * size)))
+    padded = (shape[0] + len(one.offsets) - 1) * shape[1]
+    batch = max(1, min(MAX_BATCH, _BLOCK_FLOATS // padded))
     chunk = max(1, _block_steps(op) // batch)
 
     def samples(j):  # (N(k+1), *j.shape), without a source call for no times

@@ -224,9 +224,11 @@ class BandedOperator:
     in ``row_blocks`` as one (k+1, len(offsets)(k+1)) row when every element's
     row is bit-identical (a uniform mesh with a constant coefficient), else as
     one row per element; ``blocks`` is the read-only (N, ...) view of either.
-    A gather index into ``values.ravel()`` reads each element's neighbours;
-    offsets are taken mod N only by the gather, so when the span is wider than
-    the mesh aliased columns accumulate.
+    ``apply`` and ``dense`` read each element's neighbours through a gather
+    index into ``values.ravel()``; ``apply_columns`` reads them as windows of
+    one wrap-padded copy of a column stack.  Offsets are taken mod N only by
+    these two indices, so when the span is wider than the mesh aliased
+    columns accumulate.
     """
 
     def __init__(self, blocks: np.ndarray, offsets: np.ndarray, negligible: float = 0.0):
@@ -240,7 +242,8 @@ class BandedOperator:
         span = slice(live[0], live[-1] + 1)
         self.offsets = offsets[span]
         width = len(self.offsets)
-        self.row_blocks = np.ascontiguousarray(blocks[:, :, span]).reshape(-1, k1, width * k1)
+        self.row_blocks = _read_only(
+            np.ascontiguousarray(blocks[:, :, span]).reshape(-1, k1, width * k1))
         self.blocks = np.broadcast_to(self.row_blocks, (n, k1, width * k1))
 
     @cached_property
@@ -288,9 +291,26 @@ class BandedOperator:
             return gathered @ self.row_blocks[0].T
         return np.einsum("nij,nj->ni", self.row_blocks, gathered)
 
+    @cached_property
+    def _padded_rows(self) -> np.ndarray:
+        """The index of a column stack's wrap-padded copy: the rows, mod N(k+1),
+        from the first element's first neighbour to the last element's last,
+        so element i's neighbours are rows i(k+1) .. i(k+1) + W(k+1) - 1 of it."""
+        n, k1, _ = self.blocks.shape
+        return np.arange(self.offsets[0] * k1, (n + self.offsets[-1]) * k1) % (n * k1)
+
     def apply_columns(self, columns: np.ndarray) -> np.ndarray:
-        """The map applied to each column of an (N(k+1), K) stack of ``values.ravel()``."""
-        return (self.row_blocks @ columns[self.gather]).reshape(columns.shape)
+        """The map applied to each column of an (N(k+1), K) stack of ``values.ravel()``.
+
+        Each element's row of blocks multiplies its window of one wrap-padded
+        copy of the stack, a strided view that overlaps its neighbours', so
+        no (N, W(k+1), K) gathered copy is made.
+        """
+        n, k1, wk = self.blocks.shape
+        padded = columns[self._padded_rows]
+        windows = np.ndarray((n, wk) + padded.shape[1:], padded.dtype, padded, 0,
+                             (k1 * padded.strides[0],) + padded.strides)
+        return (self.row_blocks @ windows).reshape(columns.shape)
 
     def dense(self) -> np.ndarray:
         """The (N(k+1), N(k+1)) matrix of the map, acting on ``values.ravel()``."""

@@ -608,6 +608,112 @@ def test_one_row_band_matches_per_element_band(rng):
         close(mixed.dense(), x.dense() + y.dense() + x.dense() @ y.dense())
 
 
+def _column_bands():
+    # (id, band): per-element and one-row bands, bands wider than an N=2 mesh,
+    # zero edge blocks, one-sided (-s..0 and 0..s) and asymmetric trimmed
+    # spans, and the float64 pair of an extended-precision fused map
+    rsv = SubdivisionRule.RSV_ADAPTIVE
+
+    def shifted_sine(x):  # nonzero at the periodic ends, so the wrap carries flux
+        return 0.5 + np.sin(x)
+
+    two_orientations = SpatialOperator(
+        perturbed_mesh(10, 3, rsv, 3, BoundaryCondition.PERIODIC, alpha=shifted_sine),
+        Problem(u0=np.sin, alpha=shifted_sine))
+    assert len(workspace(two_orientations.mesh).variants) == 2
+    assert np.array_equal(two_orientations.L.offsets, [-1, 0, 1])
+    one_row = SpatialOperator(periodic_mesh(9, SubdivisionRule.LSV, 2), Problem(u0=np.sin))
+    narrow_one_row = SpatialOperator(periodic_mesh(2, SubdivisionRule.LSV, 2), Problem(u0=np.sin))
+    narrow = SpatialOperator(periodic_mesh(2, SubdivisionRule.RRSV, 2),
+                             Problem(u0=np.sin, alpha=lambda x: 1.5 + np.sin(x)))
+    aliased = narrow.increment_map(12, 0.1)
+    assert len(aliased.offsets) == 13  # wraps the mesh six times
+    inflow = SpatialOperator(
+        uniform_mesh(0.3, 2.0 * np.pi - 0.3, 5, rsv, 3, BoundaryCondition.INFLOW_ZERO,
+                     alpha=np.sin), Problem(u0=np.sin, alpha=np.sin))
+    backward = SpatialOperator(periodic_mesh(7, SubdivisionRule.RRSV, 3),
+                               Problem(u0=np.sin, alpha=lambda x: -np.ones_like(x)))
+    downwind = backward.increment_map(4, 0.05)
+    assert np.array_equal(downwind.offsets, np.arange(5))
+    blocks = np.random.default_rng(7).uniform(-1.0, 1.0, (11, 3, 9, 3))
+    blocks[:, :, [0, 1, 8]] = 0.0  # offsets -6, -5 and 2 are trimmed
+    asymmetric = sv_space.BandedOperator(blocks, np.arange(-6, 3))
+    assert np.array_equal(asymmetric.offsets, np.arange(-4, 2))
+    fused = two_orientations.increment_map(5, np.longdouble(0.02))
+    hi, lo = fused.compose(fused).split()
+    bands = [("L-per-element", two_orientations.L),
+             ("A-per-element", two_orientations.increment_map(5, 0.02)),
+             ("A2-hi", hi), ("A2-lo", lo),
+             ("L-one-row", one_row.L), ("A-one-row", one_row.increment_map(4, 0.1)),
+             ("N2-s12-one-row", narrow_one_row.increment_map(12, 0.1)),
+             ("N2-s12-per-element", aliased),
+             ("inflow-L", inflow.L), ("inflow-s3", inflow.increment_map(3, 0.05)),
+             ("inflow-s12", inflow.increment_map(12, 0.05)),
+             ("one-sided-0..s", downwind),
+             ("asymmetric-trimmed", asymmetric)]
+    return [pytest.param(band, id=name) for name, band in bands]
+
+
+@pytest.mark.parametrize("layout", ("C", "F", "K1"))
+@pytest.mark.parametrize("band", _column_bands())
+def test_apply_columns_matches_gathered_product(rng, band, layout):
+    # apply_columns multiplies the same operands as the gathered product, so it
+    # agrees bit for bit; the dense matrix sums aliases first, so it agrees to
+    # rounding
+    size = band.blocks.shape[0] * band.blocks.shape[1]
+    columns = {"C": lambda: rng.normal(size=(size, 8)),
+               "F": lambda: rng.normal(size=(8, size)).T,  # as ``_forcing`` passes it
+               "K1": lambda: rng.normal(size=(size, 1))}[layout]()
+    got = band.apply_columns(columns)
+    gathered = (band.row_blocks @ columns[band.gather]).reshape(columns.shape)
+    assert got.shape == columns.shape
+    assert np.array_equal(got, gathered)
+    dense = band.dense()
+    scale = np.max(np.abs(dense) @ np.abs(columns))
+    assert np.max(np.abs(got - dense @ columns)) <= 1e-15 * scale
+
+
+def test_apply_columns_makes_no_gathered_copy():
+    # at N=64, k=5 the (N, W(k+1), K) gathered stack of an 11-offset map is
+    # 270 KB; the product reads one wrap-padded ((N+W-1)(k+1), K) copy of 28 KB
+    import tracemalloc
+
+    n, k, count = 64, 5, 8
+    op = SpatialOperator(perturbed_mesh(n, 0, SubdivisionRule.RSV_ADAPTIVE, k,
+                                        BoundaryCondition.PERIODIC, alpha=np.sin),
+                         Problem(u0=np.sin, alpha=np.sin))
+    band = op.increment_map(5, 0.01)
+    assert len(band.offsets) == 11 and band.row_blocks.shape[0] == n
+    columns = np.random.default_rng(3).normal(size=(n * (k + 1), count))
+    band.apply_columns(columns)  # builds the cached row index
+    padded_bytes = (n + len(band.offsets) - 1) * (k + 1) * count * columns.itemsize
+    gathered_bytes = n * band.blocks.shape[2] * count * columns.itemsize
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        band.apply_columns(columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the peak holds the padded copy and the (N(k+1), K) result
+    assert peak < 2 * padded_bytes < gathered_bytes / 4
+
+
+def test_band_blocks_are_read_only():
+    # every band is immutable, whether its blocks were copied by trimming or not
+    op = SpatialOperator(perturbed_mesh(10, 3, SubdivisionRule.RSV_ADAPTIVE, 3,
+                                        BoundaryCondition.PERIODIC, alpha=np.sin),
+                         Problem(u0=np.sin, alpha=np.sin))
+    one = op.increment_map(3, 0.02)
+    trimmed = one.compose(one)
+    assert len(trimmed.offsets) < 2 * len(one.offsets) - 1
+    for band in (op.L, trimmed, *trimmed.split()):
+        before = band.row_blocks.copy()
+        with pytest.raises(ValueError):
+            band.row_blocks *= 2.0
+        assert np.array_equal(band.row_blocks, before)
+
+
 @pytest.mark.parametrize("s", (1, 3, 4))
 @pytest.mark.parametrize("k", (1, 3))
 def test_one_row_symbol_eigenvalues_match_dense(s, k):
