@@ -224,11 +224,10 @@ class BandedOperator:
     in ``row_blocks`` as one (k+1, len(offsets)(k+1)) row when every element's
     row is bit-identical (a uniform mesh with a constant coefficient), else as
     one row per element; ``blocks`` is the read-only (N, ...) view of either.
-    ``apply`` and ``dense`` read each element's neighbours through a gather
-    index into ``values.ravel()``; ``apply_columns`` reads them as windows of
-    one wrap-padded copy of a column stack.  Offsets are taken mod N only by
-    these two indices, so when the span is wider than the mesh aliased
-    columns accumulate.
+    Every product reads each element's neighbours as its window of one
+    wrap-padded copy of the values (``_padded_rows``).  Offsets are taken mod
+    N only by that index, so when the span is wider than the mesh an element
+    meets a neighbour more than once and the aliased columns accumulate.
     """
 
     def __init__(self, blocks: np.ndarray, offsets: np.ndarray, negligible: float = 0.0):
@@ -245,14 +244,6 @@ class BandedOperator:
         self.row_blocks = _read_only(
             np.ascontiguousarray(blocks[:, :, span]).reshape(-1, k1, width * k1))
         self.blocks = np.broadcast_to(self.row_blocks, (n, k1, width * k1))
-
-    @cached_property
-    def gather(self) -> np.ndarray:
-        """The (N, W(k+1)) index into ``values.ravel()`` of each element's
-        neighbours, built on first use: intermediate bands are never applied."""
-        n, k1, wk = self.blocks.shape
-        elements = (np.arange(n)[:, None] + self.offsets[None, :]) % n
-        return (elements[:, :, None] * k1 + np.arange(k1)).reshape(n, wk)
 
     def split(self) -> tuple[BandedOperator, BandedOperator]:
         """(hi, lo): float64 maps, hi = float64(B) on this map's offsets and
@@ -284,41 +275,39 @@ class BandedOperator:
         return BandedOperator(np.broadcast_to(q, (n,) + q.shape[1:]),
                               np.arange(q.shape[2]) - x0 - y0, negligible=NEGLIGIBLE)
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """The map applied to CV integrals of shape (N, k+1)."""
-        gathered = values.ravel()[self.gather]
-        if len(self.row_blocks) == 1:  # one GEMM with the row every element shares
-            return gathered @ self.row_blocks[0].T
-        return np.einsum("nij,nj->ni", self.row_blocks, gathered)
-
     @cached_property
     def _padded_rows(self) -> np.ndarray:
-        """The index of a column stack's wrap-padded copy: the rows, mod N(k+1),
-        from the first element's first neighbour to the last element's last,
-        so element i's neighbours are rows i(k+1) .. i(k+1) + W(k+1) - 1 of it."""
+        """The index of the values' wrap-padded copy, built on first use
+        (intermediate bands are never applied): the rows, mod N(k+1), from the
+        first element's first neighbour to the last element's last, so element
+        i's neighbours are rows i(k+1) .. i(k+1) + W(k+1) - 1 of it."""
         n, k1, _ = self.blocks.shape
         return np.arange(self.offsets[0] * k1, (n + self.offsets[-1]) * k1) % (n * k1)
 
-    def apply_columns(self, columns: np.ndarray) -> np.ndarray:
-        """The map applied to each column of an (N(k+1), K) stack of ``values.ravel()``.
-
-        Each element's row of blocks multiplies its window of one wrap-padded
-        copy of the stack, a strided view that overlaps its neighbours', so
-        no (N, W(k+1), K) gathered copy is made.
-        """
+    def _windows(self, columns: np.ndarray) -> np.ndarray:
+        """The (N, W(k+1), ...) neighbour windows of ``columns`` (N(k+1) rows):
+        a strided view of one wrap-padded copy in which each element's window
+        overlaps its neighbours', so no gathered copy is made."""
         n, k1, wk = self.blocks.shape
         padded = columns[self._padded_rows]
-        windows = np.ndarray((n, wk) + padded.shape[1:], padded.dtype, padded, 0,
-                             (k1 * padded.strides[0],) + padded.strides)
-        return (self.row_blocks @ windows).reshape(columns.shape)
+        return np.ndarray((n, wk) + padded.shape[1:], padded.dtype, padded, 0,
+                          (k1 * padded.strides[0],) + padded.strides)
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """The map applied to CV integrals of shape (N, k+1)."""
+        windows = self._windows(values.ravel())
+        if len(self.row_blocks) == 1:  # one matmul with the row every element shares
+            return windows @ self.row_blocks[0].T
+        return np.einsum("nij,nj->ni", self.row_blocks, windows)
+
+    def apply_columns(self, columns: np.ndarray) -> np.ndarray:
+        """The map applied to each column of an (N(k+1), K) stack of ``values.ravel()``."""
+        return (self.row_blocks @ self._windows(columns)).reshape(columns.shape)
 
     def dense(self) -> np.ndarray:
         """The (N(k+1), N(k+1)) matrix of the map, acting on ``values.ravel()``."""
         n, k1, _ = self.blocks.shape
-        mat = np.zeros((n * k1, n * k1))
-        rows = np.arange(n * k1).reshape(n, k1, 1)
-        np.add.at(mat, (rows, self.gather[:, None, :]), self.blocks)  # accumulates aliases
-        return mat
+        return self.apply_columns(np.eye(n * k1))
 
 
 class SpatialOperator:
@@ -382,9 +371,10 @@ class SpatialOperator:
         Each factor tau L adds L's offsets to the span, so a degree-d
         polynomial of an L over -1..1 has blocks at the offsets -d..d, and of
         a one-sided L over -1..0 at -d..0.  The offsets stay integers until
-        the gather takes them mod N: on a mesh narrower than the span the
-        aliased columns then accumulate, and on an INFLOW_ZERO mesh every
-        path through a domain end meets a zero edge block of L.  The blocks
+        a product's wrap-padded index takes them mod N: on a mesh narrower
+        than the span the aliased columns then accumulate, and on an
+        INFLOW_ZERO mesh every path through a domain end meets a zero edge
+        block of L.  The blocks
         take the widest dtype of tau, the coefficients and L's float64 (a
         ``np.longdouble`` tau gives extended-precision blocks).
         """

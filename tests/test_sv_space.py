@@ -529,6 +529,8 @@ def test_nan_blocks_are_kept():
                          Problem(u0=np.sin, alpha=lambda x: np.where(x > 3.0, np.nan, 1.0)))
     assert np.array_equal(op.L.offsets, [-1, 0, 1])
     assert np.isnan(op.L.apply(np.ones((4, 2)))).any()
+    assert np.isnan(op.L.apply_columns(np.ones((8, 3)))).any()
+    assert np.isnan(op.L.dense()).any()
 
 
 def _one_row(band):
@@ -584,7 +586,7 @@ def test_one_row_band_matches_per_element_band(rng):
     nudged[4, 1, 2, 0] = np.nextafter(nudged[4, 1, 2, 0], np.inf)
     one, per = sv_space.BandedOperator(copies, offsets), sv_space.BandedOperator(nudged, offsets)
     assert _one_row(one) and per.row_blocks.shape[0] == n
-    assert one.blocks.shape == per.blocks.shape and np.array_equal(one.gather, per.gather)
+    assert one.blocks.shape == per.blocks.shape
 
     def close(got, expected):
         assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
@@ -654,30 +656,70 @@ def _column_bands():
     return [pytest.param(band, id=name) for name, band in bands]
 
 
+def _gather(band):
+    """The (N, W(k+1)) index into ``values.ravel()`` of each element's
+    neighbours, from the band's offsets alone: an oracle that shares no code
+    with the band's wrap-padded window."""
+    n, k1, wk = band.blocks.shape
+    elements = (np.arange(n)[:, None] + band.offsets[None, :]) % n
+    return (elements[:, :, None] * k1 + np.arange(k1)).reshape(n, wk)
+
+
+def _gathered_dense(band):
+    """The band's dense matrix, each block added at its gathered columns, so
+    aliased columns accumulate."""
+    n, k1, _ = band.blocks.shape
+    mat = np.zeros((n * k1, n * k1))
+    np.add.at(mat, (np.arange(n * k1).reshape(n, k1, 1), _gather(band)[:, None, :]), band.blocks)
+    return mat
+
+
 @pytest.mark.parametrize("layout", ("C", "F", "K1"))
 @pytest.mark.parametrize("band", _column_bands())
 def test_apply_columns_matches_gathered_product(rng, band, layout):
-    # apply_columns multiplies the same operands as the gathered product, so it
-    # agrees bit for bit; the dense matrix sums aliases first, so it agrees to
-    # rounding
-    size = band.blocks.shape[0] * band.blocks.shape[1]
-    columns = {"C": lambda: rng.normal(size=(size, 8)),
-               "F": lambda: rng.normal(size=(8, size)).T,  # as ``_forcing`` passes it
-               "K1": lambda: rng.normal(size=(size, 1))}[layout]()
+    # the products multiply the same operands as the gathered products, so
+    # they agree bit for bit; the dense matrices sum aliases in different
+    # orders, so they agree to rounding
+    n, k1, _ = band.blocks.shape
+    columns = {"C": lambda: rng.normal(size=(n * k1, 8)),
+               "F": lambda: rng.normal(size=(8, n * k1)).T,  # as ``_forcing`` passes it
+               "K1": lambda: rng.normal(size=(n * k1, 1))}[layout]()
+    gather = _gather(band)
     got = band.apply_columns(columns)
-    gathered = (band.row_blocks @ columns[band.gather]).reshape(columns.shape)
+    gathered = (band.row_blocks @ columns[gather]).reshape(columns.shape)
     assert got.shape == columns.shape
     assert np.array_equal(got, gathered)
+    if layout == "K1":
+        values = columns.reshape(n, k1)
+        neighbours = values.ravel()[gather]
+        expected = (neighbours @ band.row_blocks[0].T if len(band.row_blocks) == 1
+                    else np.einsum("nij,nj->ni", band.row_blocks, neighbours))
+        assert np.array_equal(band.apply(values), expected)
+    oracle = _gathered_dense(band)
     dense = band.dense()
-    scale = np.max(np.abs(dense) @ np.abs(columns))
-    assert np.max(np.abs(got - dense @ columns)) <= 1e-15 * scale
+    assert np.max(np.abs(dense - oracle)) <= 1e-15 * np.max(np.abs(oracle))
+    scale = np.max(np.abs(oracle) @ np.abs(columns))
+    assert np.max(np.abs(got - oracle @ columns)) <= 1e-15 * scale
+
+
+def _traced_peak(product, operand):
+    """The tracemalloc peak, in bytes, of one call ``product(operand)``."""
+    import tracemalloc
+
+    product(operand)  # builds the cached row index
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        product(operand)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def test_apply_columns_makes_no_gathered_copy():
     # at N=64, k=5 the (N, W(k+1), K) gathered stack of an 11-offset map is
     # 270 KB; the product reads one wrap-padded ((N+W-1)(k+1), K) copy of 28 KB
-    import tracemalloc
-
     n, k, count = 64, 5, 8
     op = SpatialOperator(perturbed_mesh(n, 0, SubdivisionRule.RSV_ADAPTIVE, k,
                                         BoundaryCondition.PERIODIC, alpha=np.sin),
@@ -685,18 +727,23 @@ def test_apply_columns_makes_no_gathered_copy():
     band = op.increment_map(5, 0.01)
     assert len(band.offsets) == 11 and band.row_blocks.shape[0] == n
     columns = np.random.default_rng(3).normal(size=(n * (k + 1), count))
-    band.apply_columns(columns)  # builds the cached row index
     padded_bytes = (n + len(band.offsets) - 1) * (k + 1) * count * columns.itemsize
     gathered_bytes = n * band.blocks.shape[2] * count * columns.itemsize
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        band.apply_columns(columns)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     # the peak holds the padded copy and the (N(k+1), K) result
-    assert peak < 2 * padded_bytes < gathered_bytes / 4
+    assert _traced_peak(band.apply_columns, columns) < 2 * padded_bytes < gathered_bytes / 4
+    # one vector, through the per-element band and a one-row fused map
+    one_row = _squared(SpatialOperator(periodic_mesh(n, SubdivisionRule.LSV, k),
+                                       Problem(u0=np.sin)).increment_map(4, 0.02), 2)
+    assert _one_row(one_row) and len(one_row.offsets) == 17
+    values = np.random.default_rng(4).normal(size=(n, k + 1))
+    for vector_band in (band, one_row):
+        width = len(vector_band.offsets)
+        padded_bytes = (n + width - 1) * (k + 1) * values.itemsize
+        gathered_bytes = n * width * (k + 1) * values.itemsize
+        # the peak holds the padded copy, the (N, k+1) result and a few
+        # small buffers of the product
+        assert _traced_peak(vector_band.apply, values) < gathered_bytes / 2, width
+        assert 2 * (padded_bytes + values.nbytes) < gathered_bytes / 2
 
 
 def test_band_blocks_are_read_only():
