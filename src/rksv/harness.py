@@ -89,12 +89,16 @@ def _degenerate_u(x, t):
 def _degenerate_source(x, t):
     # g = u_t + (sin(x) u)_x for the manufactured u = exp(sin(x - t)), with
     # sin(x - t) and cos(x - t) by angle addition: a call with a time axis on t
-    # takes the trig of x once for all of its times
+    # takes the trig of x once for all of its times, into reused temporaries
     sx, cx = np.sin(x), np.cos(x)
     st, ct = np.sin(t), np.cos(t)
-    sxt = sx * ct - cx * st   # sin(x - t)
-    cxt = cx * ct + sx * st   # cos(x - t)
-    return np.exp(sxt) * (cx + (sx - 1.0) * cxt)
+    sxt, cxt, spare = sx * ct, cx * ct, cx * st
+    sxt -= spare                           # sin(x - t) = sx ct - cx st
+    cxt += np.multiply(sx, st, out=spare)  # cos(x - t) = cx ct + sx st
+    cxt *= sx - 1.0
+    cxt += cx
+    np.exp(sxt, out=sxt)
+    return np.multiply(sxt, cxt, out=sxt)  # exp(sin(x - t)) (cx + (sx - 1) cos(x - t))
 
 
 def _degenerate_sine() -> Problem:

@@ -13,42 +13,39 @@ row-sum norm <= 2^-60 (``_fused_steps``).
 A step with a source uses its samples at the s times t^n + i*tau,
 i = 0..s-1, and stage l of the Shu-Osher chain receives the combination
 G_l = sum_i C_s[l][i] G(t^n + i*tau), C_s[l][i] = sum_{q<=l} binom(l, q)
-(V^-1)[q][i] with V[i][q] = i^q / q!.  Stage l thereby sees the stage value
-of the autonomous system
-(u, p, tau p', ..., tau^{s-1} p^{(s-1)}), p the interpolant of the samples,
-so the step is the degree-s Taylor polynomial of that system and the scheme
-stays s-th order in time with a time-dependent source (Carpenter, Gottlieb,
-Abarbanel & Don, SIAM J. Sci. Comput. 16 (1995)).  Multiplied out, the
-source part of that polynomial is
+(V^-1)[q][i] with V[i][q] = i^q / q!.  Stage l thereby sees the stage value of
+the autonomous system (u, p, tau p', ..., tau^{s-1} p^{(s-1)}), p the
+interpolant of the samples, so the step is the degree-s Taylor polynomial of
+that system and the scheme stays s-th order in time with a time-dependent
+source (Carpenter, Gottlieb, Abarbanel & Don, SIAM J. Sci. Comput. 16
+(1995)).  Multiplied out, the source part of that polynomial is
 
     f^n = tau sum_r (tau L)^r E_r,  E_r = sum_{m<=s-1-r} D_m / (r+m+1)!,
 
 with D_m = tau^m p^{(m)}(t^n) the scaled derivatives of the interpolant, so
 E_r = sum_i W[r][i] G(t^n + i*tau) with exact weights W
-(``_forcing_weights``).  Every sourced step takes f from one stream,
-``_forcings``, which forms it for a block of consecutive steps at once: one
-source call for all their sample times, one small product per step for the
-E_r, and s-1 products with L by Horner's rule, each over the whole block.
-``integrate`` draws its full steps and its shortened last step from it, and
-``rk_step`` a stream of one step.
+(``_forcing_weights``).  A sourced step taken on its own, in ``integrate`` or
+``rk_step``, takes f from ``_forcings``, which forms it for a block of
+consecutive steps at once: one source call for all their sample times, one
+small product per step for the E_r, and s-1 products with L by Horner's
+rule, each over the whole block.
 
 A sourced run without a callback fuses its full steps too, in groups of m:
-u <- u + A_m u + W, W = sum_j (I + A)^{m-1-j} f^{n+j} the group's forced
-response (``_group_forcings``).  W comes from one chain over the source
-samples, S_t = (I + A) S_{t-1} + G_{n+t}, run for B groups at once as the
-columns of one stack, and two Horner sums of the chain's snapshots, so a
-fused step costs neither a forcing nor a product of A with one vector.  Over
-the ~1e5 steps of a run, the float64 rounding of a squared A_m would lower
-the k=5 Example 2 order from 5.91 to 5.63, so A_m is built by the same
-Horner and squaring in ``np.longdouble`` and applied as a float64 (hi, lo)
-pair (``_sourced_fusion``).  m is the largest power of two <= 64 whose band
-is narrower than the mesh with two or more groups in the run, and at least
-s-1; B is at most 8, fewer where the chain's products would pass
-``_BLOCK_FLOATS``.  Where ``np.longdouble`` is no wider than float64 the
-pair would lose its low part, so there sourced runs take m = 1: the
-per-step forcings of an unfused run, in the same loop.  The steps left over
-(n_full mod m) and a shortened last step take their forcing from
-``_forcings``.
+u <- u + A_m u + W, W = sum_j P^{m-1-j} f^{n+j} (P = I + A).  Over ~1e5
+steps a float64 A_m would lower the k=5 Example 2 order from 5.91 to 5.63,
+so A_m is squared in ``np.longdouble`` and applied as a float64 (hi, lo)
+pair.  Over a group's samples t^n + theta, 0 <= theta <= (m+s-2) tau, the
+source is a polynomial to rounding, sum_{q<=d} c_q y^q in
+y = 2 theta/(m tau) - 1, so W = sum_q M_q c_q: the moment maps
+M_q = sum_j P^{m-1-j} sum_i F_i y_{j+i}^q (F_i as in ``_forcing``) are the
+same for every group, and the ladder that squares A_m doubles them in
+float64 (``_sourced_fusion``), Van Loan's block-triangular augmentation
+(IEEE Trans. Autom. Control 23 (1978)) of the autonomous system above:
+
+    M_q(2m) = 2^-q [P_m sum_r C(q,r) (-1)^(q-r) M_r + sum_r C(q,r) M_r],
+
+from M_q(1) = sum_i F_i (2i-1)^q.  B groups cost (d+2)B source times for
+their fits (``_group_steps``) and d+1 products with B columns, whatever m is.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
-from math import factorial
+from math import comb, factorial
 from typing import NamedTuple
 
 import numpy as np
@@ -69,9 +66,12 @@ from .sv_space import BandedOperator, Problem, SpatialOperator, SvState, _requir
 __all__ = ["MAX_STAGES", "RkTableau", "ssp_tableau", "rk_step", "step_plan", "integrate"]
 
 BLOCK_STEPS = 32          # full steps whose source forcing is formed together
-_BLOCK_FLOATS = 1 << 17   # 1 MiB of float64: the bound on a block's source values or padded stack
+_BLOCK_FLOATS = 1 << 17   # 1 MiB of float64: the bound on a block's source values
 MAX_GROUP = 64            # full steps per fused sourced update at most
 MAX_BATCH = 8             # groups whose forced response is formed together at most
+FIT_DEGREE = 6            # the least degree of a group's source fit (and at least s-1)
+_FIT_TOLERANCE = 2.0 ** -48  # a group's fit residual, over |G| + |t G'|, that steps it
+_LONGDOUBLE_SQUARE = 16   # a np.longdouble band square costs ~16 W(k+1) applications of the band
 # the platform probe: an np.longdouble no wider than float64 cannot hold A_m's low part
 _LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
 
@@ -121,42 +121,41 @@ def _derivatives_from_samples(s: int) -> tuple[tuple[Fraction, ...], ...]:
     """V^-1 with V[i][q] = i^q / q!, exact.
 
     V maps the scaled derivatives tau^q p^{(q)}(t) of a degree-(s-1) polynomial
-    p to its samples p(t + i*tau), so V^-1 maps the samples to the derivatives.
+    p to its samples p(t + i*tau), so V^-1, whose column i is q! times the
+    coefficients of the Lagrange polynomial of node i, maps them back.
     """
-    # Gauss-Jordan on [V | I] in exact arithmetic; every leading block of V is a
-    # Vandermonde matrix on distinct nodes times a diagonal, so no pivoting
-    rows = [[Fraction(i ** q, factorial(q)) for q in range(s)] +
-            [Fraction(int(i == j)) for j in range(s)] for i in range(s)]
-    for col in range(s):
-        lead = rows[col][col]
-        rows[col] = [v / lead for v in rows[col]]
-        for r in range(s):
-            if r != col:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return tuple(tuple(row[s:]) for row in rows)
+    columns = []
+    for i in range(s):
+        coeffs = [Fraction(1)]
+        for j in (j for j in range(s) if j != i):  # times (x - j) / (i - j)
+            coeffs = [(a - j * b) / (i - j) for a, b in zip([0] + coeffs, coeffs + [0])]
+        columns.append([factorial(q) * c for q, c in enumerate(coeffs)])
+    return tuple(zip(*columns))
 
 
 @lru_cache(maxsize=None)
-def _forcing_weights(s: int) -> np.ndarray:
+def _forcing_weights(s: int, d: int | None = None) -> np.ndarray:
     """W[r][i] = sum_{m<=s-1-r} (V^-1)[m][i] / (r+m+1)!, summed exactly, then rounded.
 
     E_r = sum_i W[r][i] G(t + i*tau) is the coefficient of tau (tau L)^r in the
-    source part of the step.
+    source part of the step.  Given d, the columns are the exact
+    sum_i W[r][i] (2i-1)^q, q = 0..d, instead: those of M_q(1).
     """
     v_inv = _derivatives_from_samples(s)
-    weights = np.array([[float(sum(v_inv[m][i] / factorial(r + m + 1) for m in range(s - r)))
-                         for i in range(s)] for r in range(s)])
+    exact = [[sum(v_inv[m][i] / factorial(r + m + 1) for m in range(s - r)) for i in range(s)]
+             for r in range(s)]
+    if d is not None:
+        exact = [[sum(w * (2 * i - 1) ** q for i, w in enumerate(row)) for q in range(d + 1)]
+                 for row in exact]
+    weights = np.array(exact, dtype=float)
     weights.flags.writeable = False
     return weights
 
 
 def _block_steps(op: SpatialOperator) -> int:
-    """Steps per forcing block: ``BLOCK_STEPS``, fewer where the largest block
-    temporary, the source's values at the N(k+3) element points of each
-    step, would pass ``_BLOCK_FLOATS``."""
-    points = op.mesh.n_elements * (op.mesh.k + 3)
-    return max(1, min(BLOCK_STEPS, _BLOCK_FLOATS // points))
+    """Steps per forcing block: ``BLOCK_STEPS``, fewer where the source's values
+    at the N(k+3) element points of each step would pass ``_BLOCK_FLOATS``."""
+    return max(1, min(BLOCK_STEPS, _BLOCK_FLOATS // (op.mesh.n_elements * (op.mesh.k + 3))))
 
 
 def _forcing(op: SpatialOperator, s: int, tau: float, windows: np.ndarray) -> np.ndarray:
@@ -164,9 +163,8 @@ def _forcing(op: SpatialOperator, s: int, tau: float, windows: np.ndarray) -> np
 
     F_i = sum_r tau^(r+1) W[r][i] L^r, so a window of the source integrals
     G(t + i*tau), i = 0..s-1, gives the forcing of the step from t.
-    ``windows`` has shape (count, s, N(k+1)) and may be a strided view.  With
-    tau^(r+1) folded into row r of W, Horner's rule f = E'_0 + L(E'_1 + L(...))
-    needs s-1 products with L, each over all the windows.
+    ``windows`` has shape (count, s, N(k+1)) and may be a strided view; by
+    Horner's rule it takes s-1 products with L, each over all the windows.
     """
     weights = _forcing_weights(s) * tau ** np.arange(1, s + 1)[:, None]
     h = np.matmul(weights[s - 1], windows).T
@@ -176,21 +174,18 @@ def _forcing(op: SpatialOperator, s: int, tau: float, windows: np.ndarray) -> np
     return h
 
 
-def _forcings(op: SpatialOperator, s: int, t0: float, tau: float, n_steps: int,
-              first: int = 0, window: np.ndarray | None = None):
+def _forcings(op: SpatialOperator, s: int, t0: float, tau: float, n_steps: int, first: int = 0):
     """Yield the forcing f^n of each step n = first..first+n_steps-1 of length tau from t0.
 
     The steps are formed in blocks of up to ``_block_steps(op)``.  The block of
     steps j0..j0+count-1 needs G(t0 + j*tau), j = j0..j0+count+s-2.  The first
-    s-1 of them are the previous block's last (for the first block, the rows
-    of ``window`` if given), so every sample time is evaluated once, in one
-    source call per block; j is an integer, so a sample time does not drift
-    with the step count.
+    s-1 of them are the previous block's last, so every sample time is
+    evaluated once, in one source call per block; j is an integer, so a
+    sample time does not drift with the step count.
     """
     block = _block_steps(op)
     shape = op.L.blocks.shape[:2]
-    if window is None:
-        window = np.empty((0, shape[0] * shape[1]))
+    window = np.empty((0, shape[0] * shape[1]))
     for j0 in range(first, first + n_steps, block):
         count = min(block, first + n_steps - j0)
         keep = window[len(window) - (s - 1):]
@@ -205,10 +200,10 @@ def step_increment(values: np.ndarray, increment: BandedOperator,
                    forcing: np.ndarray | None = None) -> np.ndarray:
     """u^{n+1} - u^n = A u^n + f^n, assembled purely from O(tau) terms.
 
-    ``increment`` is A = P_s(tau L) - I for this step's tau, or P_s(tau L)^m - I
-    for m source-free steps at once, and ``forcing`` the step's source forcing
-    f^n (None without a source).  Keeping only the increment avoids swallowing
-    it in O(u)-sized additions, which matters for runs with ~1e5 steps.
+    ``increment`` is A = P_s(tau L) - I, or P_s(tau L)^m - I for m steps at
+    once, and ``forcing`` the source forcing f^n or a group's W (None without
+    a source).  Keeping only the increment avoids swallowing it in O(u)-sized
+    additions, which matters for runs with ~1e5 steps.
     """
     delta = increment.apply(values)
     if forcing is not None:
@@ -258,14 +253,11 @@ def _fused_steps(one: BandedOperator, n_full: int) -> tuple[int, BandedOperator]
     A_m = P_s(tau L)^m - I in a run of n_full source-free steps whose one-step
     map is ``one``, and that map.
 
-    m = 1 is doubled by squaring A_m (``BandedOperator.compose``, which drops
-    the outer blocks with a row-sum norm <= 2^-60 on every element) while
-    more than W(k+1) applications of the doubled map remain, W the offsets
-    of A_m (a product of two W-wide bands costs about W(k+1) applications),
-    and while the doubled band is narrower than the mesh, so that no column
-    aliases.  At tau = O(h^e), e > 1, tau ||L|| shrinks with h and the outer
-    blocks of A_m decay faster than geometrically, so W grows far slower
-    than m.
+    m = 1 is doubled by squaring A_m (``BandedOperator.compose``) while more
+    than W(k+1) applications of the doubled map remain, W the offsets of A_m
+    (a product of two W-wide bands costs about W(k+1) applications), and
+    while the doubled band is narrower than the mesh, so that no column
+    aliases.  At tau = O(h^e), e > 1, the trimmed W grows far slower than m.
     """
     n, k1, _ = one.blocks.shape
     m, band = 1, one
@@ -277,103 +269,101 @@ def _fused_steps(one: BandedOperator, n_full: int) -> tuple[int, BandedOperator]
     return m, band
 
 
-class _SplitMap(NamedTuple):
-    """An increment map applied as the float64 pair of ``BandedOperator.split``."""
+class _GroupMaps(NamedTuple):
+    """A_m as the float64 pair of ``BandedOperator.split``, and the moment maps M_q."""
 
     hi: BandedOperator
     lo: BandedOperator
+    moments: list[BandedOperator]
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self.hi.apply(values) + self.lo.apply(values)
 
-    def apply_columns(self, columns: np.ndarray) -> np.ndarray:
-        return self.hi.apply_columns(columns) + self.lo.apply_columns(columns)
+
+def _combination(bands: list[BandedOperator], weights: np.ndarray) -> BandedOperator:
+    """sum_r weights[r] bands[r], on the union of their (consecutive) offsets."""
+    low, k1 = min(band.offsets[0] for band in bands), bands[0]._grid.shape[1]
+    grid = np.zeros((max(len(band.row_blocks) for band in bands), k1,
+                     max(band.offsets[-1] for band in bands) - low + 1, k1))
+    for band, weight in zip(bands, weights):
+        grid[:, :, band.offsets[0] - low:band.offsets[-1] - low + 1] += weight * band._grid
+    return BandedOperator(np.broadcast_to(grid, (len(bands[0].blocks),) + grid.shape[1:]),
+                          low + np.arange(grid.shape[2]))
 
 
 def _sourced_fusion(op: SpatialOperator, s: int, tau: float, one: BandedOperator,
-                    n_full: int) -> tuple[int, BandedOperator | _SplitMap]:
-    """(m, A_m): the full steps per group of a sourced run of n_full steps whose
-    one-step map is ``one``, and A_m = P_s(tau L)^m - I as a ``_SplitMap``;
-    (1, one) where the run is not fused.
+                    n_full: int) -> tuple[int, BandedOperator | _GroupMaps]:
+    """(m, maps): the full steps per group of a sourced run of n_full steps whose
+    one-step map is ``one``, and the ``_GroupMaps``; (1, one) where not fused.
 
-    m is the largest power of two <= ``MAX_GROUP`` for which the band of A_m
-    stays narrower than the mesh and two or more groups fit in the full steps.
-    A_m is the Horner map ``increment_map`` squared by ``compose``, all in
-    ``np.longdouble``, then split into float64 (hi, lo).  Fusing needs
-    m >= s-1, so that a group shares samples with the next group only, and an
-    extended ``np.longdouble`` (``_LONGDOUBLE_EPS`` < 1e-18).
+    From A_1 (``increment_map`` in ``np.longdouble``) and M_q(1) (``polynomial``),
+    a level squares A_m (``compose``) and doubles each M_q by a float64
+    ``product`` with float64(A_m), in place from the top.  A level costs about
+    (16 + d + 1) W(k+1) applications of A_m, a group about 2(d+2), so m doubles
+    while the groups of 2m outnumber that ratio, 2m <= ``MAX_GROUP`` and the
+    squared band is narrower than the mesh.  Fusing needs an extended
+    ``np.longdouble``, and m >= the least power of two >= d+2 (where a group's
+    source times cost less than its steps') in a run that repays a level there.
     """
-    least = 1 << (max(2, s - 1) - 1).bit_length()  # the least power of two >= 2, s-1
-    if _LONGDOUBLE_EPS >= 1e-18 or n_full // least < 2:
+    d = max(FIT_DEGREE, s - 1)
+    least = 1 << (d + 1).bit_length()
+    # the groups that repay a level, per offset of the band it squares
+    rate = (_LONGDOUBLE_SQUARE + d + 1) * (op.mesh.k + 1) / (2 * d + 4)
+    if _LONGDOUBLE_EPS >= 1e-18 or n_full // least <= rate * len(one.offsets):
         return 1, one
     m, band = 1, op.increment_map(s, np.longdouble(tau))
-    while 2 * m <= MAX_GROUP and n_full // (2 * m) >= 2:
+    moments = [op.polynomial(tau * weights, tau) for weights in _forcing_weights(s, d).T]
+    # the halves of a doubled group: M_q(2m) = sum_r (P_m first[r][q] + second[r][q]) M_r(m)
+    second = np.array([[comb(q, r) * 2.0 ** -q for q in range(d + 1)] for r in range(d + 1)])
+    first = second * (-1.0) ** np.add.outer(np.arange(d + 1), np.arange(d + 1))
+    while 2 * m <= MAX_GROUP and n_full // (2 * m) > rate * len(band.offsets):
         doubled = band.compose(band)
         if len(doubled.offsets) >= op.mesh.n_elements:
             break
-        m, band = 2 * m, doubled
-    return (m, _SplitMap(*band.split())) if m >= least else (1, one)
+        hi, band, m = band.split()[0], doubled, 2 * m
+        for q in range(d, -1, -1):  # M_q(2m) reads only M_r(m), r <= q
+            moments[q] = hi.product(_combination(moments[:q + 1], first[:q + 1, q]),
+                                    _combination(moments[:q + 1], (first + second)[:q + 1, q]))
+    return (m, _GroupMaps(*band.split(), moments)) if m >= least else (1, one)
 
 
-def _group_forcings(op: SpatialOperator, s: int, t0: float, tau: float,
-                    one: BandedOperator, fused: _SplitMap, m: int, n_full: int):
-    """Yield the forcing W of each group of m steps of length tau from t0, then
-    the forcing of each of the n_full mod m steps left (``_forcings``).
+def _group_steps(op: SpatialOperator, s: int, t0: float, tau: float, one: BandedOperator,
+                 maps: _GroupMaps, m: int, n_full: int):
+    """Yield (map, full steps, forcing) for the n_full steps of length tau from
+    t0: the groups of m steps, then the n_full mod m steps left one at a time.
 
-    With P = I + A, A = ``one``, and G_j the source integrals at t0 + j*tau,
-    the group of steps n..n+m-1 adds W = sum_j P^{m-1-j} f^{n+j} to P^m u.
-    The chain S_{-1} = 0, S_t = P S_{t-1} + G_{n+t}, t = 0..m+s-2, gives
-    W = F - P^m V with F = sum_i F_i S_{m-1+i} and V = sum_{i>=1} F_i S_{i-1}
-    (F_i as in ``_forcing``, which forms F and V from the chain's snapshots).
-    B groups run the chain together as the columns of an (N(k+1), B) stack:
-    B is the most, up to ``MAX_BATCH``, that keep the wrap-padded
-    ((N+W-1)(k+1), B) copy that a product with A reads within
-    ``_BLOCK_FLOATS``.  The samples of chain steps s-1..m-1 are fetched about
-    ``_block_steps(op)`` at a time, in whole chain steps.  A group's first s-1
-    samples, fetched together for the B groups, are also the previous group's
-    last, and the next group's are carried over, so every sample time
-    t0 + j*tau is evaluated once.
+    Up to ``MAX_BATCH`` groups share one source call at their first step time
+    t^n and at t^n + z_p tau, z_p the d+1 Chebyshev nodes of their m+s-2 steps.
+    The fit c = V^-1 G (V[p][q] = y_p^q) is of the samples less the first, so
+    its rounding scales with their spread.  A group whose fit misses the first
+    by more than ``_FIT_TOLERANCE`` (|G| + |t G'|), the samples' own rounding
+    over eps, takes its m steps one at a time.
     """
-    shape = op.L.blocks.shape[:2]
-    size = shape[0] * shape[1]
+    span, q = m + s - 2, np.arange(len(maps.moments))
+    z = span / 2 * (1.0 - np.cos(np.pi * (2 * q + 1) / (2 * len(q))))
+    v = (2 * z.astype(np.longdouble) / m - 1)[:, None] ** q
+    inverse = np.linalg.inv(v.astype(np.float64))
+    for _ in range(2):  # Newton steps X <- X + X (I - V X), the residual in np.longdouble
+        inverse = (inverse + inverse @ (np.eye(len(v)) - v @ inverse)).astype(np.float64)
+    at_first = (-1.0) ** q @ inverse  # the fit at y = -1, per sample
     groups, single = divmod(n_full, m)
-    padded = (shape[0] + len(one.offsets) - 1) * shape[1]
-    batch = max(1, min(MAX_BATCH, _BLOCK_FLOATS // padded))
-    chunk = max(1, _block_steps(op) // batch)
-
-    def samples(j):  # (N(k+1), *j.shape), without a source call for no times
-        if j.size == 0:
-            return np.empty((size,) + j.shape)
-        return op.source_integrals(t0 + j.ravel() * tau).reshape((size,) + j.shape)
-
-    lead = np.arange(s - 1)[:, None]  # a group's first s-1 steps
-    carry = samples(lead)  # (N(k+1), s-1, 1): the first s-1 samples of the next group
-    for g0 in range(0, groups, batch):
-        b = min(batch, groups - g0)
-        first = m * (g0 + np.arange(b + 1))  # the first step of each group, and of the next
-        head = np.concatenate([carry, samples(first[1:] + lead)], axis=2)
-        chain_s = np.zeros((size, b))
-        # the windows of V ([0, S_0..S_{s-2}]) and of F ([S_{m-1}..S_{m+s-2}]), side by side
-        snaps = np.zeros((s, size, 2 * b))
-        for t in range(m + s - 1):
-            if t < s - 1:
-                g = head[:, t, :b]
-            elif t < m:
-                if (t - s + 1) % chunk == 0:
-                    block = samples(first[:b] + np.arange(t, min(t + chunk, m))[:, None])
-                g = block[:, (t - s + 1) % chunk]
-            else:  # the next group's head
-                g = head[:, t - m, 1:]
-            chain_s = chain_s + one.apply_columns(chain_s) + g
-            if t < s - 1:
-                snaps[t + 1, :, :b] = chain_s
-            if t >= m - 1:
-                snaps[t - m + 1, :, b:] = chain_s
-        h = _forcing(op, s, tau, snaps.transpose(2, 0, 1))
-        v, f = h[:, :b], h[:, b:]
-        yield from (f - v - fused.apply_columns(v)).T.reshape((b,) + shape)
-        carry = head[:, :, b:]
-    yield from _forcings(op, s, t0, tau, single, groups * m, carry[:, :, 0].T)
+    for g0 in range(0, groups, MAX_BATCH):
+        starts = m * np.arange(g0, min(g0 + MAX_BATCH, groups))
+        g = op.source_integrals(t0 + (starts + np.concatenate([[0.0], z])[:, None]) * tau)
+        spread = g[:, :, 1:] - g[:, :, :1]  # (N, k+1, d+1, B)
+        c = np.tensordot(inverse, spread, axes=(1, 2))
+        c[0] += g[:, :, 0]
+        miss = np.abs(np.tensordot(at_first, spread, axes=(0, 2))).max(axis=(0, 1))
+        scale = (np.abs(g[:, :, 0]).max(axis=(0, 1)) +
+                 np.abs(spread).max(axis=(0, 1, 2)) * np.abs(t0 + starts * tau) / (span * tau))
+        fits = miss <= _FIT_TOLERANCE * scale
+        w = sum(mq.apply_columns(cq.reshape(-1, len(starts))) for mq, cq in zip(maps.moments, c))
+        for start, forcing, fit in zip(starts, w.T.reshape((-1,) + op.L.blocks.shape[:2]), fits):
+            if fit:
+                yield maps, m, forcing
+            else:
+                yield from zip(repeat(one), repeat(1), _forcings(op, s, t0, tau, m, start))
+    yield from zip(repeat(one), repeat(1), _forcings(op, s, t0, tau, single, groups * m))
 
 
 def integrate(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
@@ -388,16 +378,10 @@ def integrate(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
     a forcing with a source, and one compensated update.  A run without
     ``on_step`` takes its full steps in groups of m through
     A_m = P_s(tau L)^m - I and the rest one at a time through
-    A = P_s(tau L) - I; a shortened last step has its own A.  Without a
-    source, A_m is A squared in float64 (``_fused_steps``).  With one, A_m is
-    squared in ``np.longdouble`` and applied as a float64 (hi, lo) pair, and
-    a group adds its forced response W (``_sourced_fusion``,
-    ``_group_forcings``): m is the largest power of two <= ``MAX_GROUP``
-    whose band stays narrower than the mesh with two or more groups in the
-    run, at least s-1, else 1 (also where ``np.longdouble`` is no wider than
-    float64).  The forcings come from one stream: the groups' W and the
-    per-step ``_forcings`` of the steps left from state.t, then ``_forcings``
-    over the shortened step from state.t + n_full*tau.
+    A = P_s(tau L) - I; a shortened last step has its own A.  A_m is A
+    squared in float64 without a source (``_fused_steps``), else in
+    ``np.longdouble`` next to the moment maps (``_sourced_fusion``), and a
+    group adds W = sum_q M_q c_q (``_group_steps``).
     """
     _require_finite(tau=tau, t_final=t_final)
     if tau <= 0:
@@ -412,24 +396,21 @@ def integrate(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
     comp = np.zeros_like(values)
     s = tableau.s
     one = op.increment_map(s, tau) if n_full else None
-    m, group = 1, one
-    if on_step is None and n_full >= 2:
-        if problem.source is None:
-            m, group = _fused_steps(one, n_full)
-        else:
-            m, group = _sourced_fusion(op, s, tau, one, n_full)
-    groups, single = divmod(n_full, m)
-    # (map, full steps it takes): the groups of m, the rest one at a time, then
-    # the shortened last step as (map, 0)
-    shortened = [(op.increment_map(s, last), 0)] if last > 0.0 else []
-    forcings = repeat(None)
-    if problem.source is not None:
-        full = (_forcings(op, s, state.t, tau, n_full) if m == 1 else
-                _group_forcings(op, s, state.t, tau, one, group, m, n_full))
-        forcings = chain(full, _forcings(op, s, state.t + n_full * tau, last, len(shortened)))
+    fuse = on_step is None and n_full >= 2
+    # (map, full steps it takes, forcing) for every application
+    if problem.source is None:
+        m, group = _fused_steps(one, n_full) if fuse else (1, one)
+        plan = chain(repeat((group, m, None), n_full // m), repeat((one, 1, None), n_full % m))
+    else:
+        m, group = _sourced_fusion(op, s, tau, one, n_full) if fuse else (1, one)
+        plan = (_group_steps(op, s, state.t, tau, one, group, m, n_full) if m > 1 else
+                zip(repeat(one), repeat(1), _forcings(op, s, state.t, tau, n_full)))
+    if last > 0.0:  # the shortened last step, whose map is built before the first step
+        forcing = (repeat(None) if problem.source is None else
+                   _forcings(op, s, state.t + n_full * tau, last, 1))
+        plan = chain(plan, zip(repeat(op.increment_map(s, last), 1), repeat(0), forcing))
     step = 0  # full steps taken
-    for (increment, steps), f in zip(chain(repeat((group, m), groups),
-                                           repeat((one, 1), single), shortened), forcings):
+    for increment, steps, f in plan:
         delta = step_increment(values, increment, f)
         y = delta + comp
         new_values = values + y

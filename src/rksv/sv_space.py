@@ -188,29 +188,34 @@ def _require_finite(**values: float) -> None:
         raise ValueError(f"{' and '.join(values)} must be finite, got {got}")
 
 
-def _band_product(x: np.ndarray, x_offsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The blocks of XY from X's blocks x (R, k+1, len(x_offsets), k+1) and Y's rows
-    (R', k+1, W(k+1)), from offset x_offsets[0] + (Y's first offset) on.
+def _band_product(x: np.ndarray, x_offsets: np.ndarray, y: np.ndarray,
+                  first: int = 0, last: int | None = None) -> np.ndarray:
+    """The blocks of XY at the offsets first..last-1 (by default all), counted
+    from x_offsets[0] + (Y's first offset), from X's blocks x (R, k+1, Wx, k+1)
+    and Y's blocks y (R', k+1, Wy, k+1), in the wider of the two dtypes.
 
     R and R' are 1 (one row that every element shares) or N; the product has
     max(R, R') rows, so a product of one-row bands is one element's matmuls.
-    The product is formed in the wider of the two dtypes.
     """
-    n = max(len(x), len(rows))
+    n = max(len(x), len(y))
     x = np.broadcast_to(x, (n,) + x.shape[1:])
-    rows = np.broadcast_to(rows, (n,) + rows.shape[1:])
-    _, k1, wk = rows.shape
-    width = wk // k1
-    dtype = np.result_type(x, rows)
-    q = np.zeros((n, k1, len(x_offsets) + width - 1, k1), dtype)
-    product = np.empty(rows.shape, dtype)
+    y = np.broadcast_to(y, (n,) + y.shape[1:])
+    _, k1, width, _ = y.shape
+    last = len(x_offsets) + width - 1 if last is None else last
+    q = np.zeros((n, k1, last - first, k1), np.result_type(x, y))
+    product = np.empty((n, k1, width * k1), q.dtype)
     for j, o in enumerate(x_offsets):
+        lo, hi = max(first - j, 0), min(last - j, width)  # Y's blocks that land in the span
+        if lo >= hi:
+            continue
+        rows, out = y[:, :, lo:hi].reshape(n, k1, -1), product[:, :, :(hi - lo) * k1]
         # block o of X acts on element (i + o) mod N: Y's rows are shifted by
         # two slices, so no shifted copy of the band is made
         m = n - o % n
-        np.matmul(x[:m, :, j], rows[n - m:], out=product[:m])
-        np.matmul(x[m:, :, j], rows[:n - m], out=product[m:])
-        q[:, :, j:j + width] += product.reshape(n, k1, width, k1)
+        np.matmul(x[:m, :, j], rows[n - m:], out=out[:m])
+        if m < n:
+            np.matmul(x[m:, :, j], rows[:n - m], out=out[m:])
+        q[:, :, j + lo - first:j + hi - first] += out.reshape(n, k1, hi - lo, k1)
     return q
 
 
@@ -220,10 +225,11 @@ class BandedOperator:
     Row block i is sum_o B[i, o] v_{(i+o) mod N} over the explicit ``offsets``,
     not symmetric in general: only the span from the first to the last offset
     whose block's row-sum norm exceeds ``negligible`` (0: is nonzero) on some
-    element is kept (a NaN block counts), and always 0.  The blocks are stored
-    in ``row_blocks`` as one (k+1, len(offsets)(k+1)) row when every element's
-    row is bit-identical (a uniform mesh with a constant coefficient), else as
-    one row per element; ``blocks`` is the read-only (N, ...) view of either.
+    element is kept (a NaN block counts), and always 0 (``norms``: their
+    row-sum norms, maximised over the elements).  ``row_blocks`` holds one
+    (k+1, len(offsets)(k+1)) row when every element's row is bit-identical (a
+    uniform mesh with a constant coefficient), else one row per element;
+    ``_grid`` is it as (R, k+1, len(offsets), k+1), ``blocks`` its (N, ...) view.
     Every product reads each element's neighbours as its window of one
     wrap-padded copy of the values (``_padded_rows``).  Offsets are taken mod
     N only by that index, so when the span is wider than the mesh an element
@@ -239,41 +245,49 @@ class BandedOperator:
         norms = np.array([np.abs(blocks[:, :, j]).sum(axis=2).max() for j in range(len(offsets))])
         live = np.flatnonzero(~(norms <= negligible) | (offsets == 0))
         span = slice(live[0], live[-1] + 1)
-        self.offsets = offsets[span]
+        self.offsets, self.norms = offsets[span], norms[span]
         width = len(self.offsets)
-        self.row_blocks = _read_only(
-            np.ascontiguousarray(blocks[:, :, span]).reshape(-1, k1, width * k1))
+        self._grid = _read_only(np.ascontiguousarray(blocks[:, :, span]))
+        self.row_blocks = self._grid.reshape(-1, k1, width * k1)
         self.blocks = np.broadcast_to(self.row_blocks, (n, k1, width * k1))
 
     def split(self) -> tuple[BandedOperator, BandedOperator]:
         """(hi, lo): float64 maps, hi = float64(B) on this map's offsets and
         lo = float64(B - hi), whose sum holds an extended-precision B to about
         2^-106 of its size (exactly for x87's 64-bit-significand long double)."""
-        n, k1, wk = self.blocks.shape
-        hi = self.row_blocks.astype(np.float64)
-        lo = (self.row_blocks - hi).astype(np.float64)
-        return tuple(BandedOperator(np.broadcast_to(b.reshape(len(b), k1, -1, k1),
-                                                    (n, k1, wk // k1, k1)), self.offsets)
-                     for b in (hi, lo))
+        hi = self._grid.astype(np.float64)
+        shape = (len(self.blocks),) + hi.shape[1:]
+        return tuple(BandedOperator(np.broadcast_to(b, shape), self.offsets)
+                     for b in (hi, (self._grid - hi).astype(np.float64)))
 
-    def compose(self, other: BandedOperator) -> BandedOperator:
-        """X + Y + XY, X this map and Y ``other``: the increment map of (I + X)(I + Y).
+    def product(self, other: BandedOperator, *plus: BandedOperator) -> BandedOperator:
+        """XY + the maps in ``plus`` (within XY's offsets), X this map and Y ``other``.
 
-        The identity never enters, so every term stays the size of an
-        increment.  The outer blocks with a row-sum norm <= ``NEGLIGIBLE`` on
-        every element are dropped; each would add at most 2^-60 max|u| to an
+        Only the span of the offsets o whose bound sum_{a+b=o} |X_a| |Y_b| +
+        sum |Z_o| (``norms``) exceeds ``NEGLIGIBLE`` (or is NaN), and 0, is
+        formed; of it the outer blocks with a row-sum norm <= ``NEGLIGIBLE`` on
+        every element are dropped, each adding at most 2^-60 max|u| to an
         increment.  Offsets stay integers, as in ``SpatialOperator.polynomial``.
         """
-        n, k1, _ = self.blocks.shape
-        wx, wy = len(self.offsets), len(other.offsets)
-        x = self.row_blocks.reshape(-1, k1, wx, k1)
-        q = _band_product(x, self.offsets, other.row_blocks)
-        # q starts at the sum of the two first offsets, each <= 0
-        x0, y0 = -other.offsets[0], -self.offsets[0]
-        q[:, :, x0:x0 + wx] += x
-        q[:, :, y0:y0 + wy] += other.row_blocks.reshape(-1, k1, wy, k1)
-        return BandedOperator(np.broadcast_to(q, (n,) + q.shape[1:]),
-                              np.arange(q.shape[2]) - x0 - y0, negligible=NEGLIGIBLE)
+        low = self.offsets[0] + other.offsets[0]
+        bound = np.convolve(self.norms, other.norms)
+        for z in plus:
+            bound[z.offsets - low] += z.norms
+        # (1 - 1e-12) covers the rounding of the bound against the formed blocks'
+        live = np.flatnonzero(~(bound <= NEGLIGIBLE * (1.0 - 1e-12)))
+        first, last = live.min(initial=-low), live.max(initial=-low) + 1
+        q = _band_product(self._grid, self.offsets, other._grid, first, last)
+        for z in plus:  # offsets are consecutive: z's block j lands at z.offsets[0] - low + j
+            at = z.offsets[0] - low - first
+            lo, hi = max(-at, 0), min(last - first - at, len(z.offsets))
+            q[:, :, at + lo:at + hi] += z._grid[:, :, lo:hi]
+        return BandedOperator(np.broadcast_to(q, (len(self.blocks),) + q.shape[1:]),
+                              low + first + np.arange(last - first), negligible=NEGLIGIBLE)
+
+    def compose(self, other: BandedOperator) -> BandedOperator:
+        """X + Y + XY (``product``), X this map and Y ``other``: the increment map
+        of (I + X)(I + Y), in which every term stays the size of an increment."""
+        return self.product(other, self, other)
 
     @cached_property
     def _padded_rows(self) -> np.ndarray:
@@ -380,14 +394,14 @@ class SpatialOperator:
         """
         n, k1 = self.mesh.n_elements, self.mesh.k + 1
         l_offsets = self.L.offsets
-        tau_l = tau * self.L.row_blocks.reshape(-1, k1, len(l_offsets), k1)
+        tau_l = tau * self.L._grid
         eye = np.eye(k1)
         # one row until a per-element L enters
         p = np.zeros((1, k1, 1, k1), np.result_type(tau_l, *coeffs))
         p[:, :, 0] = coeffs[-1] * eye
         low = 0  # the lowest offset of p
         for c in coeffs[-2::-1]:
-            p = _band_product(tau_l, l_offsets, p.reshape(len(p), k1, -1))
+            p = _band_product(tau_l, l_offsets, p)
             low += l_offsets[0]
             p[:, :, -low] += c * eye
         return BandedOperator(np.broadcast_to(p, (n,) + p.shape[1:]), low + np.arange(p.shape[2]))

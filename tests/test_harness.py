@@ -39,6 +39,20 @@ def test_example_two_defaults_to_unit_exponent():
     assert resolve_cfl_exponent(cfg) == 1
 
 
+def test_degenerate_source_matches_its_formula(rng):
+    # the in-place evaluation against the plain formula g = exp(sin(x - t))
+    # (cos x + (sin x - 1) cos(x - t)) by angle addition, bit for bit, on the
+    # (N, k+3, 1) points and 1-D times the solver passes
+    x = rng.uniform(0.0, 2.0 * np.pi, (64, 8, 1))
+    t = rng.uniform(0.0, 0.1, 56)
+    sx, cx, st, ct = np.sin(x), np.cos(x), np.sin(t), np.cos(t)
+    formula = np.exp(sx * ct - cx * st) * (cx + (sx - 1.0) * (cx * ct + sx * st))
+    got = problem_definition(2).make().source(x, t)
+    assert got.shape == (64, 8, 56) and np.array_equal(got, formula)
+    exact = np.exp(np.sin(x - t)) * (cx + (sx - 1.0) * np.cos(x - t))
+    assert np.max(np.abs(got - exact)) < 1e-14
+
+
 def test_time_step_uses_min_cv_width():
     cfg = _cfg(s=4)
     mesh = build_mesh(cfg, 8)

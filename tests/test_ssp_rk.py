@@ -282,61 +282,69 @@ def test_source_integrals_exact_to_degree_k_plus_2(rng, k):
 
 @pytest.mark.parametrize("s", (1, 3, 5))
 def test_source_sampled_s_times_per_step_on_element_rule(s):
-    # every step uses the source at its s times t + i*tau, but s-1 of them are
-    # the previous step's: across all calls integrate evaluates each sample time
-    # t0 + j*tau once, bit-exactly, on the N(k+3) element points, also across
-    # the boundaries of its forcing blocks and of its fused groups (s = 1, 3;
-    # s = 5 steps one at a time, since its A_2 would be as wide as the mesh)
-    k, n = 3, 8
-    steps = 2 * BLOCK_STEPS + 5
+    # every source call is on the N(k+3) element points.  A step taken on its
+    # own uses the source at its s times t + i*tau, s-1 of them the previous
+    # step's: across all calls integrate evaluates each sample time t0 + j*tau
+    # of those steps once, bit-exactly, also across forcing blocks.  A fused
+    # group of m steps from t0 + n*tau samples that first step time and its
+    # d+1 fit nodes, strictly inside its span up to t0 + (n+m+s-2)*tau, in
+    # one call per MAX_BATCH groups before the steps left over
+    k, n = 3, 16
+    steps = 1205
     mesh = periodic_mesh(n, SubdivisionRule.LSV, k)
-    shapes, times = [], []
+    shapes, calls = [], []
 
     def g(x, t):
         shapes.append(x.shape[:2])
-        times.extend(np.atleast_1d(t).tolist())
+        calls.append(np.atleast_1d(t).tolist())
         return np.cos(x - t)
 
     problem = Problem(u0=np.sin, source=g)
     state = project_initial(problem, mesh, k)
     state.t = 0.375
-    tau = 2.0 ** -7
+    tau = 2.0 ** -10
     op = SpatialOperator(mesh, problem)
-    m, _ = _sourced_fusion(op, s, tau, op.increment_map(s, tau), steps)
-    assert m == {1: 4, 3: 2, 5: 1}[s]
+    m, maps = _sourced_fusion(op, s, tau, op.increment_map(s, tau), steps)
+    assert m == 16
+    groups = steps // m
+    t_end = state.t + steps * tau
     full = [state.t + j * tau for j in range(steps + s - 1)]
-    integrate(state, problem, ssp_tableau(s), tau, state.t + steps * tau)
+
+    # with a callback every step is taken on its own: one call per block
+    integrate(state, problem, ssp_tableau(s), tau, t_end, on_step=lambda st: None)
+    assert set(shapes) == {(n, k + 3)} and len(calls) == -(-steps // BLOCK_STEPS)
+    assert sorted(sum(calls, [])) == full
+
+    shapes.clear()
+    calls.clear()
+    integrate(state, problem, ssp_tableau(s), tau, t_end)
     assert set(shapes) == {(n, k + 3)}
-    groups, single = divmod(steps, m)
-    if m == 1:  # one call per block on this small mesh
-        calls = -(-steps // BLOCK_STEPS)
-    else:
-        # one call for the first group's first s-1 samples; per super-block of
-        # MAX_BATCH groups, one for the next groups' first s-1 and one per chunk
-        # of chain steps s-1..m-1 (BLOCK_STEPS // MAX_BATCH of them on this
-        # small mesh); then one per block of the steps left
-        chunk = BLOCK_STEPS // MAX_BATCH
-        calls = ((s > 1) + -(-groups // MAX_BATCH) * ((s > 1) + -(-(m - s + 1) // chunk))
-                 + -(-single // BLOCK_STEPS))
-    assert len(shapes) == calls
-    assert sorted(times) == full
+    batches = -(-groups // MAX_BATCH)
+    starts = []
+    for times in calls[:batches]:
+        times = np.reshape(times, (len(maps.moments) + 1, -1))  # a column per group
+        starts += times[0].tolist()
+        for first, nodes in zip(times[0], times[1:].T):
+            assert len(set(nodes)) == len(maps.moments)
+            assert np.all((nodes > first) & (nodes < first + (m + s - 2) * tau))
+    assert starts == [state.t + j * m * tau for j in range(groups)]
+    assert sorted(sum(calls[batches:], [])) == full[groups * m:]
+    fused = calls[:]
 
     # a shortened last step samples all s afresh at t + i*dt, after the full steps
     shapes.clear()
-    times.clear()
+    calls.clear()
     dt = 0.75 * tau
-    integrate(state, problem, ssp_tableau(s), tau, state.t + steps * tau + dt)
-    t_last = state.t + steps * tau
+    integrate(state, problem, ssp_tableau(s), tau, t_end + dt)
     assert set(shapes) == {(n, k + 3)}
-    assert sorted(times[:len(full)]) == full
-    assert times[len(full):] == [t_last + i * dt for i in range(s)]
+    assert calls[:-1] == fused and calls[-1] == [t_end + i * dt for i in range(s)]
 
     # a run shorter than one step is that shortened step alone: one call
     shapes.clear()
-    times.clear()
+    calls.clear()
     integrate(state, problem, ssp_tableau(s), tau, state.t + dt)
     assert shapes == [(n, k + 3)]
-    assert times == [state.t + i * dt for i in range(s)]
+    assert calls == [[state.t + i * dt for i in range(s)]]
 
 
 @pytest.mark.parametrize("shortened", (False, True))
@@ -631,7 +639,7 @@ def test_sourced_run_without_extended_longdouble_steps_one_at_a_time(monkeypatch
     # no extended build, and the stepwise arithmetic bit for bit
     mesh, problem = _forcing_cases()[0]
     op = SpatialOperator(mesh, problem)
-    s, steps = 3, 150
+    s, steps = 3, 1500
     tau = 2.0 ** np.floor(np.log2(1e-3 / np.max(np.abs(np.linalg.eigvals(op.L.dense())))))
     assert _sourced_fusion(op, s, tau, op.increment_map(s, tau), steps)[0] > 1
     monkeypatch.setattr(ssp_rk, "_LONGDOUBLE_EPS", float(np.finfo(np.float64).eps))
@@ -710,3 +718,86 @@ def test_fused_sourced_integrate_matches_stage_chain(s):
         expected = stage_chain_step(expected, tableau, t_last, t_final - t_last, op)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(got - expected)) <= 1e-13 * scale, mesh.bc
+
+
+def chain_forced_response(op, s, t, tau, m):
+    """Oracle: the forced response sum_j P^{m-1-j} f^{n+j} of m steps from t
+    (P = I + A), by a chain through the m+s-1 samples that shares nothing
+    with the moment maps: S_{-1} = 0, S_j = P S_{j-1} + G(t + j*tau), and
+    W = F - P^m V, F = sum_i F_i S_{m-1+i}, V = sum_{i>=1} F_i S_{i-1}."""
+    one = op.increment_map(s, tau)
+    samples = op.source_integrals(t + np.arange(m + s - 1) * tau)
+    chain = np.zeros(samples.shape[:2])
+    snaps = [chain]
+    for j in range(m + s - 1):
+        chain = chain + one.apply(chain) + samples[:, :, j]
+        snaps.append(chain)
+    windows = np.stack([np.stack(snaps[m:m + s]), np.stack(snaps[:s])]).reshape(2, s, -1)
+    f, v = ssp_rk._forcing(op, s, tau, windows).T.reshape((2,) + chain.shape)
+    for _ in range(m):
+        v = v + one.apply(v)
+    return f - v
+
+
+@pytest.mark.parametrize("s", (1, 2, 3, 5, 8, 12))
+def test_moment_forced_response_matches_chain(s):
+    # every fused group's W = sum_q M_q c_q, over two batches of groups,
+    # against the chain through its samples
+    for mesh, problem in _forcing_cases():
+        op = SpatialOperator(mesh, problem)
+        tau = 2.0 ** np.floor(np.log2(1e-3 / np.max(np.abs(np.linalg.eigvals(op.L.dense())))))
+        one = op.increment_map(s, tau)
+        m, maps = _sourced_fusion(op, s, tau, one, 10 ** 6)
+        assert m >= 16 and len(maps.moments) >= s
+        t0 = 0.3
+        plan = list(ssp_rk._group_steps(op, s, t0, tau, one, maps, m, (MAX_BATCH + 1) * m))
+        assert [steps for _, steps, _ in plan] == [m] * (MAX_BATCH + 1)
+        for g, (_, _, w) in enumerate(plan):
+            expected = chain_forced_response(op, s, t0 + g * m * tau, tau, m)
+            assert np.max(np.abs(w - expected)) <= 1e-14 * np.max(np.abs(expected)), (mesh.bc, g)
+
+
+def test_fit_check_steps_the_groups_of_a_fast_source():
+    # cos(x - 300 t) turns by ~0.3 rad over a group's span, which the fit
+    # cannot follow to rounding: every group's check fires and its steps are
+    # taken one at a time, and the run still matches the stage chain
+    mesh, _ = _forcing_cases()[0]
+    problem = Problem(u0=lambda x: np.exp(np.sin(x)), alpha=np.sin,
+                      source=lambda x, t: np.cos(x - 300.0 * t))
+    op = SpatialOperator(mesh, problem)
+    s, steps = 3, 1500
+    tau = 2.0 ** np.floor(np.log2(1e-3 / np.max(np.abs(np.linalg.eigvals(op.L.dense())))))
+    one = op.increment_map(s, tau)
+    m, maps = _sourced_fusion(op, s, tau, one, steps)
+    assert m > 1
+    plan = list(ssp_rk._group_steps(op, s, 0.0, tau, one, maps, m, steps))
+    assert len(plan) == steps and all(n == 1 for _, n, _ in plan)
+    tableau = ssp_tableau(s)
+    state = project_initial(problem, mesh, mesh.k)
+    got = integrate(state, problem, tableau, tau, steps * tau).values
+    expected = state.values
+    for step in range(steps):
+        expected = stage_chain_step(expected, tableau, step * tau, tau, op)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("s", (1, 3, 5, 8, 12))
+def test_fused_run_exact_for_polynomial_source(s):
+    # a source of degree s-1 in t (so d >= s-1): the groups' fits reproduce
+    # it, and for a constant state (L u = 0) the fused run adds its exact
+    # integral, as a single step does
+    mesh = periodic_mesh(24, SubdivisionRule.LSV, 2)
+    poly = np.polynomial.Polynomial([(-1.0) ** m * (m + 1) / factorial(m) for m in range(s)])
+    problem = Problem(u0=lambda x: 0.7 * np.ones_like(x),
+                      source=lambda x, t: poly(t) * np.ones_like(x))
+    state = project_initial(problem, mesh, 2)
+    state.t = 0.3
+    tau, steps = 2.0 ** -12, 2003
+    op = SpatialOperator(mesh, problem)
+    m, maps = _sourced_fusion(op, s, tau, op.increment_map(s, tau), steps)
+    assert m >= 16 and len(maps.moments) >= s
+    t_final = state.t + steps * tau
+    got = integrate(state, problem, ssp_tableau(s), tau, t_final)
+    anti = poly.integ()
+    expected = state.values + (anti(t_final) - anti(state.t)) * mesh.cv_widths
+    assert np.max(np.abs(got.values - expected)) < 1e-13
