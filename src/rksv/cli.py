@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 check-suite failure
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -98,9 +99,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _require_writable(path) -> None:
-    """Raise OSError before any work if ``path`` cannot be opened for writing."""
+    """Raise OSError before any work if ``path`` cannot be opened for writing; a
+    file that the probe creates is removed at once, one that was there is kept."""
     if path:
-        open(path, "a", encoding="utf-8").close()
+        try:
+            open(path, "x", encoding="utf-8").close()
+            os.remove(path)
+        except FileExistsError:
+            open(path, "a", encoding="utf-8").close()
 
 
 def _cmd_solve(args) -> int:

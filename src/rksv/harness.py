@@ -173,9 +173,9 @@ class ExperimentConfig:
             except (ValueError, ZeroDivisionError):
                 raise _FieldError("cfl_exp", f"cfl_exponent must be a number or a fraction "
                                   f"p/q with q != 0, got {self.cfl_exponent!r}") from None
-            if exponent <= 0:
-                raise _FieldError("cfl_exp", f"cfl_exponent must be positive "
-                                  f"(tau = cfl * h^e), got {exponent}")
+            if not 0 < exponent <= np.finfo(float).max:  # time_step takes h^e in floats
+                raise _FieldError("cfl_exp", f"cfl_exponent must be positive and fit in a "
+                                  f"float (tau = cfl * h^e), got {self.cfl_exponent}")
             object.__setattr__(self, "cfl_exponent", exponent)
         definition = problem_definition(self.example)
         allowed = definition.allowed_schemes

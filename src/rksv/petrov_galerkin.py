@@ -49,7 +49,7 @@ def map_to_test(coeffs: np.ndarray, mesh: Mesh1D) -> np.ndarray:
     A_{i,j} w_x(x_{i,j}).
     """
     vals = _node_values(coeffs, mesh)
-    derivs = _node_values(coeffs @ derivative_matrix(mesh.k).T, mesh) * (2 / mesh.lengths)[:, None]
+    derivs = _node_values(derivative_coeffs(coeffs, mesh), mesh) * (2 / mesh.lengths)[:, None]
     a = node_weights(mesh)
     star = np.empty((mesh.n_elements, mesh.k + 1))
     star[:, 0] = vals[:, 0] + a[:, 0] * derivs[:, 0]

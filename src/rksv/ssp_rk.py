@@ -8,7 +8,7 @@ length and once for a shortened last step; the forcing f^n depends only on
 the source, not on u.  Without a source every step is the same map, so a long
 run without a per-step callback applies m steps at once as u <- u + A_m u,
 A_m = P_s(tau L)^m - I built by squaring A, which drops the outer blocks of
-row-sum norm <= 2^-60 (``_fused_steps``).
+row-sum norm <= 2^-60 (``_fusion``, the one squaring ladder of every run).
 
 A step with a source uses its samples at the s times t^n + i*tau,
 i = 0..s-1, and stage l of the Shu-Osher chain receives the combination
@@ -38,8 +38,8 @@ pair.  Over a group's samples t^n + theta, 0 <= theta <= (m+s-2) tau, the
 source is a polynomial to rounding, sum_{q<=d} c_q y^q in
 y = 2 theta/(m tau) - 1, so W = sum_q M_q c_q: the moment maps
 M_q = sum_j P^{m-1-j} sum_i F_i y_{j+i}^q (F_i as in ``_forcing``) are the
-same for every group, and the ladder that squares A_m doubles them in
-float64 (``_sourced_fusion``), Van Loan's block-triangular augmentation
+same for every group, and the same ladder, squaring A_m, doubles them in
+float64 (``_fusion``), Van Loan's block-triangular augmentation
 (IEEE Trans. Autom. Control 23 (1978)) of the autonomous system above:
 
     M_q(2m) = 2^-q [P_m sum_r C(q,r) (-1)^(q-r) M_r + sum_r C(q,r) M_r],
@@ -248,27 +248,6 @@ def step_plan(t0: float, tau: float, t_final: float) -> tuple[int, float]:
     return n, (rest(n) if rest(n) > tol else 0.0)
 
 
-def _fused_steps(one: BandedOperator, n_full: int) -> tuple[int, BandedOperator]:
-    """(m, A_m): the full steps per application of the fused map
-    A_m = P_s(tau L)^m - I in a run of n_full source-free steps whose one-step
-    map is ``one``, and that map.
-
-    m = 1 is doubled by squaring A_m (``BandedOperator.compose``) while more
-    than W(k+1) applications of the doubled map remain, W the offsets of A_m
-    (a product of two W-wide bands costs about W(k+1) applications), and
-    while the doubled band is narrower than the mesh, so that no column
-    aliases.  At tau = O(h^e), e > 1, the trimmed W grows far slower than m.
-    """
-    n, k1, _ = one.blocks.shape
-    m, band = 1, one
-    while n_full // (2 * m) > len(band.offsets) * k1:
-        doubled = band.compose(band)
-        if len(doubled.offsets) >= n:
-            break
-        m, band = 2 * m, doubled
-    return m, band
-
-
 class _GroupMaps(NamedTuple):
     """A_m as the float64 pair of ``BandedOperator.split``, and the moment maps M_q."""
 
@@ -291,39 +270,52 @@ def _combination(bands: list[BandedOperator], weights: np.ndarray) -> BandedOper
                           low + np.arange(grid.shape[2]))
 
 
-def _sourced_fusion(op: SpatialOperator, s: int, tau: float, one: BandedOperator,
-                    n_full: int) -> tuple[int, BandedOperator | _GroupMaps]:
-    """(m, maps): the full steps per group of a sourced run of n_full steps whose
-    one-step map is ``one``, and the ``_GroupMaps``; (1, one) where not fused.
+def _fusion(op: SpatialOperator, s: int, tau: float, one: BandedOperator,
+            n_full: int) -> tuple[int, BandedOperator | _GroupMaps]:
+    """(m, maps): the full steps per fused application in a run of n_full steps
+    whose one-step map is ``one``, and their maps: A_m = P_s(tau L)^m - I
+    without a source, the ``_GroupMaps`` with one; (1, one) where not fused.
 
-    From A_1 (``increment_map`` in ``np.longdouble``) and M_q(1) (``polynomial``),
-    a level squares A_m (``compose``) and doubles each M_q by a float64
-    ``product`` with float64(A_m), in place from the top.  A level costs about
-    (16 + d + 1) W(k+1) applications of A_m, a group about 2(d+2), so m doubles
-    while the groups of 2m outnumber that ratio, 2m <= ``MAX_GROUP`` and the
-    squared band is narrower than the mesh.  Fusing needs an extended
-    ``np.longdouble``, and m >= the least power of two >= d+2 (where a group's
-    source times cost less than its steps') in a run that repays a level there.
+    A level squares A_m (``compose``) and, with a source, doubles each M_q(1)
+    (``polynomial``) by a float64 ``product`` with float64(A_m), in place
+    from the top.  It costs about (c + d + 1) W(k+1) applications of A_m, W
+    its offsets and c = 1 for a float64 square (``_LONGDOUBLE_SQUARE`` in
+    ``np.longdouble``), and a group about 2(d+2) (one without a source, where
+    d + 1 = 0), so m doubles while the groups of 2m outnumber that ratio and
+    the squared band is narrower than the mesh, so that no column aliases.
+    At tau = O(h^e), e > 1, the trimmed W grows far slower than m.  The
+    source fit adds limits: 2m <= ``MAX_GROUP``, an extended
+    ``np.longdouble``, and m >= the least power of two >= d+2 (where a
+    group's source times cost less than its steps') in a run that repays a
+    level there.
     """
-    d = max(FIT_DEGREE, s - 1)
-    least = 1 << (d + 1).bit_length()
+    sourced = op.problem.source is not None
+    d = max(FIT_DEGREE, s - 1) if sourced else -1
+    square, group = (_LONGDOUBLE_SQUARE, 2 * d + 4) if sourced else (1, 1)
     # the groups that repay a level, per offset of the band it squares
-    rate = (_LONGDOUBLE_SQUARE + d + 1) * (op.mesh.k + 1) / (2 * d + 4)
-    if _LONGDOUBLE_EPS >= 1e-18 or n_full // least <= rate * len(one.offsets):
-        return 1, one
-    m, band = 1, op.increment_map(s, np.longdouble(tau))
-    moments = [op.polynomial(tau * weights, tau) for weights in _forcing_weights(s, d).T]
-    # the halves of a doubled group: M_q(2m) = sum_r (P_m first[r][q] + second[r][q]) M_r(m)
-    second = np.array([[comb(q, r) * 2.0 ** -q for q in range(d + 1)] for r in range(d + 1)])
-    first = second * (-1.0) ** np.add.outer(np.arange(d + 1), np.arange(d + 1))
-    while 2 * m <= MAX_GROUP and n_full // (2 * m) > rate * len(band.offsets):
+    rate = (square + d + 1) * (op.mesh.k + 1) / group
+    m, band, moments, top = 1, one, [], n_full
+    if sourced:
+        least = 1 << (d + 1).bit_length()
+        if _LONGDOUBLE_EPS >= 1e-18 or n_full // least <= rate * len(one.offsets):
+            return 1, one
+        band, top = op.increment_map(s, np.longdouble(tau)), MAX_GROUP
+        moments = [op.polynomial(tau * weights, tau) for weights in _forcing_weights(s, d).T]
+        # the halves of a doubled group: M_q(2m) = sum_r (P_m first[r][q] + second[r][q]) M_r(m)
+        second = np.array([[comb(q, r) * 2.0 ** -q for q in range(d + 1)] for r in range(d + 1)])
+        first = second * (-1.0) ** np.add.outer(np.arange(d + 1), np.arange(d + 1))
+    while 2 * m <= top and n_full // (2 * m) > rate * len(band.offsets):
         doubled = band.compose(band)
         if len(doubled.offsets) >= op.mesh.n_elements:
             break
-        hi, band, m = band.split()[0], doubled, 2 * m
-        for q in range(d, -1, -1):  # M_q(2m) reads only M_r(m), r <= q
-            moments[q] = hi.product(_combination(moments[:q + 1], first[:q + 1, q]),
-                                    _combination(moments[:q + 1], (first + second)[:q + 1, q]))
+        if sourced:
+            hi = band.split()[0]
+            for q in range(d, -1, -1):  # M_q(2m) reads only M_r(m), r <= q
+                moments[q] = hi.product(_combination(moments[:q + 1], first[:q + 1, q]),
+                                        _combination(moments[:q + 1], (first + second)[:q + 1, q]))
+        band, m = doubled, 2 * m
+    if not sourced:
+        return m, band
     return (m, _GroupMaps(*band.split(), moments)) if m >= least else (1, one)
 
 
@@ -378,10 +370,10 @@ def integrate(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
     a forcing with a source, and one compensated update.  A run without
     ``on_step`` takes its full steps in groups of m through
     A_m = P_s(tau L)^m - I and the rest one at a time through
-    A = P_s(tau L) - I; a shortened last step has its own A.  A_m is A
-    squared in float64 without a source (``_fused_steps``), else in
-    ``np.longdouble`` next to the moment maps (``_sourced_fusion``), and a
-    group adds W = sum_q M_q c_q (``_group_steps``).
+    A = P_s(tau L) - I; a shortened last step has its own A.  One ladder
+    (``_fusion``) squares A into A_m: in float64 without a source, else in
+    ``np.longdouble`` next to the moment maps, and a group adds
+    W = sum_q M_q c_q (``_group_steps``).
     """
     _require_finite(tau=tau, t_final=t_final)
     if tau <= 0:
@@ -396,13 +388,11 @@ def integrate(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
     comp = np.zeros_like(values)
     s = tableau.s
     one = op.increment_map(s, tau) if n_full else None
-    fuse = on_step is None and n_full >= 2
+    m, group = _fusion(op, s, tau, one, n_full) if on_step is None and n_full >= 2 else (1, one)
     # (map, full steps it takes, forcing) for every application
     if problem.source is None:
-        m, group = _fused_steps(one, n_full) if fuse else (1, one)
         plan = chain(repeat((group, m, None), n_full // m), repeat((one, 1, None), n_full % m))
     else:
-        m, group = _sourced_fusion(op, s, tau, one, n_full) if fuse else (1, one)
         plan = (_group_steps(op, s, state.t, tau, one, group, m, n_full) if m > 1 else
                 zip(repeat(one), repeat(1), _forcings(op, s, state.t, tau, n_full)))
     if last > 0.0:  # the shortened last step, whose map is built before the first step

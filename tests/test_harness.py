@@ -415,6 +415,48 @@ def test_cli_rejects_zero_denominator_cfl_exp(capsys, command):
     assert err.startswith("error: ") and "cfl_exponent must be a number" in err
 
 
+@pytest.mark.parametrize("command", ("solve", "converge"))
+@pytest.mark.parametrize("source", ("flag", "file"))
+def test_cli_rejects_overflowing_cfl_exp(capsys, tmp_path, command, source):
+    # 1e400 is a valid fraction but no float: a usage error before any solve,
+    # which names the config file that set it
+    n = "8" if command == "solve" else "8,16,32"
+    if source == "flag":
+        argv = ["--example", "1", "--scheme", "lsv", "--k", "2", "--s", "3", "--n", n,
+                "--cfl", "0.1", "--cfl-exp", "1e400"]
+    else:
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"problem: advection_sine\nscheme: lsv\nk: 2\ns: 3\nn: {n}\n"
+                        f"cfl_exp: 1e400\n")
+        argv = ["--config", str(path)]
+    assert cli.main([command] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert "cfl_exponent must be positive and fit in a float" in captured.err
+    assert "got 1e400" in captured.err
+    if source == "file":
+        assert str(path) in captured.err
+
+
+@pytest.mark.parametrize("command, flag, code", (("solve", "--snapshot", 2),
+                                                 ("converge", "--output", 1)))
+def test_cli_failed_run_leaves_no_new_output_file(tmp_path, capsys, command, flag, code):
+    # a run that fails after the output path was probed (a diverging solve; a
+    # study with too few meshes) leaves no file that the probe created, and a
+    # file that was already there as it was
+    argv = {"solve": ["--example", "1", "--scheme", "lsv", "--k", "4", "--s", "1", "--n", "16",
+                      "--cfl", "0.9", "--cfl-exp", "1/2", "--t-final", "5"],
+            "converge": ["--example", "1", "--scheme", "lsv", "--k", "1", "--s", "3",
+                         "--n", "8,16", "--cfl", "0.1"]}[command]
+    fresh, kept = tmp_path / "fresh.txt", tmp_path / "kept.txt"
+    kept.write_text("an earlier run\n")
+    for path in (fresh, kept):
+        assert cli.main([command] + argv + [flag, str(path)]) == code
+        capsys.readouterr()
+    assert not fresh.exists()
+    assert kept.read_text() == "an earlier run\n"
+
+
 def test_config_file_rejects_zero_denominator_cfl_exp(capsys, tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("problem: advection_sine\nscheme: lsv\nk: 2\ns: 3\nn: 8\ncfl_exp: 3/0\n")

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -11,9 +12,9 @@ from rksv import ssp_rk
 from rksv.harness import ExperimentConfig, build_mesh, problem_definition, time_step
 from rksv.mesh import BoundaryCondition, SubdivisionRule, perturbed_mesh, uniform_mesh
 from rksv.ssp_rk import (BLOCK_STEPS, MAX_BATCH, _block_steps, _derivatives_from_samples,
-                         _fused_steps, _sourced_fusion, integrate, rk_step, ssp_tableau,
-                         step_increment, step_plan)
-from rksv.sv_space import Problem, SpatialOperator, project_initial
+                         _fusion, _GroupMaps, integrate, rk_step, ssp_tableau, step_increment,
+                         step_plan)
+from rksv.sv_space import BandedOperator, Problem, SpatialOperator, project_initial
 
 
 @lru_cache(maxsize=None)
@@ -304,7 +305,7 @@ def test_source_sampled_s_times_per_step_on_element_rule(s):
     state.t = 0.375
     tau = 2.0 ** -10
     op = SpatialOperator(mesh, problem)
-    m, maps = _sourced_fusion(op, s, tau, op.increment_map(s, tau), steps)
+    m, maps = _fusion(op, s, tau, op.increment_map(s, tau), steps)
     assert m == 16
     groups = steps // m
     t_end = state.t + steps * tau
@@ -508,8 +509,8 @@ def test_source_free_integrate_assembles_the_step(monkeypatch, shortened):
 
 
 def _record_increment_maps(monkeypatch):
-    """The tau of every ``increment_map`` call and the (n_full, m) of every
-    ``_fused_steps`` call from here on."""
+    """The tau of every ``increment_map`` call and the (n_full, m, type of the
+    maps) of every ``_fusion`` call from here on."""
     maps, fusions = [], []
     increment_map = SpatialOperator.increment_map
 
@@ -517,13 +518,13 @@ def _record_increment_maps(monkeypatch):
         maps.append(tau)
         return increment_map(self, s, tau)
 
-    def recorded_fusion(one, n_full):
-        m, band = _fused_steps(one, n_full)
-        fusions.append((n_full, m))
-        return m, band
+    def recorded_fusion(op, s, tau, one, n_full):
+        m, group = _fusion(op, s, tau, one, n_full)
+        fusions.append((n_full, m, type(group)))
+        return m, group
 
     monkeypatch.setattr(SpatialOperator, "increment_map", recorded)
-    monkeypatch.setattr(ssp_rk, "_fused_steps", recorded_fusion)
+    monkeypatch.setattr(ssp_rk, "_fusion", recorded_fusion)
     return maps, fusions
 
 
@@ -546,7 +547,7 @@ def test_fused_integrate_matches_chained_steps(monkeypatch, case):
     mesh, problem, s, steps = _fused_cases()[case]
     op = SpatialOperator(mesh, problem)
     tau = 0.5 / np.linalg.norm(op.L.dense(), 2)
-    fused, _ = _fused_steps(op.increment_map(s, tau), steps)
+    fused, _ = _fusion(op, s, tau, op.increment_map(s, tau), steps)
     assert fused >= 2 and steps % fused
     tableau = ssp_tableau(s)
     state = project_initial(problem, mesh, mesh.k)
@@ -556,7 +557,7 @@ def test_fused_integrate_matches_chained_steps(monkeypatch, case):
     got = integrate(state, problem, tableau, tau, t_final)
     # one map for a step of tau, squared into the groups' map, one for the short step
     short = t_final - (state.t + steps * tau)
-    assert maps == [tau, short] and fusions == [(steps, fused)]
+    assert maps == [tau, short] and fusions == [(steps, fused, BandedOperator)]
     assert got.t == t_final
 
     expected = state
@@ -591,11 +592,11 @@ def test_fused_run_at_the_real_cfl(monkeypatch):
     state = project_initial(problem, mesh, k)
     n_full, last = step_plan(state.t, tau, config.t_final)
     op = SpatialOperator(mesh, problem)
-    fused, _ = _fused_steps(op.increment_map(s, tau), n_full)
+    fused, _ = _fusion(op, s, tau, op.increment_map(s, tau), n_full)
     assert fused >= 8 and last > 0.0
     _, fusions = _record_increment_maps(monkeypatch)
     got = integrate(state, problem, ssp_tableau(s), tau, config.t_final)
-    assert fusions == [(n_full, fused)]
+    assert fusions == [(n_full, fused, BandedOperator)]
     stepwise = integrate(state, problem, ssp_tableau(s), tau, config.t_final,
                          on_step=lambda st: None)
     scale = np.max(np.abs(stepwise.values))
@@ -611,21 +612,24 @@ def test_fused_run_at_the_real_cfl(monkeypatch):
 def test_sourced_integrate_steps_one_at_a_time(monkeypatch):
     # a sourced run fuses its full steps through an extended-precision A_m
     # (one float64 map for tau, one np.longdouble Horner map squared into the
-    # group map), unless a callback must see every step; and it never goes
-    # through the float64 squaring of source-free runs
+    # group map), unless a callback must see every step: one ladder call,
+    # which returns the group maps, where the source-free copy squares A
     mesh = periodic_mesh(12, SubdivisionRule.LSV, 2)
     problem = Problem(u0=np.sin, source=lambda x, t: np.cos(x - t))
     op = SpatialOperator(mesh, problem)
+    free = SpatialOperator(mesh, dataclasses.replace(problem, source=None))
     steps, tau = 400, 2.0 ** -10
-    assert _fused_steps(op.increment_map(2, tau), steps)[0] > 1
-    assert _sourced_fusion(op, 2, tau, op.increment_map(2, tau), steps)[0] > 1
+    assert _fusion(free, 2, tau, free.increment_map(2, tau), steps)[0] > 1
+    m, _ = _fusion(op, 2, tau, op.increment_map(2, tau), steps)
+    assert m > 1
     maps, fusions = _record_increment_maps(monkeypatch)
     state = project_initial(problem, mesh, 2)
     fused = integrate(state, problem, ssp_tableau(2), tau, steps * tau)
-    assert maps == [tau, tau] and fusions == []
+    assert maps == [tau, tau] and fusions == [(steps, m, _GroupMaps)]
     assert [np.result_type(dt) for dt in maps] == [np.float64, np.longdouble]
 
     maps.clear()
+    fusions.clear()
     stepwise = integrate(state, problem, ssp_tableau(2), tau, steps * tau,
                          on_step=lambda st: None)
     assert maps == [tau] and fusions == []
@@ -641,10 +645,10 @@ def test_sourced_run_without_extended_longdouble_steps_one_at_a_time(monkeypatch
     op = SpatialOperator(mesh, problem)
     s, steps = 3, 1500
     tau = 2.0 ** np.floor(np.log2(1e-3 / np.max(np.abs(np.linalg.eigvals(op.L.dense())))))
-    assert _sourced_fusion(op, s, tau, op.increment_map(s, tau), steps)[0] > 1
+    assert _fusion(op, s, tau, op.increment_map(s, tau), steps)[0] > 1
     monkeypatch.setattr(ssp_rk, "_LONGDOUBLE_EPS", float(np.finfo(np.float64).eps))
     one = op.increment_map(s, tau)
-    assert _sourced_fusion(op, s, tau, one, steps) == (1, one)
+    assert _fusion(op, s, tau, one, steps) == (1, one)
     maps, _ = _record_increment_maps(monkeypatch)
     state = project_initial(problem, mesh, mesh.k)
     t_final = (steps + 0.5) * tau
@@ -653,6 +657,119 @@ def test_sourced_run_without_extended_longdouble_steps_one_at_a_time(monkeypatch
     assert all(np.result_type(dt) == np.float64 for dt in maps)
     stepwise = integrate(state, problem, ssp_tableau(s), tau, t_final, on_step=lambda st: None)
     assert np.array_equal(got.values, stepwise.values)
+
+
+def source_free_ladder(one, n_full):
+    """Oracle: the float64 ladder of source-free runs as its own function, as
+    it was before one ``_fusion`` served both kinds of run, kept to pin that
+    merge bit for bit."""
+    n, k1, _ = one.blocks.shape
+    m, band = 1, one
+    while n_full // (2 * m) > len(band.offsets) * k1:
+        doubled = band.compose(band)
+        if len(doubled.offsets) >= n:
+            break
+        m, band = 2 * m, doubled
+    return m, band
+
+
+def sourced_ladder(op, s, tau, one, n_full):
+    """Oracle: the sourced ladder as its own function (see ``source_free_ladder``)."""
+    d = max(ssp_rk.FIT_DEGREE, s - 1)
+    least = 1 << (d + 1).bit_length()
+    rate = (ssp_rk._LONGDOUBLE_SQUARE + d + 1) * (op.mesh.k + 1) / (2 * d + 4)
+    if ssp_rk._LONGDOUBLE_EPS >= 1e-18 or n_full // least <= rate * len(one.offsets):
+        return 1, one
+    m, band = 1, op.increment_map(s, np.longdouble(tau))
+    moments = [op.polynomial(tau * weights, tau) for weights in ssp_rk._forcing_weights(s, d).T]
+    second = np.array([[comb(q, r) * 2.0 ** -q for q in range(d + 1)] for r in range(d + 1)])
+    first = second * (-1.0) ** np.add.outer(np.arange(d + 1), np.arange(d + 1))
+    while 2 * m <= ssp_rk.MAX_GROUP and n_full // (2 * m) > rate * len(band.offsets):
+        doubled = band.compose(band)
+        if len(doubled.offsets) >= op.mesh.n_elements:
+            break
+        hi, band, m = band.split()[0], doubled, 2 * m
+        for q in range(d, -1, -1):
+            moments[q] = hi.product(ssp_rk._combination(moments[:q + 1], first[:q + 1, q]),
+                                    ssp_rk._combination(moments[:q + 1],
+                                                        (first + second)[:q + 1, q]))
+    return (m, _GroupMaps(*band.split(), moments)) if m >= least else (1, one)
+
+
+def _same_band(a, b):
+    return (np.array_equal(a.offsets, b.offsets) and a.row_blocks.dtype == b.row_blocks.dtype
+            and np.array_equal(a.row_blocks, b.row_blocks))
+
+
+@pytest.mark.parametrize("s", (3, 12))
+def test_one_ladder_matches_the_two_it_replaced(monkeypatch, s):
+    # _fusion against the two ladders it replaced over an n_full sweep: the same
+    # m and bit-identical maps (A_m; or hi, lo and every moment map), with and
+    # without a source.  On N=16, k=1 at tau = 2^-5 the widths go 4, 7, 13,
+    # 16 (with s = 3), so the ladder breaks at mesh width, and the sourced
+    # one, below its least m, does not fuse; at tau = 2^-12 the price sets m
+    # over the sweep, and the sourced m stops at MAX_GROUP
+    mesh = periodic_mesh(16, SubdivisionRule.LSV, 1)
+    sourced = Problem(u0=np.sin, source=lambda x, t: np.cos(x - t))
+    sweep = [2] + [3 << e for e in range(15)]
+    seen = {}
+    for problem in (dataclasses.replace(sourced, source=None), sourced):
+        op = SpatialOperator(mesh, problem)
+        for tau in (2.0 ** -5, 2.0 ** -12):
+            one = op.increment_map(s, tau)
+            for n_full in sweep:
+                m, got = _fusion(op, s, tau, one, n_full)
+                if problem.source is None:
+                    expected_m, expected = source_free_ladder(one, n_full)
+                else:
+                    expected_m, expected = sourced_ladder(op, s, tau, one, n_full)
+                assert m == expected_m, (problem.source, tau, n_full)
+                seen.setdefault(("sourced" if problem.source else "free", tau), []).append(m)
+                if isinstance(expected, _GroupMaps):
+                    pairs = [(got.hi, expected.hi), (got.lo, expected.lo)]
+                    pairs += list(zip(got.moments, expected.moments, strict=True))
+                else:
+                    assert isinstance(got, BandedOperator) and got.blocks.dtype == np.float64
+                    pairs = [(got, expected)]
+                assert all(_same_band(a, b) for a, b in pairs), (problem.source, tau, n_full)
+    # the sweep crosses the price, the mesh-width break, least and MAX_GROUP
+    free = SpatialOperator(mesh, dataclasses.replace(sourced, source=None))
+    band = _fusion(free, s, 2.0 ** -5, free.increment_map(s, 2.0 ** -5), 2 ** 16)[1]
+    assert len(band.compose(band).offsets) >= mesh.n_elements
+    assert max(seen["free", 2.0 ** -5]) > 1 and set(seen["sourced", 2.0 ** -5]) == {1}
+    assert len(set(seen["free", 2.0 ** -12])) >= 5
+    assert max(seen["free", 2.0 ** -12]) > ssp_rk.MAX_GROUP
+    least = 1 << (max(ssp_rk.FIT_DEGREE, s - 1) + 1).bit_length()
+    assert {1, ssp_rk.MAX_GROUP} <= set(seen["sourced", 2.0 ** -12])
+    assert min(m for m in seen["sourced", 2.0 ** -12] if m > 1) >= least
+    # where np.longdouble is no wider than float64, neither fuses a sourced run
+    monkeypatch.setattr(ssp_rk, "_LONGDOUBLE_EPS", float(np.finfo(np.float64).eps))
+    op = SpatialOperator(mesh, sourced)
+    one = op.increment_map(s, 2.0 ** -12)
+    assert _fusion(op, s, 2.0 ** -12, one, 10 ** 6) == (1, one)
+    assert sourced_ladder(op, s, 2.0 ** -12, one, 10 ** 6) == (1, one)
+
+
+def test_benchmark_runs_pick_their_group_sizes():
+    # m of the benchmark's solves, which the merge of the ladders kept: the
+    # three advection cells at N = 16..128 and the degenerate Example 2 solve
+    cells = {(3, 1, "rrsv"): (4, 4, 8, 16), (4, 4, "lsv"): (16, 32, 64, 128),
+             (4, 4, "rrsv"): (16, 32, 64, 128)}
+    runs = [(ExperimentConfig(example=1, scheme=SubdivisionRule(scheme), k=k, s=s,
+                              n_values=(16, 32, 64, 128), cfl=0.1, t_final=1.0), picked)
+            for (s, k, scheme), picked in cells.items()]
+    runs.append((ExperimentConfig(example=2, scheme=SubdivisionRule.RSV_ADAPTIVE, k=5, s=5,
+                                  n_values=(64,), cfl=1e-3, t_final=0.1), (64,)))
+    for config, picked in runs:
+        problem = problem_definition(config.example).make()
+        got = []
+        for n in config.n_values:
+            mesh = build_mesh(config, n)
+            tau = time_step(config, mesh)
+            n_full, _ = step_plan(0.0, tau, config.t_final)
+            op = SpatialOperator(mesh, problem)
+            got.append(_fusion(op, config.s, tau, op.increment_map(config.s, tau), n_full)[0])
+        assert tuple(got) == picked, config
 
 
 @pytest.mark.parametrize("s", (3, 5))
@@ -669,7 +786,7 @@ def test_extended_fused_map_matches_mpmath(s):
     l_dense = op.L.dense()
     tau = 2.0 ** np.floor(np.log2(1e-3 / np.max(np.abs(np.linalg.eigvals(l_dense)))))
     one = op.increment_map(s, tau)
-    m, fused = _sourced_fusion(op, s, tau, one, 1000)
+    m, fused = _fusion(op, s, tau, one, 1000)
     assert m == 16 and len(fused.hi.offsets) < mesh.n_elements
     with mpmath.workprec(128):
         tau_l = mpmath.matrix(l_dense.tolist()) * tau
@@ -704,7 +821,7 @@ def test_fused_sourced_integrate_matches_stage_chain(s):
     for mesh, problem in _forcing_cases():
         op = SpatialOperator(mesh, problem)
         tau = 2.0 ** np.floor(np.log2(1e-3 / np.max(np.abs(np.linalg.eigvals(op.L.dense())))))
-        m, _ = _sourced_fusion(op, s, tau, op.increment_map(s, tau), 10 ** 6)
+        m, _ = _fusion(op, s, tau, op.increment_map(s, tau), 10 ** 6)
         assert m >= 16
         steps = (MAX_BATCH + 1) * m + 5
         state = project_initial(problem, mesh, mesh.k)
@@ -747,7 +864,7 @@ def test_moment_forced_response_matches_chain(s):
         op = SpatialOperator(mesh, problem)
         tau = 2.0 ** np.floor(np.log2(1e-3 / np.max(np.abs(np.linalg.eigvals(op.L.dense())))))
         one = op.increment_map(s, tau)
-        m, maps = _sourced_fusion(op, s, tau, one, 10 ** 6)
+        m, maps = _fusion(op, s, tau, one, 10 ** 6)
         assert m >= 16 and len(maps.moments) >= s
         t0 = 0.3
         plan = list(ssp_rk._group_steps(op, s, t0, tau, one, maps, m, (MAX_BATCH + 1) * m))
@@ -768,7 +885,7 @@ def test_fit_check_steps_the_groups_of_a_fast_source():
     s, steps = 3, 1500
     tau = 2.0 ** np.floor(np.log2(1e-3 / np.max(np.abs(np.linalg.eigvals(op.L.dense())))))
     one = op.increment_map(s, tau)
-    m, maps = _sourced_fusion(op, s, tau, one, steps)
+    m, maps = _fusion(op, s, tau, one, steps)
     assert m > 1
     plan = list(ssp_rk._group_steps(op, s, 0.0, tau, one, maps, m, steps))
     assert len(plan) == steps and all(n == 1 for _, n, _ in plan)
@@ -794,7 +911,7 @@ def test_fused_run_exact_for_polynomial_source(s):
     state.t = 0.3
     tau, steps = 2.0 ** -12, 2003
     op = SpatialOperator(mesh, problem)
-    m, maps = _sourced_fusion(op, s, tau, op.increment_map(s, tau), steps)
+    m, maps = _fusion(op, s, tau, op.increment_map(s, tau), steps)
     assert m >= 16 and len(maps.moments) >= s
     t_final = state.t + steps * tau
     got = integrate(state, problem, ssp_tableau(s), tau, t_final)
