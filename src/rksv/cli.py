@@ -10,8 +10,8 @@ import os
 import re
 import sys
 
-from .harness import (ExperimentConfig, NumericalError, config_from_file, parse_n_values,
-                      run_checks, run_convergence, run_solve)
+from .harness import (ExperimentConfig, NumericalError, _FieldError, config_from_file,
+                      parse_n_values, run_checks, run_convergence, run_solve)
 from .matrix_transfer import (error_transfer, key_factor_table, render_matrices,
                               render_table, stability_transfer)
 from .mesh import SubdivisionRule
@@ -72,17 +72,20 @@ def _build_config(args) -> ExperimentConfig:
                 ("--n", args.n), ("--cfl", args.cfl)) if val is None]
     if missing:
         raise ValueError(f"missing required flags: {', '.join(missing)}")
-    return ExperimentConfig(
-        example=int(args.example),
-        scheme=SubdivisionRule(args.scheme),
-        k=args.k,
-        s=args.s,
-        n_values=n_values,
-        cfl=args.cfl,
-        cfl_exponent=args.cfl_exp,
-        t_final=args.t_final,
-        seed=0 if args.seed is None else args.seed,
-    )
+    try:  # named after its flag, as config_from_file names an override
+        return ExperimentConfig(
+            example=int(args.example),
+            scheme=SubdivisionRule(args.scheme),
+            k=args.k,
+            s=args.s,
+            n_values=n_values,
+            cfl=args.cfl,
+            cfl_exponent=args.cfl_exp,
+            t_final=args.t_final,
+            seed=0 if args.seed is None else args.seed,
+        )
+    except _FieldError as exc:
+        raise ValueError(f"{exc.flag}: {exc}") from None
 
 
 def _cmd_analyze(args) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,11 +49,12 @@ class NumericalError(RuntimeError):
 
 
 class _FieldError(ValueError):
-    """An out-of-range ``ExperimentConfig`` value; ``key`` is its config-file key."""
+    """An out-of-range ``ExperimentConfig`` value; ``key`` is its config-file key
+    and ``flag`` the CLI flag of the same name."""
 
     def __init__(self, key: str, message: str):
         super().__init__(message)
-        self.key = key
+        self.key, self.flag = key, f"--{key.replace('_', '-')}"
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +247,10 @@ def run_solve(config: ExperimentConfig, n: int | None = None) -> SolveResult:
     try:
         mesh = build_mesh(config, n)
         tau = time_step(config, mesh)
+        if not tau > t_final / sys.maxsize:  # zero, or more steps than an int holds
+            raise ValueError(f"--cfl-exp {resolve_cfl_exponent(config)}: tau = cfl * h_min^e = "
+                             f"{tau:.3g} at N={n} would take more steps to t_final={t_final:g} "
+                             f"than an int holds")
         tableau = ssp_tableau(config.s)
         state = project_initial(problem, mesh, config.k)
         n_full, last = step_plan(state.t, tau, t_final)
@@ -568,7 +574,7 @@ def config_from_file(path, **overrides) -> ExperimentConfig:
             seed=pick("seed", int, "an integer", 0),
         )
     except _FieldError as exc:  # named after the flag where an override set the value
-        where = f"--{exc.key.replace('_', '-')}" if overrides.get(exc.key) is not None else path
+        where = exc.flag if overrides.get(exc.key) is not None else path
         raise ValueError(f"{where}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

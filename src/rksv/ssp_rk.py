@@ -33,10 +33,11 @@ rule, each over the whole block.
 A sourced run without a callback fuses its full steps too, in groups of m:
 u <- u + A_m u + W, W = sum_j P^{m-1-j} f^{n+j} (P = I + A).  Over ~1e5
 steps a float64 A_m would lower the k=5 Example 2 order from 5.91 to 5.63,
-so A_m is squared in ``np.longdouble`` and applied as a float64 (hi, lo)
-pair.  Over a group's samples t^n + theta, 0 <= theta <= (m+s-2) tau, the
-source is a polynomial to rounding, sum_{q<=d} c_q y^q in
-y = 2 theta/(m tau) - 1, so W = sum_q M_q c_q: the moment maps
+so A_m is built, squared and applied as a float64 (hi, lo) pair, by
+error-free products of leading slices (``BandedOperator``).  Over a group's
+samples t^n + theta, 0 <= theta <= (m+s-2) tau, the source is a polynomial
+to rounding, sum_{q<=d} c_q y^q in y = 2 theta/(m tau) - 1, so
+W = sum_q M_q c_q: the moment maps
 M_q = sum_j P^{m-1-j} sum_i F_i y_{j+i}^q (F_i as in ``_forcing``) are the
 same for every group, and the same ladder, squaring A_m, doubles them in
 float64 (``_fusion``), Van Loan's block-triangular augmentation
@@ -71,9 +72,7 @@ MAX_GROUP = 64            # full steps per fused sourced update at most
 MAX_BATCH = 8             # groups whose forced response is formed together at most
 FIT_DEGREE = 6            # the least degree of a group's source fit (and at least s-1)
 _FIT_TOLERANCE = 2.0 ** -48  # a group's fit residual, over |G| + |t G'|, that steps it
-_LONGDOUBLE_SQUARE = 16   # a np.longdouble band square costs ~16 W(k+1) applications of the band
-# the platform probe: an np.longdouble no wider than float64 cannot hold A_m's low part
-_LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
+_EXTENDED_SQUARE = 16     # the price of a (hi, lo) band square, in W(k+1) applications of the band
 
 
 @dataclass(frozen=True)
@@ -249,14 +248,10 @@ def step_plan(t0: float, tau: float, t_final: float) -> tuple[int, float]:
 
 
 class _GroupMaps(NamedTuple):
-    """A_m as the float64 pair of ``BandedOperator.split``, and the moment maps M_q."""
+    """A_m as a (hi, lo) pair band, and the moment maps M_q."""
 
-    hi: BandedOperator
-    lo: BandedOperator
+    a: BandedOperator
     moments: list[BandedOperator]
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.hi.apply(values) + self.lo.apply(values)
 
 
 def _combination(bands: list[BandedOperator], weights: np.ndarray) -> BandedOperator:
@@ -276,30 +271,30 @@ def _fusion(op: SpatialOperator, s: int, tau: float, one: BandedOperator,
     whose one-step map is ``one``, and their maps: A_m = P_s(tau L)^m - I
     without a source, the ``_GroupMaps`` with one; (1, one) where not fused.
 
-    A level squares A_m (``compose``) and, with a source, doubles each M_q(1)
+    A level squares A_m (``compose``; with a source, the (hi, lo) pair of
+    ``extended_increment_map``) and, with a source, doubles each M_q(1)
     (``polynomial``) by a float64 ``product`` with float64(A_m), in place
     from the top.  It costs about (c + d + 1) W(k+1) applications of A_m, W
-    its offsets and c = 1 for a float64 square (``_LONGDOUBLE_SQUARE`` in
-    ``np.longdouble``), and a group about 2(d+2) (one without a source, where
+    its offsets and c = 1 for a float64 square (``_EXTENDED_SQUARE`` for a
+    pair's), and a group about 2(d+2) (one without a source, where
     d + 1 = 0), so m doubles while the groups of 2m outnumber that ratio and
     the squared band is narrower than the mesh, so that no column aliases.
     At tau = O(h^e), e > 1, the trimmed W grows far slower than m.  The
-    source fit adds limits: 2m <= ``MAX_GROUP``, an extended
-    ``np.longdouble``, and m >= the least power of two >= d+2 (where a
-    group's source times cost less than its steps') in a run that repays a
-    level there.
+    source fit adds limits: 2m <= ``MAX_GROUP`` and m >= the least power of
+    two >= d+2 (where a group's source times cost less than its steps') in
+    a run that repays a level there.
     """
     sourced = op.problem.source is not None
     d = max(FIT_DEGREE, s - 1) if sourced else -1
-    square, group = (_LONGDOUBLE_SQUARE, 2 * d + 4) if sourced else (1, 1)
+    square, group = (_EXTENDED_SQUARE, 2 * d + 4) if sourced else (1, 1)
     # the groups that repay a level, per offset of the band it squares
     rate = (square + d + 1) * (op.mesh.k + 1) / group
     m, band, moments, top = 1, one, [], n_full
     if sourced:
         least = 1 << (d + 1).bit_length()
-        if _LONGDOUBLE_EPS >= 1e-18 or n_full // least <= rate * len(one.offsets):
+        if n_full // least <= rate * len(one.offsets):
             return 1, one
-        band, top = op.increment_map(s, np.longdouble(tau)), MAX_GROUP
+        band, top = op.extended_increment_map(s, tau), MAX_GROUP
         moments = [op.polynomial(tau * weights, tau) for weights in _forcing_weights(s, d).T]
         # the halves of a doubled group: M_q(2m) = sum_r (P_m first[r][q] + second[r][q]) M_r(m)
         second = np.array([[comb(q, r) * 2.0 ** -q for q in range(d + 1)] for r in range(d + 1)])
@@ -309,14 +304,13 @@ def _fusion(op: SpatialOperator, s: int, tau: float, one: BandedOperator,
         if len(doubled.offsets) >= op.mesh.n_elements:
             break
         if sourced:
-            hi = band.split()[0]
             for q in range(d, -1, -1):  # M_q(2m) reads only M_r(m), r <= q
-                moments[q] = hi.product(_combination(moments[:q + 1], first[:q + 1, q]),
-                                        _combination(moments[:q + 1], (first + second)[:q + 1, q]))
+                halves = first[:q + 1, q], (first + second)[:q + 1, q]
+                moments[q] = band.product(*(_combination(moments[:q + 1], h) for h in halves))
         band, m = doubled, 2 * m
     if not sourced:
         return m, band
-    return (m, _GroupMaps(*band.split(), moments)) if m >= least else (1, one)
+    return (m, _GroupMaps(band, moments)) if m >= least else (1, one)
 
 
 def _group_steps(op: SpatialOperator, s: int, t0: float, tau: float, one: BandedOperator,
@@ -352,7 +346,7 @@ def _group_steps(op: SpatialOperator, s: int, t0: float, tau: float, one: Banded
         w = sum(mq.apply_columns(cq.reshape(-1, len(starts))) for mq, cq in zip(maps.moments, c))
         for start, forcing, fit in zip(starts, w.T.reshape((-1,) + op.L.blocks.shape[:2]), fits):
             if fit:
-                yield maps, m, forcing
+                yield maps.a, m, forcing
             else:
                 yield from zip(repeat(one), repeat(1), _forcings(op, s, t0, tau, m, start))
     yield from zip(repeat(one), repeat(1), _forcings(op, s, t0, tau, single, groups * m))
@@ -371,8 +365,8 @@ def integrate(state: SvState, problem: Problem, tableau: RkTableau, tau: float,
     ``on_step`` takes its full steps in groups of m through
     A_m = P_s(tau L)^m - I and the rest one at a time through
     A = P_s(tau L) - I; a shortened last step has its own A.  One ladder
-    (``_fusion``) squares A into A_m: in float64 without a source, else in
-    ``np.longdouble`` next to the moment maps, and a group adds
+    (``_fusion``) squares A into A_m: in float64 without a source, else as a
+    (hi, lo) pair next to the moment maps, and a group adds
     W = sum_q M_q c_q (``_group_steps``).
     """
     _require_finite(tau=tau, t_final=t_final)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
 from typing import Callable, Optional
@@ -189,10 +190,12 @@ def _require_finite(**values: float) -> None:
 
 
 def _band_product(x: np.ndarray, x_offsets: np.ndarray, y: np.ndarray,
-                  first: int = 0, last: int | None = None) -> np.ndarray:
+                  first: int = 0, last: int | None = None,
+                  q: np.ndarray | None = None) -> np.ndarray:
     """The blocks of XY at the offsets first..last-1 (by default all), counted
     from x_offsets[0] + (Y's first offset), from X's blocks x (R, k+1, Wx, k+1)
-    and Y's blocks y (R', k+1, Wy, k+1), in the wider of the two dtypes.
+    and Y's blocks y (R', k+1, Wy, k+1), in the wider of the two dtypes, or
+    added into the blocks q.
 
     R and R' are 1 (one row that every element shares) or N; the product has
     max(R, R') rows, so a product of one-row bands is one element's matmuls.
@@ -202,7 +205,7 @@ def _band_product(x: np.ndarray, x_offsets: np.ndarray, y: np.ndarray,
     y = np.broadcast_to(y, (n,) + y.shape[1:])
     _, k1, width, _ = y.shape
     last = len(x_offsets) + width - 1 if last is None else last
-    q = np.zeros((n, k1, last - first, k1), np.result_type(x, y))
+    q = np.zeros((n, k1, last - first, k1), np.result_type(x, y)) if q is None else q
     product = np.empty((n, k1, width * k1), q.dtype)
     for j, o in enumerate(x_offsets):
         lo, hi = max(first - j, 0), min(last - j, width)  # Y's blocks that land in the span
@@ -216,6 +219,67 @@ def _band_product(x: np.ndarray, x_offsets: np.ndarray, y: np.ndarray,
         if m < n:
             np.matmul(x[m:, :, j], rows[:n - m], out=out[m:])
         q[:, :, j + lo - first:j + hi - first] += out.reshape(n, k1, hi - lo, k1)
+    return q
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a + b rounded, its rounding error in place of b): Knuth's TwoSum."""
+    s = a + b
+    v = s - a
+    b -= v
+    v -= s  # -(a's part of s)
+    v += a
+    b += v
+    return s, b
+
+
+def _add(q: np.ndarray, z: np.ndarray) -> None:
+    """q += z, blocks (R, rows, ..., k+1) of one kind; a pair's (``BandedOperator``)
+    hi rows by TwoSum, whose error goes to the lo rows with z's, renormalised."""
+    k1 = q.shape[-1]
+    if q.shape[1] == k1:
+        q += z
+        return
+    s, error = _two_sum(z[:, :k1], q[:, :k1])
+    q[:, k1:] += error + z[:, k1:]
+    q[:, :k1] = _two_sum(s, q[:, k1:])[0]
+
+
+def _extended_product(x: np.ndarray, x_offsets: np.ndarray, y: np.ndarray,
+                      first: int = 0, last: int | None = None) -> np.ndarray:
+    """``_band_product`` in (hi, lo) arithmetic: XY as a pair's blocks, to
+    about 2^-76 of max|X| |Y| + |X| max|Y|, from float64 or pair blocks x
+    and y (y may be x).
+
+    Each is cut into a leading slice Z0, its hi rounded to a multiple of
+    2^-beta P (P the least power of two above max|hi|), and a float64 rest
+    RZ.  With beta = (53 - ceil(log2 Wx(k+1))) // 2 the Wx(k+1) slice
+    products in an entry of X0 Y0 sum exactly in any order (Ozaki, Ogita,
+    Oishi & Rump, Numer. Algorithms 59 (2012)): XY = X0 Y0 (the hi rows,
+    TwoSum-renormalised) + X0 RY + RX Y (the lo rows).
+    """
+    k1 = y.shape[3]
+    beta = (53 - (len(x_offsets) * k1 - 1).bit_length()) // 2
+
+    def sliced(z):  # [Z0; RZ], formed in place
+        out = np.empty(z.shape[:1] + (2 * k1,) + z.shape[2:])
+        z0, rest = out[:, :k1], out[:, k1:]
+        unit = np.ldexp(1.0, int(np.frexp(np.abs(z[:, :k1]).max())[1]) - beta)
+        np.rint(np.divide(z[:, :k1], unit, out=z0), out=z0)
+        z0 *= unit
+        np.subtract(z[:, :k1], z0, out=rest)
+        if z.shape[1] > k1:
+            rest += z[:, k1:]
+        return out
+
+    ys = sliced(y)
+    xs = ys if x is y else sliced(x)
+    last = len(x_offsets) + y.shape[2] - 1 if last is None else last
+    q = np.zeros((max(len(x), len(y)), 2 * k1, last - first, k1))
+    _band_product(xs[:, :k1], x_offsets, ys[:, :k1], first, last, q[:, :k1])
+    _band_product(xs[:, :k1], x_offsets, ys[:, k1:], first, last, q[:, k1:])
+    _band_product(xs[:, k1:], x_offsets, ys[:, :k1] + ys[:, k1:], first, last, q[:, k1:])
+    q[:, :k1] = _two_sum(q[:, :k1], q[:, k1:])[0]
     return q
 
 
@@ -234,10 +298,14 @@ class BandedOperator:
     wrap-padded copy of the values (``_padded_rows``).  Offsets are taken mod
     N only by that index, so when the span is wider than the mesh an element
     meets a neighbour more than once and the aliased columns accumulate.
+
+    Blocks of 2(k+1) rows are a (hi, lo) pair, the map hi + lo of their upper
+    and lower k+1 rows, hi its float64 rounding (TwoSum-renormalised), which
+    ``apply`` applies as hi v + lo v (``apply_columns`` takes float64 bands).
     """
 
     def __init__(self, blocks: np.ndarray, offsets: np.ndarray, negligible: float = 0.0):
-        n, k1, _, _ = blocks.shape  # blocks[i, :, j, :] = B[i, offsets[j]]
+        n, rows, _, k1 = blocks.shape  # blocks[i, :, j, :] = B[i, offsets[j]]
         # a stride-0 view (a product of one-row bands) repeats one row by construction
         if blocks.strides[0] == 0 or (blocks == blocks[:1]).all():
             blocks = blocks[:1]
@@ -248,17 +316,8 @@ class BandedOperator:
         self.offsets, self.norms = offsets[span], norms[span]
         width = len(self.offsets)
         self._grid = _read_only(np.ascontiguousarray(blocks[:, :, span]))
-        self.row_blocks = self._grid.reshape(-1, k1, width * k1)
-        self.blocks = np.broadcast_to(self.row_blocks, (n, k1, width * k1))
-
-    def split(self) -> tuple[BandedOperator, BandedOperator]:
-        """(hi, lo): float64 maps, hi = float64(B) on this map's offsets and
-        lo = float64(B - hi), whose sum holds an extended-precision B to about
-        2^-106 of its size (exactly for x87's 64-bit-significand long double)."""
-        hi = self._grid.astype(np.float64)
-        shape = (len(self.blocks),) + hi.shape[1:]
-        return tuple(BandedOperator(np.broadcast_to(b, shape), self.offsets)
-                     for b in (hi, (self._grid - hi).astype(np.float64)))
+        self.row_blocks = self._grid.reshape(-1, rows, width * k1)
+        self.blocks = np.broadcast_to(self.row_blocks, (n, rows, width * k1))
 
     def product(self, other: BandedOperator, *plus: BandedOperator) -> BandedOperator:
         """XY + the maps in ``plus`` (within XY's offsets), X this map and Y ``other``.
@@ -268,6 +327,8 @@ class BandedOperator:
         formed; of it the outer blocks with a row-sum norm <= ``NEGLIGIBLE`` on
         every element are dropped, each adding at most 2^-60 max|u| to an
         increment.  Offsets stay integers, as in ``SpatialOperator.polynomial``.
+        Where Y and the Z are pairs, XY + Z is one (``_extended_product``);
+        else X's hi rows make a float64 XY + Z.
         """
         low = self.offsets[0] + other.offsets[0]
         bound = np.convolve(self.norms, other.norms)
@@ -276,11 +337,14 @@ class BandedOperator:
         # (1 - 1e-12) covers the rounding of the bound against the formed blocks'
         live = np.flatnonzero(~(bound <= NEGLIGIBLE * (1.0 - 1e-12)))
         first, last = live.min(initial=-low), live.max(initial=-low) + 1
-        q = _band_product(self._grid, self.offsets, other._grid, first, last)
+        k1 = self._grid.shape[3]
+        q = (_extended_product(self._grid, self.offsets, other._grid, first, last)
+             if other._grid.shape[1] > k1 else
+             _band_product(self._grid[:, :k1], self.offsets, other._grid, first, last))
         for z in plus:  # offsets are consecutive: z's block j lands at z.offsets[0] - low + j
             at = z.offsets[0] - low - first
             lo, hi = max(-at, 0), min(last - first - at, len(z.offsets))
-            q[:, :, at + lo:at + hi] += z._grid[:, :, lo:hi]
+            _add(q[:, :, at + lo:at + hi], z._grid[:, :, lo:hi])
         return BandedOperator(np.broadcast_to(q, (len(self.blocks),) + q.shape[1:]),
                               low + first + np.arange(last - first), negligible=NEGLIGIBLE)
 
@@ -295,14 +359,14 @@ class BandedOperator:
         (intermediate bands are never applied): the rows, mod N(k+1), from the
         first element's first neighbour to the last element's last, so element
         i's neighbours are rows i(k+1) .. i(k+1) + W(k+1) - 1 of it."""
-        n, k1, _ = self.blocks.shape
+        n, k1 = len(self.blocks), self._grid.shape[3]
         return np.arange(self.offsets[0] * k1, (n + self.offsets[-1]) * k1) % (n * k1)
 
     def _windows(self, columns: np.ndarray) -> np.ndarray:
         """The (N, W(k+1), ...) neighbour windows of ``columns`` (N(k+1) rows):
         a strided view of one wrap-padded copy in which each element's window
         overlaps its neighbours', so no gathered copy is made."""
-        n, k1, wk = self.blocks.shape
+        n, wk, k1 = len(self.blocks), self.blocks.shape[2], self._grid.shape[3]
         padded = columns[self._padded_rows]
         return np.ndarray((n, wk) + padded.shape[1:], padded.dtype, padded, 0,
                           (k1 * padded.strides[0],) + padded.strides)
@@ -311,8 +375,11 @@ class BandedOperator:
         """The map applied to CV integrals of shape (N, k+1)."""
         windows = self._windows(values.ravel())
         if len(self.row_blocks) == 1:  # one matmul with the row every element shares
-            return windows @ self.row_blocks[0].T
-        return np.einsum("nij,nj->ni", self.row_blocks, windows)
+            out = windows @ self.row_blocks[0].T
+        else:
+            out = np.einsum("nij,nj->ni", self.row_blocks, windows)
+        k1 = values.shape[1]
+        return out if out.shape[1] == k1 else out[:, :k1] + out[:, k1:]
 
     def apply_columns(self, columns: np.ndarray) -> np.ndarray:
         """The map applied to each column of an (N(k+1), K) stack of ``values.ravel()``."""
@@ -320,8 +387,7 @@ class BandedOperator:
 
     def dense(self) -> np.ndarray:
         """The (N(k+1), N(k+1)) matrix of the map, acting on ``values.ravel()``."""
-        n, k1, _ = self.blocks.shape
-        return self.apply_columns(np.eye(n * k1))
+        return self.apply_columns(np.eye(len(self.blocks) * self._grid.shape[3]))
 
 
 class SpatialOperator:
@@ -388,31 +454,37 @@ class SpatialOperator:
         a product's wrap-padded index takes them mod N: on a mesh narrower
         than the span the aliased columns then accumulate, and on an
         INFLOW_ZERO mesh every path through a domain end meets a zero edge
-        block of L.  The blocks
-        take the widest dtype of tau, the coefficients and L's float64 (a
-        ``np.longdouble`` tau gives extended-precision blocks).
+        block of L.  The blocks take the widest dtype of tau, the coefficients
+        and L's float64; (hi, lo) coefficients make a pair (``BandedOperator``).
         """
         n, k1 = self.mesh.n_elements, self.mesh.k + 1
         l_offsets = self.L.offsets
         tau_l = tau * self.L._grid
-        eye = np.eye(k1)
+        # each coefficient times I, as (1, k+1, k+1) blocks, 2(k+1) rows for a pair
+        eyes = [np.multiply.outer(c, np.eye(k1)).reshape(1, -1, k1) for c in coeffs]
+        product = _band_product if eyes[0].shape[1] == k1 else _extended_product
         # one row until a per-element L enters
-        p = np.zeros((1, k1, 1, k1), np.result_type(tau_l, *coeffs))
-        p[:, :, 0] = coeffs[-1] * eye
+        p = np.zeros((1, eyes[0].shape[1], 1, k1), np.result_type(tau_l, *eyes))
+        p[:, :, 0] = eyes[-1]
         low = 0  # the lowest offset of p
-        for c in coeffs[-2::-1]:
-            p = _band_product(tau_l, l_offsets, p)
+        for c in eyes[-2::-1]:
+            p = product(tau_l, l_offsets, p)
             low += l_offsets[0]
-            p[:, :, -low] += c * eye
+            _add(p[:, :, -low], c)
         return BandedOperator(np.broadcast_to(p, (n,) + p.shape[1:]), low + np.arange(p.shape[2]))
 
     def increment_map(self, s: int, tau: float) -> BandedOperator:
         """A = P_s(tau L) - I, P_s(z) = sum_{j<=s} z^j/j!: the source-free
         increment of one s-stage linear SSP step of length tau, which is
-        ``polynomial`` with the Taylor coefficients 1/j!, rounded to tau's dtype."""
+        ``polynomial`` with the Taylor coefficients 1/j!, rounded to float64."""
         _require_finite(tau=tau)
-        unit = np.result_type(tau, np.float64).type(1)
-        return self.polynomial([0.0] + [unit / factorial(j) for j in range(1, s + 1)], tau)
+        return self.polynomial([0.0] + [1.0 / factorial(j) for j in range(1, s + 1)], tau)
+
+    def extended_increment_map(self, s: int, tau: float) -> BandedOperator:
+        """``increment_map`` as a pair: the exact L, the (hi, lo) of the exact tau^j/j!."""
+        taylor = [Fraction(tau) ** j / factorial(j) for j in range(1, s + 1)]
+        return self.polynomial([(0.0, 0.0)] + [(float(c), float(c - Fraction(float(c))))
+                                               for c in taylor])
 
     def source_integrals(self, t) -> np.ndarray:
         """CV integrals of the source g(., t); the problem must have a source.

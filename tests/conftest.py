@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rksv.mesh import BoundaryCondition, SubdivisionRule, uniform_mesh
-from rksv.sv_space import SvState, workspace
+from rksv.sv_space import BandedOperator, SvState, workspace
 
 
 @pytest.fixture
@@ -26,3 +26,12 @@ def state_from_coeffs(mesh, coeffs):
 
 
 BOTH_RULES = (SubdivisionRule.LSV, SubdivisionRule.RRSV)
+
+
+def pair_parts(band):
+    """(hi, lo) of a (hi, lo) pair band (blocks of 2(k+1) rows), each a float64
+    band on the pair's offsets."""
+    k1 = band._grid.shape[3]
+    return tuple(BandedOperator(np.broadcast_to(g, (len(band.blocks),) + g.shape[1:]),
+                                band.offsets, negligible=-1.0)
+                 for g in (band._grid[:, :k1], band._grid[:, k1:]))

@@ -438,6 +438,45 @@ def test_cli_rejects_overflowing_cfl_exp(capsys, tmp_path, command, source):
         assert str(path) in captured.err
 
 
+@pytest.mark.parametrize("command", ("solve", "converge"))
+@pytest.mark.parametrize("exponent", ("400", "30"))
+def test_cli_rejects_cfl_exp_whose_tau_cannot_step(capsys, command, exponent):
+    # a large finite exponent underflows tau = cfl * h_min^e (to 0 or to a
+    # subnormal at e = 400), or leaves more steps than an int holds (e = 30):
+    # a usage error naming the flag, N and tau, not a traceback or exit 2
+    n = "8" if command == "solve" else "8,16,32"
+    argv = [command, "--example", "1", "--scheme", "lsv", "--k", "2", "--s", "3", "--n", n,
+            "--cfl", "0.1", "--cfl-exp", exponent]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: --cfl-exp {exponent}: tau = ")
+    assert "at N=8 " in captured.err and "than an int holds" in captured.err
+
+
+def test_run_solve_rejects_zero_tau():
+    # at e = 400 on N=32, tau underflows to exactly 0, which once raised a
+    # ZeroDivisionError in step_plan
+    config = ExperimentConfig(example=1, scheme=SubdivisionRule.LSV, k=2, s=3, n_values=(32,),
+                              cfl=0.1, cfl_exponent="400")
+    assert time_step(config, build_mesh(config, 32)) == 0.0
+    with pytest.raises(ValueError, match=r"--cfl-exp 400: tau = cfl \* h_min\^e = 0 at N=32"):
+        run_solve(config)
+
+
+@pytest.mark.parametrize("flag, value, message", (
+    ("--cfl-exp", "1e400", "cfl_exponent must be positive and fit in a float"),
+    ("--cfl", "2", "cfl must be in (0, 1]"),
+    ("--t-final", "-1", "t_final must be finite and non-negative")))
+def test_cli_example_errors_name_the_flag(capsys, flag, value, message):
+    # a bad value given with --example is reported under its flag, as the
+    # same value given as an override to --config is
+    flags = {"--scheme": "lsv", "--k": "2", "--s": "3", "--n": "8", "--cfl": "0.1", flag: value}
+    assert cli.main(["solve", "--example", "1"] + [a for item in flags.items() for a in item]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {flag}: {message}")
+
+
 @pytest.mark.parametrize("command, flag, code", (("solve", "--snapshot", 2),
                                                  ("converge", "--output", 1)))
 def test_cli_failed_run_leaves_no_new_output_file(tmp_path, capsys, command, flag, code):

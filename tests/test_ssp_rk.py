@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import BOTH_RULES, periodic_mesh
+from conftest import BOTH_RULES, pair_parts, periodic_mesh
 from rksv import ssp_rk
 from rksv.harness import ExperimentConfig, build_mesh, problem_definition, time_step
 from rksv.mesh import BoundaryCondition, SubdivisionRule, perturbed_mesh, uniform_mesh
@@ -509,14 +509,20 @@ def test_source_free_integrate_assembles_the_step(monkeypatch, shortened):
 
 
 def _record_increment_maps(monkeypatch):
-    """The tau of every ``increment_map`` call and the (n_full, m, type of the
-    maps) of every ``_fusion`` call from here on."""
+    """The tau of every ``increment_map`` call (("extended", tau) for
+    ``extended_increment_map``) and the (n_full, m, type of the maps) of every
+    ``_fusion`` call from here on."""
     maps, fusions = [], []
     increment_map = SpatialOperator.increment_map
+    extended_increment_map = SpatialOperator.extended_increment_map
 
     def recorded(self, s, tau):
         maps.append(tau)
         return increment_map(self, s, tau)
+
+    def recorded_extended(self, s, tau):
+        maps.append(("extended", tau))
+        return extended_increment_map(self, s, tau)
 
     def recorded_fusion(op, s, tau, one, n_full):
         m, group = _fusion(op, s, tau, one, n_full)
@@ -524,6 +530,7 @@ def _record_increment_maps(monkeypatch):
         return m, group
 
     monkeypatch.setattr(SpatialOperator, "increment_map", recorded)
+    monkeypatch.setattr(SpatialOperator, "extended_increment_map", recorded_extended)
     monkeypatch.setattr(ssp_rk, "_fusion", recorded_fusion)
     return maps, fusions
 
@@ -611,7 +618,7 @@ def test_fused_run_at_the_real_cfl(monkeypatch):
 
 def test_sourced_integrate_steps_one_at_a_time(monkeypatch):
     # a sourced run fuses its full steps through an extended-precision A_m
-    # (one float64 map for tau, one np.longdouble Horner map squared into the
+    # (one float64 map for tau, one (hi, lo) Horner map squared into the
     # group map), unless a callback must see every step: one ladder call,
     # which returns the group maps, where the source-free copy squares A
     mesh = periodic_mesh(12, SubdivisionRule.LSV, 2)
@@ -625,8 +632,7 @@ def test_sourced_integrate_steps_one_at_a_time(monkeypatch):
     maps, fusions = _record_increment_maps(monkeypatch)
     state = project_initial(problem, mesh, 2)
     fused = integrate(state, problem, ssp_tableau(2), tau, steps * tau)
-    assert maps == [tau, tau] and fusions == [(steps, m, _GroupMaps)]
-    assert [np.result_type(dt) for dt in maps] == [np.float64, np.longdouble]
+    assert maps == [tau, ("extended", tau)] and fusions == [(steps, m, _GroupMaps)]
 
     maps.clear()
     fusions.clear()
@@ -637,26 +643,38 @@ def test_sourced_integrate_steps_one_at_a_time(monkeypatch):
     assert np.max(np.abs(fused.values - stepwise.values)) <= 1e-13 * scale
 
 
-def test_sourced_run_without_extended_longdouble_steps_one_at_a_time(monkeypatch):
-    # where np.longdouble is no wider than float64 (its eps probe reads
-    # float64's), A_m's low part would be lost, so a sourced run takes m = 1:
-    # no extended build, and the stepwise arithmetic bit for bit
+def _ladder_arrays(maps):
+    """Every array that the group maps of a fused sourced run hold."""
+    return [band.row_blocks for band in (maps.a, *maps.moments)]
+
+
+def test_sourced_run_fuses_without_extended_longdouble(monkeypatch):
+    # the (hi, lo) ladder is float64 arithmetic throughout, so where
+    # np.longdouble is no wider than float64 (patched so here) a sourced run
+    # still fuses with the same m and the same maps, none of them
+    # np.longdouble, and matches the stepwise run
     mesh, problem = _forcing_cases()[0]
     op = SpatialOperator(mesh, problem)
     s, steps = 3, 1500
     tau = 2.0 ** np.floor(np.log2(1e-3 / np.max(np.abs(np.linalg.eigvals(op.L.dense())))))
-    assert _fusion(op, s, tau, op.increment_map(s, tau), steps)[0] > 1
-    monkeypatch.setattr(ssp_rk, "_LONGDOUBLE_EPS", float(np.finfo(np.float64).eps))
     one = op.increment_map(s, tau)
-    assert _fusion(op, s, tau, one, steps) == (1, one)
-    maps, _ = _record_increment_maps(monkeypatch)
+    m, maps = _fusion(op, s, tau, one, steps)
+    assert m > 1
+    extended = np.dtype(np.longdouble)
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    plain_m, plain = _fusion(op, s, tau, one, steps)
+    assert plain_m == m
+    for a, b in zip(_ladder_arrays(maps), _ladder_arrays(plain), strict=True):
+        assert a.dtype == b.dtype == np.float64 != extended and np.array_equal(a, b)
+    maps, fusions = _record_increment_maps(monkeypatch)
     state = project_initial(problem, mesh, mesh.k)
     t_final = (steps + 0.5) * tau
     got = integrate(state, problem, ssp_tableau(s), tau, t_final)
-    assert maps == [tau, t_final - steps * tau]
-    assert all(np.result_type(dt) == np.float64 for dt in maps)
+    assert fusions == [(steps, m, _GroupMaps)]
+    assert maps == [tau, ("extended", tau), t_final - steps * tau]
     stepwise = integrate(state, problem, ssp_tableau(s), tau, t_final, on_step=lambda st: None)
-    assert np.array_equal(got.values, stepwise.values)
+    scale = np.max(np.abs(stepwise.values))
+    assert np.max(np.abs(got.values - stepwise.values)) <= 1e-13 * scale
 
 
 def source_free_ladder(one, n_full):
@@ -673,14 +691,26 @@ def source_free_ladder(one, n_full):
     return m, band
 
 
+def _longdouble_pair(band):
+    """A np.longdouble band B as a (hi, lo) pair band: float64(B) over float64(B - hi)."""
+    hi = band._grid.astype(np.float64)
+    pair = np.concatenate([hi, (band._grid - hi).astype(np.float64)], axis=1)
+    return BandedOperator(np.broadcast_to(pair, (len(band.blocks),) + pair.shape[1:]),
+                          band.offsets)
+
+
 def sourced_ladder(op, s, tau, one, n_full):
-    """Oracle: the sourced ladder as its own function (see ``source_free_ladder``)."""
+    """Oracle: the sourced ladder as its own function (see ``source_free_ladder``),
+    as it was when A_m was squared in np.longdouble: the Horner map with a
+    np.longdouble tau and coefficients, squared by ``compose``, which keeps
+    the dtype, and split into a float64 (hi, lo) pair."""
     d = max(ssp_rk.FIT_DEGREE, s - 1)
     least = 1 << (d + 1).bit_length()
-    rate = (ssp_rk._LONGDOUBLE_SQUARE + d + 1) * (op.mesh.k + 1) / (2 * d + 4)
-    if ssp_rk._LONGDOUBLE_EPS >= 1e-18 or n_full // least <= rate * len(one.offsets):
+    rate = (ssp_rk._EXTENDED_SQUARE + d + 1) * (op.mesh.k + 1) / (2 * d + 4)
+    if n_full // least <= rate * len(one.offsets):
         return 1, one
-    m, band = 1, op.increment_map(s, np.longdouble(tau))
+    taylor = [np.longdouble(0)] + [np.longdouble(1) / factorial(j) for j in range(1, s + 1)]
+    m, band = 1, op.polynomial(taylor, np.longdouble(tau))
     moments = [op.polynomial(tau * weights, tau) for weights in ssp_rk._forcing_weights(s, d).T]
     second = np.array([[comb(q, r) * 2.0 ** -q for q in range(d + 1)] for r in range(d + 1)])
     first = second * (-1.0) ** np.add.outer(np.arange(d + 1), np.arange(d + 1))
@@ -688,12 +718,12 @@ def sourced_ladder(op, s, tau, one, n_full):
         doubled = band.compose(band)
         if len(doubled.offsets) >= op.mesh.n_elements:
             break
-        hi, band, m = band.split()[0], doubled, 2 * m
+        hi, band, m = _longdouble_pair(band), doubled, 2 * m  # the product reads its hi
         for q in range(d, -1, -1):
             moments[q] = hi.product(ssp_rk._combination(moments[:q + 1], first[:q + 1, q]),
                                     ssp_rk._combination(moments[:q + 1],
                                                         (first + second)[:q + 1, q]))
-    return (m, _GroupMaps(*band.split(), moments)) if m >= least else (1, one)
+    return (m, _GroupMaps(_longdouble_pair(band), moments)) if m >= least else (1, one)
 
 
 def _same_band(a, b):
@@ -701,14 +731,24 @@ def _same_band(a, b):
             and np.array_equal(a.row_blocks, b.row_blocks))
 
 
+def _close_band(a, b, rel):
+    """a and b on the same offsets, their blocks within rel of b's largest."""
+    return (np.array_equal(a.offsets, b.offsets) and
+            np.max(np.abs(a.blocks - b.blocks)) <= rel * np.max(np.abs(b.blocks)))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="the sourced oracle needs an extended np.longdouble")
 @pytest.mark.parametrize("s", (3, 12))
-def test_one_ladder_matches_the_two_it_replaced(monkeypatch, s):
-    # _fusion against the two ladders it replaced over an n_full sweep: the same
-    # m and bit-identical maps (A_m; or hi, lo and every moment map), with and
-    # without a source.  On N=16, k=1 at tau = 2^-5 the widths go 4, 7, 13,
-    # 16 (with s = 3), so the ladder breaks at mesh width, and the sourced
-    # one, below its least m, does not fuse; at tau = 2^-12 the price sets m
-    # over the sweep, and the sourced m stops at MAX_GROUP
+def test_one_ladder_matches_the_two_it_replaced(s):
+    # _fusion against the two ladders it replaced over an n_full sweep: the
+    # same m at every point; without a source a bit-identical A_m, with one
+    # hi + lo within 2^-62 of the np.longdouble oracle's and the moment maps
+    # within 1e-15 (they are doubled with float64(A_m), which may differ by
+    # an ulp).  On N=16, k=1 at tau = 2^-5 the widths go 4, 7, 13, 16 (with
+    # s = 3), so the ladder breaks at mesh width, and the sourced one, below
+    # its least m, does not fuse; at tau = 2^-12 the price sets m over the
+    # sweep, and the sourced m stops at MAX_GROUP
     mesh = periodic_mesh(16, SubdivisionRule.LSV, 1)
     sourced = Problem(u0=np.sin, source=lambda x, t: np.cos(x - t))
     sweep = [2] + [3 << e for e in range(15)]
@@ -726,12 +766,16 @@ def test_one_ladder_matches_the_two_it_replaced(monkeypatch, s):
                 assert m == expected_m, (problem.source, tau, n_full)
                 seen.setdefault(("sourced" if problem.source else "free", tau), []).append(m)
                 if isinstance(expected, _GroupMaps):
-                    pairs = [(got.hi, expected.hi), (got.lo, expected.lo)]
-                    pairs += list(zip(got.moments, expected.moments, strict=True))
+                    assert np.array_equal(got.a.offsets, expected.a.offsets), (tau, n_full)
+                    pair, oracle = (hi.dense().astype(np.longdouble) + lo.dense()
+                                    for hi, lo in (pair_parts(got.a), pair_parts(expected.a)))
+                    defect = np.max(np.abs(pair - oracle))
+                    assert defect <= 2.0 ** -62 * np.max(np.abs(oracle)), (tau, n_full)
+                    assert all(_close_band(a, b, 1e-15) for a, b in
+                               zip(got.moments, expected.moments, strict=True)), (tau, n_full)
                 else:
                     assert isinstance(got, BandedOperator) and got.blocks.dtype == np.float64
-                    pairs = [(got, expected)]
-                assert all(_same_band(a, b) for a, b in pairs), (problem.source, tau, n_full)
+                    assert _same_band(got, expected), (problem.source, tau, n_full)
     # the sweep crosses the price, the mesh-width break, least and MAX_GROUP
     free = SpatialOperator(mesh, dataclasses.replace(sourced, source=None))
     band = _fusion(free, s, 2.0 ** -5, free.increment_map(s, 2.0 ** -5), 2 ** 16)[1]
@@ -742,12 +786,6 @@ def test_one_ladder_matches_the_two_it_replaced(monkeypatch, s):
     least = 1 << (max(ssp_rk.FIT_DEGREE, s - 1) + 1).bit_length()
     assert {1, ssp_rk.MAX_GROUP} <= set(seen["sourced", 2.0 ** -12])
     assert min(m for m in seen["sourced", 2.0 ** -12] if m > 1) >= least
-    # where np.longdouble is no wider than float64, neither fuses a sourced run
-    monkeypatch.setattr(ssp_rk, "_LONGDOUBLE_EPS", float(np.finfo(np.float64).eps))
-    op = SpatialOperator(mesh, sourced)
-    one = op.increment_map(s, 2.0 ** -12)
-    assert _fusion(op, s, 2.0 ** -12, one, 10 ** 6) == (1, one)
-    assert sourced_ladder(op, s, 2.0 ** -12, one, 10 ** 6) == (1, one)
 
 
 def test_benchmark_runs_pick_their_group_sizes():
@@ -787,7 +825,8 @@ def test_extended_fused_map_matches_mpmath(s):
     tau = 2.0 ** np.floor(np.log2(1e-3 / np.max(np.abs(np.linalg.eigvals(l_dense)))))
     one = op.increment_map(s, tau)
     m, fused = _fusion(op, s, tau, one, 1000)
-    assert m == 16 and len(fused.hi.offsets) < mesh.n_elements
+    assert m == 16 and len(fused.a.offsets) < mesh.n_elements
+    hi, lo = pair_parts(fused.a)
     with mpmath.workprec(128):
         tau_l = mpmath.matrix(l_dense.tolist()) * tau
         eye = mpmath.eye(tau_l.rows)
@@ -798,15 +837,15 @@ def test_extended_fused_map_matches_mpmath(s):
         for _ in range(4):
             exact = exact + exact + exact * exact
         # hi + lo - exact, summed in 128 bits and rounded once
-        defect = np.array((mpmath.matrix(fused.hi.dense().tolist())
-                           + mpmath.matrix(fused.lo.dense().tolist()) - exact).tolist(),
+        defect = np.array((mpmath.matrix(hi.dense().tolist())
+                           + mpmath.matrix(lo.dense().tolist()) - exact).tolist(),
                           dtype=float)
         squared = one
         for _ in range(4):
             squared = squared.compose(squared)
         float64_defect = np.array((mpmath.matrix(squared.dense().tolist()) - exact).tolist(),
                                   dtype=float)
-    scale = np.max(np.abs(fused.hi.dense()))
+    scale = np.max(np.abs(hi.dense()))
     assert np.max(np.abs(defect)) <= 1e-17 * scale
     assert np.max(np.abs(float64_defect)) > 1e-17 * scale
 

@@ -1,10 +1,11 @@
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as leg
 
-from conftest import BOTH_RULES, periodic_mesh, random_coeffs, state_from_coeffs
+from conftest import BOTH_RULES, pair_parts, periodic_mesh, random_coeffs, state_from_coeffs
 from rksv import sv_space
 from rksv.harness import run_checks
 from rksv.mesh import BoundaryCondition, SubdivisionRule, perturbed_mesh, uniform_mesh
@@ -641,8 +642,8 @@ def _column_bands():
     blocks[:, :, [0, 1, 8]] = 0.0  # offsets -6, -5 and 2 are trimmed
     asymmetric = sv_space.BandedOperator(blocks, np.arange(-6, 3))
     assert np.array_equal(asymmetric.offsets, np.arange(-4, 2))
-    fused = two_orientations.increment_map(5, np.longdouble(0.02))
-    hi, lo = fused.compose(fused).split()
+    fused = two_orientations.extended_increment_map(5, 0.02)
+    hi, lo = pair_parts(fused.compose(fused))
     bands = [("L-per-element", two_orientations.L),
              ("A-per-element", two_orientations.increment_map(5, 0.02)),
              ("A2-hi", hi), ("A2-lo", lo),
@@ -702,6 +703,76 @@ def test_apply_columns_matches_gathered_product(rng, band, layout):
     assert np.max(np.abs(got - oracle @ columns)) <= 1e-15 * scale
 
 
+def _random_pair(rng, structure):
+    """A (hi, lo) pair band with random blocks where ``structure``'s are
+    nonzero (its offsets, rows and zero blocks), lo some 2^-53 of hi."""
+    grid = np.where(structure._grid != 0.0, rng.uniform(-1.0, 1.0, structure._grid.shape), 0.0)
+    pair = np.concatenate([grid, grid * rng.uniform(-1.0, 1.0, grid.shape) * 2.0 ** -53], axis=1)
+    return sv_space.BandedOperator(np.broadcast_to(pair, (len(structure.blocks),) + pair.shape[1:]),
+                                   structure.offsets)
+
+
+def _exact_dense(pair):
+    """The pair's dense matrix hi + lo as Fractions (object array)."""
+    return sum(np.vectorize(Fraction, otypes=[object])(_gathered_dense(part))
+               for part in pair_parts(pair))
+
+
+def _sliced_product_structures():
+    rsv = SubdivisionRule.RSV_ADAPTIVE
+    two_orientations = SpatialOperator(
+        perturbed_mesh(12, 3, rsv, 2, BoundaryCondition.PERIODIC, alpha=lambda x: 0.5 + np.sin(x)),
+        Problem(u0=np.sin, alpha=lambda x: 0.5 + np.sin(x)))
+    assert len(workspace(two_orientations.mesh).variants) == 2
+    inflow = SpatialOperator(
+        uniform_mesh(0.3, 2.0 * np.pi - 0.3, 12, rsv, 2, BoundaryCondition.INFLOW_ZERO,
+                     alpha=np.sin), Problem(u0=np.sin, alpha=np.sin))
+    one_row = SpatialOperator(periodic_mesh(12, SubdivisionRule.LSV, 2), Problem(u0=np.sin))
+    per_element = SpatialOperator(perturbed_mesh(12, 5, SubdivisionRule.RRSV, 2,
+                                                 BoundaryCondition.PERIODIC), Problem(u0=np.sin))
+    return {"one-row": one_row.increment_map(2, 0.1),
+            "per-element": per_element.increment_map(2, 0.1),
+            "two-orientation": two_orientations.increment_map(2, 0.1),
+            "inflow-zero": inflow.increment_map(2, 0.05)}
+
+
+@pytest.mark.parametrize("name", ("one-row", "per-element", "two-orientation", "inflow-zero"))
+def test_sliced_product_matches_exact_product(name):
+    # the (hi, lo) product of random pairs, and of a pair with itself, is
+    # within 2^-76 of max|X| |Y| + |X| max|Y| of the exact product (in
+    # Fractions), and exact where |X||Y| is 0: the slices' unit is one per
+    # band, so an entry of a small |X||Y| is not held to 2^-76 of itself (one
+    # read 2^-69.4).  The product of the leading slices is exact, so the
+    # banded product and a dense BLAS product sum it to the same bits
+    structure = _sliced_product_structures()[name]
+    assert _one_row(structure) == (name == "one-row")
+    rng = np.random.default_rng(11)
+    x, y = _random_pair(rng, structure), _random_pair(rng, structure)
+    n, k1 = len(structure.blocks), structure._grid.shape[3]
+    for a, b in ((x, y), (x, x)):
+        q = sv_space._extended_product(a._grid, a.offsets, b._grid)  # b._grid is a._grid for x, x
+        offsets = a.offsets[0] + b.offsets[0] + np.arange(q.shape[2])
+        assert len(offsets) < n  # no aliased columns: every dense entry is one block entry
+        product = sv_space.BandedOperator(np.broadcast_to(q, (n,) + q.shape[1:]), offsets)
+        exact = _exact_dense(a).dot(_exact_dense(b))
+        defect = np.abs(np.vectorize(float)(_exact_dense(product) - exact).astype(float))
+        ax, ay = (np.abs(_gathered_dense(pair_parts(band)[0])) for band in (a, b))
+        bound = ax.max() * ay.sum(axis=0) + ax.sum(axis=1)[:, None] * ay.max()
+        assert np.all(defect <= 2.0 ** -76 * bound) and np.all(defect[ax @ ay == 0.0] == 0.0)
+        beta = (53 - (len(a.offsets) * k1 - 1).bit_length()) // 2
+        slices = []
+        for band in (a, b):  # hi to a multiple of 2^-beta of the power of two above max|hi|
+            hi = band._grid[:, :k1]
+            unit = 2.0 ** (np.frexp(np.abs(hi).max())[1] - beta)
+            slices.append(np.rint(hi / unit) * unit)
+        lead = [sv_space.BandedOperator(np.broadcast_to(g, (n,) + g.shape[1:]), band.offsets, -1.0)
+                for g, band in zip(slices, (a, b))]
+        blas = _gathered_dense(lead[0]) @ _gathered_dense(lead[1])
+        q = sv_space._band_product(slices[0], a.offsets, slices[1])
+        banded = sv_space.BandedOperator(np.broadcast_to(q, (n,) + q.shape[1:]), offsets, -1.0)
+        assert np.array_equal(_gathered_dense(banded), blas), name
+
+
 def _traced_peak(product, operand):
     """The tracemalloc peak, in bytes, of one call ``product(operand)``."""
     import tracemalloc
@@ -754,7 +825,8 @@ def test_band_blocks_are_read_only():
     one = op.increment_map(3, 0.02)
     trimmed = one.compose(one)
     assert len(trimmed.offsets) < 2 * len(one.offsets) - 1
-    for band in (op.L, trimmed, *trimmed.split()):
+    pair = op.extended_increment_map(3, 0.02)
+    for band in (op.L, trimmed, pair, pair.compose(pair)):
         before = band.row_blocks.copy()
         with pytest.raises(ValueError):
             band.row_blocks *= 2.0
