@@ -143,6 +143,8 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     report = run_checks(args.seed)
     print(report.text())
     return EXIT_OK if report.passed else EXIT_CHECK
@@ -189,6 +191,14 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except _FieldError as exc:  # a value that a run rejected; its message begins with the key
+        message = str(exc)
+        if getattr(args, exc.key) is not None:  # named after the flag that set it
+            message = exc.flag + message.removeprefix(exc.key)
+        elif args.config is not None:
+            message = f"{args.config}: {message}"
+        print(f"error: {message}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

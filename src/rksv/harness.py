@@ -10,12 +10,12 @@ from math import factorial, isfinite
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial.legendre import legvander
 
 from . import matrix_transfer, petrov_galerkin as pg
-from ._basis import legendre_vandermonde
 from ._markdown import markdown_table
-from .mesh import (BoundaryCondition, Mesh1D, SubdivisionRule, perturbed_mesh,
-                   reference_nodes, uniform_mesh)
+from .mesh import (MAX_DEGREE, MIN_ELEMENTS, BoundaryCondition, Mesh1D, SubdivisionRule,
+                   perturbed_mesh, reference_nodes, uniform_mesh)
 from .quadrature import interpolatory_weights
 from .ssp_rk import integrate, ssp_tableau, step_plan
 from .sv_space import Problem, SpatialOperator, SvState, error_norms, project_initial, workspace
@@ -164,6 +164,8 @@ class ExperimentConfig:
             raise _FieldError("cfl", f"cfl must be in (0, 1], got {self.cfl}")
         if self.k < 1:
             raise _FieldError("k", f"k must be >= 1, got {self.k}")
+        if self.k > MAX_DEGREE:
+            raise _FieldError("k", f"k must be in 1..{MAX_DEGREE}, got {self.k}")
         if not 1 <= self.s <= matrix_transfer.MAX_STAGES:
             raise _FieldError("s", f"s must be in 1..{matrix_transfer.MAX_STAGES}, got {self.s}")
         if self.t_final is not None and not (isfinite(self.t_final) and self.t_final >= 0.0):
@@ -180,6 +182,11 @@ class ExperimentConfig:
                                   f"float (tau = cfl * h^e), got {self.cfl_exponent}")
             object.__setattr__(self, "cfl_exponent", exponent)
         definition = problem_definition(self.example)
+        minimum = MIN_ELEMENTS[definition.mesh_kind]
+        for n in self.n_values:
+            if n < minimum:
+                raise _FieldError("n", f"need at least {minimum} elements on a "
+                                  f"{definition.mesh_kind} mesh, got {n}")
         allowed = definition.allowed_schemes
         if allowed is not None and self.scheme not in allowed:
             names = "/".join(r.value for r in allowed)
@@ -248,9 +255,9 @@ def run_solve(config: ExperimentConfig, n: int | None = None) -> SolveResult:
         mesh = build_mesh(config, n)
         tau = time_step(config, mesh)
         if not tau > t_final / sys.maxsize:  # zero, or more steps than an int holds
-            raise ValueError(f"--cfl-exp {resolve_cfl_exponent(config)}: tau = cfl * h_min^e = "
-                             f"{tau:.3g} at N={n} would take more steps to t_final={t_final:g} "
-                             f"than an int holds")
+            raise _FieldError("cfl_exp", f"cfl_exp {resolve_cfl_exponent(config)}: tau = cfl * "
+                              f"h_min^e = {tau:.3g} at N={n} would take more steps to "
+                              f"t_final={t_final:g} than an int holds")
         tableau = ssp_tableau(config.s)
         state = project_initial(problem, mesh, config.k)
         n_full, last = step_plan(state.t, tau, t_final)
@@ -428,8 +435,8 @@ def run_checks(seed: int = 0, trials: int = 100) -> CheckReport:
 
         def f(x):  # row i: the primitive of v times w_x, on element i
             y = (x - mesh.centers[:, None]) * scale
-            av = np.einsum("ipm,im->ip", legendre_vandermonde(y, mesh.k + 1), anti)
-            return av * np.einsum("ipm,im->ip", legendre_vandermonde(y, mesh.k), dw) * scale
+            av = np.einsum("ipm,im->ip", legvander(y, mesh.k + 1), anti)
+            return av * np.einsum("ipm,im->ip", legvander(y, mesh.k), dw) * scale
 
         residual = float(np.sum(pg.quadrature_residual(f, mesh)))
         lhs = pg.inner_star(v, w, mesh)

@@ -12,6 +12,7 @@ from .quadrature import gauss_rule, right_radau_nodes
 
 __all__ = [
     "MAX_DEGREE",
+    "MIN_ELEMENTS",
     "SubdivisionRule",
     "BoundaryCondition",
     "Mesh1D",
@@ -22,6 +23,7 @@ __all__ = [
 ]
 
 MAX_DEGREE = 12
+MIN_ELEMENTS = {"uniform": 2, "perturbed": 4}  # by builder: uniform_mesh, perturbed_mesh
 
 
 class SubdivisionRule(str, enum.Enum):
@@ -137,8 +139,8 @@ def uniform_mesh(a, b, n, rule, k, bc, alpha=None) -> Mesh1D:
     coefficient every element's operator row is bit-identical."""
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    if n < 2:
-        raise ValueError(f"need at least 2 elements, got {n}")
+    if n < MIN_ELEMENTS["uniform"]:
+        raise ValueError(f"need at least {MIN_ELEMENTS['uniform']} elements, got {n}")
     return _build_mesh(np.linspace(a, b, n + 1), np.full(n, (b - a) / n), rule, k, bc, alpha)
 
 
@@ -157,8 +159,8 @@ def splitmix64_stream(seed: int):
 
 def perturbed_mesh(n, seed, rule, k, bc, alpha=None) -> Mesh1D:
     """Randomly perturbed partition of [0, 2*pi]: x_i = 2*pi*i/N + sin(i*pi/N)/(100N) * u_i."""
-    if n < 4:
-        raise ValueError(f"need at least 4 elements, got {n}")
+    if n < MIN_ELEMENTS["perturbed"]:
+        raise ValueError(f"need at least {MIN_ELEMENTS['perturbed']} elements, got {n}")
     stream = splitmix64_stream(seed)
     i = np.arange(1, n)
     u = np.array([next(stream) for _ in i])

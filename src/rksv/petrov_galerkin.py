@@ -7,12 +7,14 @@ returns.
 
 from __future__ import annotations
 
-import numpy as np
+from functools import lru_cache
 
-from ._basis import antiderivative_matrix, derivative_matrix, legendre_vandermonde
+import numpy as np
+from numpy.polynomial.legendre import legder, legint, legvander
+
 from .mesh import BoundaryCondition, Mesh1D
 from .quadrature import gauss_rule
-from .sv_space import workspace
+from .sv_space import _read_only, workspace
 
 __all__ = [
     "node_weights",
@@ -64,9 +66,22 @@ def boundary_traces(coeffs: np.ndarray, mesh: Mesh1D) -> tuple[np.ndarray, np.nd
     return vals[:, 0].copy(), vals[:, -1].copy()
 
 
+@lru_cache(maxsize=None)
+def _derivative_matrix(k: int) -> np.ndarray:
+    """d/dy on k+1 Legendre coefficients, its last row zero; cached, read-only."""
+    return _read_only(np.vstack([legder(np.eye(k + 1), axis=0), np.zeros(k + 1)]))
+
+
+@lru_cache(maxsize=None)
+def _antiderivative_matrix(k: int) -> np.ndarray:
+    """k+1 Legendre coefficients -> the k+2 of the antiderivative vanishing at y = -1;
+    cached, read-only."""
+    return _read_only(legint(np.eye(k + 1), axis=0, lbnd=-1))
+
+
 def derivative_coeffs(coeffs: np.ndarray, mesh: Mesh1D) -> np.ndarray:
     """Reference-coordinate Legendre coefficients of d/dy of each element polynomial."""
-    return coeffs @ derivative_matrix(mesh.k).T
+    return coeffs @ _derivative_matrix(mesh.k).T
 
 
 def interpolation_nodes_values(coeffs: np.ndarray, mesh: Mesh1D) -> np.ndarray:
@@ -133,13 +148,10 @@ def l2_inner(v: np.ndarray, w: np.ndarray, mesh: Mesh1D) -> float:
 
 def global_antiderivative(v: np.ndarray, mesh: Mesh1D) -> np.ndarray:
     """Coefficients (N, k+2) of the primitive of v vanishing at the left domain end."""
-    k = mesh.k
-    anti = v @ antiderivative_matrix(k).T * (0.5 * mesh.lengths)[:, None]
-    ends = legendre_vandermonde(np.array([-1.0, 1.0]), k + 1)
-    left_vals = anti @ ends[0]
-    right_vals = anti @ ends[1]
-    jumps = np.concatenate([[0.0], np.cumsum(right_vals[:-1] - left_vals[1:])])
-    anti[:, 0] += jumps - left_vals[0]
+    anti = v @ _antiderivative_matrix(mesh.k).T * (0.5 * mesh.lengths)[:, None]
+    # each element's primitive vanishes at its left end and, as every L_m(1) = 1,
+    # reaches the sum of its coefficients at its right end
+    anti[:, 0] += np.concatenate([[0.0], np.cumsum(anti[:-1].sum(axis=1))])
     return anti
 
 

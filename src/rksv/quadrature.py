@@ -12,8 +12,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre
 
-from ._basis import legendre_vandermonde
-
 __all__ = [
     "right_radau_nodes",
     "interpolatory_weights",
@@ -52,7 +50,7 @@ def _moment_weights(nodes: np.ndarray) -> np.ndarray:
     sum_j w_j L_m(y_j) = integral of L_m = (2, 0, ..., 0)."""
     moments = np.zeros(len(nodes))
     moments[0] = 2.0
-    return np.linalg.solve(legendre_vandermonde(nodes, len(nodes) - 1).T, moments)
+    return np.linalg.solve(legendre.legvander(nodes, len(nodes) - 1).T, moments)
 
 
 def _verify_exactness(nodes, weights, degree):

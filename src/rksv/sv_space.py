@@ -16,8 +16,8 @@ from math import factorial
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial.legendre import legint, legvander
 
-from ._basis import antiderivative_values, legendre_vandermonde, mass_matrix
 from .mesh import BoundaryCondition, Mesh1D, SubdivisionRule, reference_nodes
 from .quadrature import gauss_rule, interpolatory_weights
 
@@ -83,6 +83,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _cv_integrals(y: np.ndarray, degree: int) -> np.ndarray:
+    """M[j, m] = integral of L_m over [y_j, y_{j+1}] for m = 0..degree: differences of
+    antiderivatives, whose constant of integration cancels."""
+    return np.diff(legvander(y, degree + 1) @ legint(np.eye(degree + 1), axis=0), axis=0)
+
+
 class _VariantOps:
     """Reference tables of all elements with the same reference nodes, built once
     per process for each (rule, k, left_oriented) by ``_variant``, so read-only."""
@@ -91,11 +97,11 @@ class _VariantOps:
         self.rule = rule
         self.left_oriented = left_oriented
         self.y = y = reference_nodes(rule, k, left_oriented)
-        self.mass = _read_only(mass_matrix(y))
+        self.mass = _read_only(_cv_integrals(y, k))
         if np.linalg.cond(self.mass) > _COND_LIMIT:
             raise RuntimeError("CV mass matrix is numerically singular")
         self.mass_inv = _read_only(np.linalg.inv(self.mass))
-        self.trace = _read_only(legendre_vandermonde(y, k))  # (k+2, k+1), values at CV bounds
+        self.trace = _read_only(legvander(y, k))  # (k+2, k+1), values at CV bounds
         # CV integrals -> values at the CV bounds, on an element of length 2
         self.trace_map = _read_only(self.trace @ self.mass_inv)
         gy, gw = gauss_rule(k + 3)
@@ -104,7 +110,7 @@ class _VariantOps:
         half = 0.5 * np.diff(y)
         self.quad_y = _read_only(mid[:, None] + half[:, None] * gy[None, :])
         self.quad_w = _read_only(half[:, None] * gw[None, :])  # weights on the reference element
-        self.quad_basis = _read_only(legendre_vandermonde(self.quad_y, k))
+        self.quad_basis = _read_only(legvander(self.quad_y, k))
 
     @cached_property
     def source_map(self) -> np.ndarray:
@@ -115,8 +121,7 @@ class _VariantOps:
         """
         q = len(self.y) + 1
         gy, _ = gauss_rule(q)
-        return _read_only(np.diff(antiderivative_values(self.y, q - 1), axis=0) @
-                          np.linalg.inv(legendre_vandermonde(gy, q - 1)))
+        return _read_only(_cv_integrals(self.y, q - 1) @ np.linalg.inv(legvander(gy, q - 1)))
 
     @cached_property
     def node_weights(self) -> np.ndarray:
@@ -531,7 +536,7 @@ def error_norms(state: SvState, problem: Problem, t: float | None = None) -> tup
     l2_sq = float(np.sum(err * err * ws.table("quad_w") * half_h[:, :, None]))
     # Linf samples: 20 even points and the CV bounds of each element
     even = np.linspace(-1.0, 1.0, 20)
-    us = np.concatenate([coeffs @ legendre_vandermonde(even, mesh.k).T,
+    us = np.concatenate([coeffs @ legvander(even, mesh.k).T,
                          np.einsum("ijm,im->ij", ws.table("trace"), coeffs)], axis=1)
     xs = np.concatenate([mesh.centers[:, None] + half_h * even, mesh.cv_bounds], axis=1)
     linf = float(np.max(np.abs(us - problem.u_exact(xs, t))))
@@ -545,7 +550,7 @@ def snapshot_table(state: SvState, points_per_element: int = 8) -> str:
     coeffs = reconstruct(state)
     mesh = state.mesh
     y = np.linspace(-1.0, 1.0, points_per_element)
-    basis = legendre_vandermonde(y, mesh.k)
+    basis = legvander(y, mesh.k)
     lines = ["# x u_h"]
     for i in range(mesh.n_elements):
         xs = mesh.centers[i] + 0.5 * mesh.lengths[i] * y

@@ -243,9 +243,12 @@ def test_config_file_names_out_of_range_values(tmp_path, capsys, key, raw, expec
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
-@pytest.mark.parametrize("flag, raw, expected", (("--cfl", "2", "cfl must be in (0, 1], got 2.0"),
-                                                 ("--s", "13", "s must be in 1..12, got 13"),
-                                                 ("--k", "0", "k must be >= 1, got 0")))
+@pytest.mark.parametrize("flag, raw, expected", (
+    ("--cfl", "2", "cfl must be in (0, 1], got 2.0"),
+    ("--s", "13", "s must be in 1..12, got 13"),
+    ("--k", "0", "k must be >= 1, got 0"),
+    ("--k", "13", "k must be in 1..12, got 13"),
+    ("--n", "1", "need at least 2 elements on a uniform mesh, got 1")))
 def test_config_range_errors_name_their_source(tmp_path, capsys, flag, raw, expected):
     # the same bad value from the file names the file, and from a flag on top
     # of a valid file names the flag, not the file
@@ -257,6 +260,17 @@ def test_config_range_errors_name_their_source(tmp_path, capsys, flag, raw, expe
     assert cli.main(["solve", "--config", str(good), flag, raw]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}: {expected}") and str(good) not in err
+
+
+def test_perturbed_mesh_size_errors_name_their_source(tmp_path, capsys):
+    # Example 2's perturbed mesh takes N >= 4: a config error before any solve
+    expected = "need at least 4 elements on a perturbed mesh, got 2"
+    bad = _write_config(tmp_path / "bad.cfg", problem="degenerate_sine", n="2,4,8")
+    assert cli.main(["converge", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {expected}")
+    assert cli.main(["converge", "--example", "2", "--scheme", "lsv", "--k", "2", "--s", "3",
+                     "--n", "2,4,8", "--cfl", "0.1"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: --n: {expected}")
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +474,28 @@ def test_run_solve_rejects_zero_tau():
     config = ExperimentConfig(example=1, scheme=SubdivisionRule.LSV, k=2, s=3, n_values=(32,),
                               cfl=0.1, cfl_exponent="400")
     assert time_step(config, build_mesh(config, 32)) == 0.0
-    with pytest.raises(ValueError, match=r"--cfl-exp 400: tau = cfl \* h_min\^e = 0 at N=32"):
+    with pytest.raises(ValueError, match=r"^cfl_exp 400: tau = cfl \* h_min\^e = 0 at N=32"):
         run_solve(config)
+
+
+@pytest.mark.parametrize("command", ("solve", "converge"))
+def test_cli_cfl_exp_from_a_file_whose_tau_cannot_step_names_the_file(capsys, tmp_path,
+                                                                      command):
+    path = _write_config(tmp_path / "exp.cfg", n="8" if command == "solve" else "8,16,32",
+                         cfl_exp="400")
+    assert cli.main([command, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {path}: cfl_exp 400: tau = ")
+    assert "--cfl-exp" not in captured.err and "than an int holds" in captured.err
 
 
 @pytest.mark.parametrize("flag, value, message", (
     ("--cfl-exp", "1e400", "cfl_exponent must be positive and fit in a float"),
     ("--cfl", "2", "cfl must be in (0, 1]"),
-    ("--t-final", "-1", "t_final must be finite and non-negative")))
+    ("--t-final", "-1", "t_final must be finite and non-negative"),
+    ("--k", "13", "k must be in 1..12, got 13"),
+    ("--n", "1", "need at least 2 elements on a uniform mesh, got 1")))
 def test_cli_example_errors_name_the_flag(capsys, flag, value, message):
     # a bad value given with --example is reported under its flag, as the
     # same value given as an override to --config is
@@ -537,3 +565,5 @@ def test_cli_check_exit_codes(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_checks", lambda seed: bad)
     assert cli.main(["check", "--seed", "3"]) == 3
     capsys.readouterr()
+    assert cli.main(["check", "--seed", "-1"]) == 1   # a usage error, before any check
+    assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"

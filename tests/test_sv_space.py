@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as leg
@@ -36,6 +37,29 @@ def test_mass_matrix_first_column_is_cv_widths(rule, k):
     m = cv_mass_matrix(rule, k)
     widths = np.diff(reference_nodes(rule, k))
     assert np.allclose(m[:, 0], widths, atol=1e-15)
+
+
+@pytest.mark.parametrize("rule, left_oriented", ((SubdivisionRule.LSV, False),
+                                                 (SubdivisionRule.RRSV, False),
+                                                 (SubdivisionRule.RSV_ADAPTIVE, True)))
+def test_variant_tables_match_a_40_digit_reference(rule, left_oriented):
+    # the reference starts from the same float64 nodes, so only the table
+    # arithmetic is measured: M[j, m] from (L_{m+1} - L_{m-1}) / (2m+1) at the CV
+    # bounds, and the trace map L_m(y_j) M^-1
+    with mpmath.workdps(40):
+        for k in range(1, 13):
+            ops = sv_space._variant(rule, k, left_oriented)
+            values = [[mpmath.legendre(m, mpmath.mpf(float(y))) for m in range(k + 2)]
+                      for y in ops.y]
+            anti = [[row[1]] + [(row[m + 1] - row[m - 1]) / (2 * m + 1) for m in range(1, k + 1)]
+                    for row in values]
+            mass = mpmath.matrix([[b - a for a, b in zip(lo, hi)]
+                                  for lo, hi in zip(anti, anti[1:])])
+            trace_map = mpmath.matrix([row[:k + 1] for row in values]) * mass ** -1
+            for got, ref, ulps in ((ops.mass, mass, 4), (ops.trace_map, trace_map, 16)):
+                err = max(abs(mpmath.mpf(float(got[i, j])) - ref[i, j])
+                          for i in range(got.shape[0]) for j in range(got.shape[1]))
+                assert err <= ulps * np.spacing(np.max(np.abs(got))), (k, got.shape)
 
 
 _VARIANT_TABLES = ("y", "mass", "mass_inv", "trace", "trace_map", "quad_y", "quad_w",
