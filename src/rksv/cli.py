@@ -10,9 +10,9 @@ import os
 import re
 import sys
 
-from .harness import (ExperimentConfig, NumericalError, _FieldError, config_from_file,
+from .harness import (CONFIG_KEYS, ExperimentConfig, NumericalError, _FieldError, config_from_file,
                       parse_n_values, run_checks, run_convergence, run_solve)
-from .matrix_transfer import (error_transfer, key_factor_table, render_matrices,
+from .matrix_transfer import (MAX_STAGES, error_transfer, key_factor_table, render_matrices,
                               render_table, stability_transfer)
 from .mesh import SubdivisionRule
 from .sv_space import snapshot_table
@@ -51,44 +51,25 @@ def _add_solve_flags(p, n_help):
 
 
 def _build_config(args) -> ExperimentConfig:
-    n_values = None if args.n is None else parse_n_values(args.n, "--n")
-    if args.config is not None:
-        return config_from_file(
-            args.config,
-            problem=None if args.example is None else int(args.example),
-            scheme=args.scheme,
-            k=args.k,
-            s=args.s,
-            n=n_values,
-            cfl=args.cfl,
-            cfl_exp=args.cfl_exp,
-            t_final=args.t_final,
-            seed=args.seed,
-        )
-    if args.example is None:
-        raise ValueError("either --example or --config is required")
-    missing = [name for name, val in
-               (("--scheme", args.scheme), ("--k", args.k), ("--s", args.s),
-                ("--n", args.n), ("--cfl", args.cfl)) if val is None]
-    if missing:
-        raise ValueError(f"missing required flags: {', '.join(missing)}")
-    try:  # named after its flag, as config_from_file names an override
-        return ExperimentConfig(
-            example=int(args.example),
-            scheme=SubdivisionRule(args.scheme),
-            k=args.k,
-            s=args.s,
-            n_values=n_values,
-            cfl=args.cfl,
-            cfl_exponent=args.cfl_exp,
-            t_final=args.t_final,
-            seed=0 if args.seed is None else args.seed,
-        )
-    except _FieldError as exc:
-        raise ValueError(f"{exc.flag}: {exc}") from None
+    """The ``--config`` file with every given flag on top of it; ``--example``
+    is a config that has no file, so each of its values is a flag."""
+    if args.config is None:
+        if args.example is None:
+            raise ValueError("either --example or --config is required")
+        missing = [f"--{key}" for key in ("scheme", "k", "s", "n", "cfl")
+                   if getattr(args, key) is None]
+        if missing:
+            raise ValueError(f"missing required flags: {', '.join(missing)}")
+    values = {key: getattr(args, key) for key in CONFIG_KEYS if key != "problem"}
+    if args.n is not None:
+        values["n"] = parse_n_values(args.n, "--n")
+    return config_from_file(args.config, problem=args.example and int(args.example), **values)
 
 
 def _cmd_analyze(args) -> int:
+    flag, s = ("--s-max", args.s_max) if args.s is None else ("--s", args.s)
+    if not 1 <= s <= MAX_STAGES:
+        raise ValueError(f"{flag} must be in 1..{MAX_STAGES}, got {s}")
     if args.s is not None:
         reports = [stability_transfer(args.s)]
     else:
@@ -115,7 +96,7 @@ def _require_writable(path) -> None:
 def _cmd_solve(args) -> int:
     config = _build_config(args)
     if len(config.n_values) != 1:
-        raise ValueError("solve expects a single --n value")
+        raise _FieldError("n", f"n must be a single mesh size for solve, got {config.n_values}")
     _require_writable(args.snapshot)
     result = run_solve(config)
     print(f"N={result.n} L2={result.l2:.3e} Linf={result.linf:.3e} "

@@ -168,6 +168,8 @@ class ExperimentConfig:
             raise _FieldError("k", f"k must be in 1..{MAX_DEGREE}, got {self.k}")
         if not 1 <= self.s <= matrix_transfer.MAX_STAGES:
             raise _FieldError("s", f"s must be in 1..{matrix_transfer.MAX_STAGES}, got {self.s}")
+        if not 0 <= self.seed < 2**64:  # mesh.splitmix64_stream reads the seed mod 2^64
+            raise _FieldError("seed", f"seed must be in 0..2^64-1, got {self.seed}")
         if self.t_final is not None and not (isfinite(self.t_final) and self.t_final >= 0.0):
             raise _FieldError("t_final",
                               f"t_final must be finite and non-negative, got {self.t_final}")
@@ -324,9 +326,9 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceTable:
     size whose solve fails or diverges (``NumericalError``) reads nan."""
     ns = config.n_values
     if len(ns) < 3:
-        raise ValueError("need at least 3 mesh sizes")
+        raise _FieldError("n", f"n must list at least 3 mesh sizes, got {ns}")
     if any(b != 2 * a for a, b in zip(ns, ns[1:])):
-        raise ValueError(f"mesh sizes must double: {ns}")
+        raise _FieldError("n", f"n must double from each mesh size to the next, got {ns}")
     rows = []
     prev: Optional[SolveResult] = None
     for n in ns:
@@ -545,12 +547,13 @@ def parse_n_values(raw: str, where: str) -> tuple[int, ...]:
 
 
 def config_from_file(path, **overrides) -> ExperimentConfig:
-    """An ExperimentConfig from a plain-text file of ``CONFIG_KEYS`` plus keyword overrides.
+    """An ExperimentConfig from a plain-text file of ``CONFIG_KEYS`` (none where
+    ``path`` is None) plus keyword overrides.
 
     A bad value is reported with the file it came from, or, when an override
     (a CLI flag of the same name) set it, with that flag: ``--cfl: ...``.
     """
-    entries = parse_config_file(path)
+    entries = {} if path is None else parse_config_file(path)
     unknown = [key for key in entries if key not in CONFIG_KEYS]
     if unknown:
         raise ValueError(f"{path}: unknown key {unknown[0]!r} (keys: {', '.join(CONFIG_KEYS)})")
@@ -562,7 +565,7 @@ def config_from_file(path, **overrides) -> ExperimentConfig:
             return default
         return _convert(convert, entries[key], key, expected)
     rules = "/".join(r.value for r in SubdivisionRule)
-    try:  # every ValueError below names the file
+    try:  # every ValueError below names its source
         problem = pick("problem")
         if problem is None:
             raise ValueError("missing 'problem' entry")
@@ -580,8 +583,9 @@ def config_from_file(path, **overrides) -> ExperimentConfig:
             t_final=pick("t_final", float, "a number"),
             seed=pick("seed", int, "an integer", 0),
         )
-    except _FieldError as exc:  # named after the flag where an override set the value
-        where = exc.flag if overrides.get(exc.key) is not None else path
+    except ValueError as exc:  # named after the flag where an override set it, else the file
+        flagged = isinstance(exc, _FieldError) and overrides.get(exc.key) is not None
+        where = exc.flag if flagged else path
+        if where is None:  # no file
+            raise
         raise ValueError(f"{where}: {exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None

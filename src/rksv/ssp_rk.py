@@ -72,7 +72,9 @@ MAX_GROUP = 64            # full steps per fused sourced update at most
 MAX_BATCH = 8             # groups whose forced response is formed together at most
 FIT_DEGREE = 6            # the least degree of a group's source fit (and at least s-1)
 _FIT_TOLERANCE = 2.0 ** -48  # a group's fit residual, over |G| + |t G'|, that steps it
-_EXTENDED_SQUARE = 16     # the price of a (hi, lo) band square, in W(k+1) applications of the band
+# a sourced level's price c in W(k+1) applications, tuned: a (hi, lo) square costs 2.1-2.8, but
+# c also pays the moment ladder past d + 1 (at c = 3, 400- and 600-step runs fused ~3x slower)
+_EXTENDED_SQUARE = 16
 
 
 @dataclass(frozen=True)
@@ -275,8 +277,9 @@ def _fusion(op: SpatialOperator, s: int, tau: float, one: BandedOperator,
     ``extended_increment_map``) and, with a source, doubles each M_q(1)
     (``polynomial``) by a float64 ``product`` with float64(A_m), in place
     from the top.  It costs about (c + d + 1) W(k+1) applications of A_m, W
-    its offsets and c = 1 for a float64 square (``_EXTENDED_SQUARE`` for a
-    pair's), and a group about 2(d+2) (one without a source, where
+    its offsets and c = 1 for a float64 square (with a source the tuned
+    ``_EXTENDED_SQUARE``, which covers a pair's square and the moment ladder's
+    cost past d + 1), and a group about 2(d+2) (one without a source, where
     d + 1 = 0), so m doubles while the groups of 2m outnumber that ratio and
     the squared band is narrower than the mesh, so that no column aliases.
     At tau = O(h^e), e > 1, the trimmed W grows far slower than m.  The

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -10,8 +11,8 @@ import pytest
 
 from rksv import cli
 from rksv import petrov_galerkin as pg
-from rksv.harness import (ConvergenceTable, ExperimentConfig, NumericalError, TableRow,
-                          build_mesh, config_from_file, problem_definition,
+from rksv.harness import (CONFIG_KEYS, ConvergenceTable, ExperimentConfig, NumericalError,
+                          TableRow, build_mesh, config_from_file, problem_definition,
                           resolve_cfl_exponent, run_checks, run_convergence, run_solve,
                           time_step)
 from rksv.mesh import SubdivisionRule
@@ -567,3 +568,76 @@ def test_cli_check_exit_codes(monkeypatch, capsys):
     capsys.readouterr()
     assert cli.main(["check", "--seed", "-1"]) == 1   # a usage error, before any check
     assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+
+
+# ---------------------------------------------------------------------------
+# one config path: --example is a config that has no file
+
+
+@pytest.mark.parametrize("command", ("solve", "converge"))
+def test_every_config_key_is_a_flag(command):
+    # _build_config passes each flag under its config key, so no key may lack a flag
+    dests = vars(cli.build_parser().parse_args([command]))
+    assert set(CONFIG_KEYS) - {"problem"} <= set(dests)
+
+
+def _flag_argv(values):
+    return [a for key, value in values.items() for a in (f"--{key.replace('_', '-')}", value)]
+
+
+@pytest.mark.parametrize("example, values", (
+    ("1", {"scheme": "lsv", "k": "2", "s": "3", "n": "8,16,32", "cfl": "0.1"}),
+    ("1", {"scheme": "rrsv", "k": "4", "s": "5", "n": "16 32 64", "cfl": "0.5",
+           "cfl_exp": "5/4", "t_final": "0.25"}),
+    ("2", {"scheme": "rsv", "k": "3", "s": "5", "n": "8,16,32", "cfl": "1e-3",
+           "cfl_exp": "1", "seed": "9"})))
+def test_example_flags_and_config_file_give_equal_configs(tmp_path, example, values):
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"problem: {problem_definition(int(example)).name}\n" +
+                    "".join(f"{key}: {value}\n" for key, value in values.items()))
+    parser = cli.build_parser()
+    from_flags = cli._build_config(parser.parse_args(["converge", "--example", example] +
+                                                     _flag_argv(values)))
+    from_file = cli._build_config(parser.parse_args(["converge", "--config", str(path)]))
+    assert from_flags == dataclasses.replace(from_file, example=int(example))
+
+
+@pytest.mark.parametrize("seed", ("-1", str(2**64)))
+def test_seed_outside_64_bits_names_its_source(tmp_path, capsys, seed):
+    # the mesh stream reads the seed mod 2^64: -1 would give the mesh of
+    # 2^64 - 1, and 2^64 the mesh of 0
+    expected = f"seed must be in 0..2^64-1, got {seed}"
+    flags = ["--scheme", "rsv", "--k", "2", "--s", "3", "--n", "8", "--cfl", "0.1"]
+    assert cli.main(["solve", "--example", "2", *flags, "--seed", seed]) == 1
+    assert capsys.readouterr().err == f"error: --seed: {expected}\n"
+    good = _write_config(tmp_path / "good.cfg", problem="degenerate_sine", scheme="rsv")
+    assert cli.main(["solve", "--config", str(good), "--seed", seed]) == 1
+    assert capsys.readouterr().err == f"error: --seed: {expected}\n"
+    bad = _write_config(tmp_path / "bad.cfg", problem="degenerate_sine", scheme="rsv", seed=seed)
+    assert cli.main(["solve", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {expected}\n"
+    assert _cfg(seed=2**64 - 1).seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("command, n, expected", (
+    ("solve", "8,16", "n must be a single mesh size for solve, got (8, 16)"),
+    ("converge", "8,16", "n must list at least 3 mesh sizes, got (8, 16)"),
+    ("converge", "8,16,40", "n must double from each mesh size to the next, got (8, 16, 40)")))
+def test_mesh_size_list_errors_name_their_source(tmp_path, capsys, command, n, expected):
+    flags = ["--scheme", "lsv", "--k", "2", "--s", "3", "--cfl", "0.1"]
+    assert cli.main([command, "--example", "1", *flags, "--n", n]) == 1
+    assert capsys.readouterr().err == f"error: --{expected}\n"
+    good = _write_config(tmp_path / "good.cfg")
+    assert cli.main([command, "--config", str(good), "--n", n]) == 1
+    assert capsys.readouterr().err == f"error: --{expected}\n"
+    bad = _write_config(tmp_path / "bad.cfg", n=n)
+    assert cli.main([command, "--config", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {expected}\n"
+
+
+@pytest.mark.parametrize("flag, value", (("--s", "13"), ("--s", "0"), ("--s-max", "0"),
+                                         ("--s-max", "13")))
+def test_cli_analyze_range_errors_name_their_flag(capsys, flag, value):
+    assert cli.main(["analyze", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {flag} must be in 1..12, got {value}\n"
