@@ -10,11 +10,10 @@ import os
 import re
 import sys
 
-from .harness import (CONFIG_KEYS, ExperimentConfig, NumericalError, _FieldError, config_from_file,
-                      parse_n_values, run_checks, run_convergence, run_solve)
+from .harness import (CONFIG_KEYS, _KEYS, ExperimentConfig, NumericalError, _FieldError, _flag,
+                      config_from_file, run_checks, run_convergence, run_solve)
 from .matrix_transfer import (MAX_STAGES, error_transfer, key_factor_table, render_matrices,
                               render_table, stability_transfer)
-from .mesh import SubdivisionRule
 from .sv_space import snapshot_table
 
 __all__ = ["main"]
@@ -36,18 +35,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_solve_flags(p, n_help):
+def _add_solve_flags(p, **helps):
     p.add_argument("--example", choices=["1", "2"], help="built-in problem id")
     p.add_argument("--config", help="plain-text config file naming a registered problem")
-    p.add_argument("--scheme", choices=[r.value for r in SubdivisionRule], default=None)
-    p.add_argument("--k", type=int, default=None, help="polynomial degree")
-    p.add_argument("--s", type=int, default=None, help="Runge-Kutta stage count")
-    p.add_argument("--n", default=None, help=n_help)
-    p.add_argument("--cfl", type=float, default=None, help="CFL constant lambda")
-    p.add_argument("--cfl-exp", default=None,
-                   help="CFL exponent e in tau = lambda*h_min^e (fraction ok; default: analyzer)")
-    p.add_argument("--t-final", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    for key, spec in _KEYS.items():  # as text, which config_from_file converts
+        if key != "problem":
+            p.add_argument(_flag(key), help=helps.get(key, spec.help))
 
 
 def _build_config(args) -> ExperimentConfig:
@@ -61,8 +54,6 @@ def _build_config(args) -> ExperimentConfig:
         if missing:
             raise ValueError(f"missing required flags: {', '.join(missing)}")
     values = {key: getattr(args, key) for key in CONFIG_KEYS if key != "problem"}
-    if args.n is not None:
-        values["n"] = parse_n_values(args.n, "--n")
     return config_from_file(args.config, problem=args.example and int(args.example), **values)
 
 
@@ -95,8 +86,6 @@ def _require_writable(path) -> None:
 
 def _cmd_solve(args) -> int:
     config = _build_config(args)
-    if len(config.n_values) != 1:
-        raise _FieldError("n", f"n must be a single mesh size for solve, got {config.n_values}")
     _require_writable(args.snapshot)
     result = run_solve(config)
     print(f"N={result.n} L2={result.l2:.3e} Linf={result.linf:.3e} "
@@ -144,12 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("solve", help="single solve with error measurement")
-    _add_solve_flags(p, "element count N")
+    _add_solve_flags(p, n="element count N")
     p.add_argument("--snapshot", help="write a plain-text solution snapshot to this file")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("converge", help="convergence study over doubling meshes")
-    _add_solve_flags(p, "comma-separated element counts, e.g. 16,32,64")
+    _add_solve_flags(p)
     p.add_argument("--format", choices=["md", "csv"], default="md")
     p.add_argument("--output", help="also write the CSV table to this file")
     p.set_defaults(func=_cmd_converge)

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isfinite
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial.legendre import legvander
+from numpy.polynomial.legendre import legval
 
 from . import matrix_transfer, petrov_galerkin as pg
 from ._markdown import markdown_table
@@ -37,7 +38,6 @@ __all__ = [
     "run_convergence",
     "run_checks",
     "parse_config_file",
-    "parse_n_values",
     "config_from_file",
 ]
 
@@ -54,7 +54,11 @@ class _FieldError(ValueError):
 
     def __init__(self, key: str, message: str):
         super().__init__(message)
-        self.key, self.flag = key, f"--{key.replace('_', '-')}"
+        self.key, self.flag = key, _flag(key)
+
+
+def _flag(key: str) -> str:  # cfl_exp -> --cfl-exp
+    return f"--{key.replace('_', '-')}"
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +164,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", SubdivisionRule(self.scheme))
+        object.__setattr__(self, "n_values", tuple(self.n_values))
         if not 0.0 < self.cfl <= 1.0:
             raise _FieldError("cfl", f"cfl must be in (0, 1], got {self.cfl}")
         if self.k < 1:
@@ -248,7 +253,8 @@ def run_solve(config: ExperimentConfig, n: int | None = None) -> SolveResult:
     """Project, integrate to T, and measure errors for a single mesh size."""
     if n is None:
         if len(config.n_values) != 1:
-            raise ValueError("run_solve needs a single mesh size")
+            raise _FieldError("n", f"n must be a single mesh size for solve, "
+                                   f"got {config.n_values}")
         n = config.n_values[0]
     definition = problem_definition(config.example)
     problem = definition.make()
@@ -436,9 +442,9 @@ def run_checks(seed: int = 0, trials: int = 100) -> CheckReport:
         scale = (2.0 / mesh.lengths)[:, None]
 
         def f(x):  # row i: the primitive of v times w_x, on element i
-            y = (x - mesh.centers[:, None]) * scale
-            av = np.einsum("ipm,im->ip", legvander(y, mesh.k + 1), anti)
-            return av * np.einsum("ipm,im->ip", legvander(y, mesh.k), dw) * scale
+            y = ((x - mesh.centers[:, None]) * scale).T
+            av = legval(y, anti.T, tensor=False)
+            return (av * legval(y, dw.T, tensor=False)).T * scale
 
         residual = float(np.sum(pg.quadrature_residual(f, mesh)))
         lhs = pg.inner_star(v, w, mesh)
@@ -511,78 +517,79 @@ def run_checks(seed: int = 0, trials: int = 100) -> CheckReport:
 
 def parse_config_file(path) -> dict[str, str]:
     """Parse 'key: value' / 'key = value' lines; '#' starts a comment."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     entries: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            for sep in (":", "="):
-                if sep in line:
-                    key, value = (part.strip() for part in line.split(sep, 1))
-                    if key in entries:
-                        raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
-                    entries[key] = value
-                    break
-            else:
-                raise ValueError(f"{path}:{lineno}: expected 'key: value', got {raw!r}")
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        for sep in (":", "="):
+            if sep in line:
+                key, value = (part.strip() for part in line.split(sep, 1))
+                if key in entries:
+                    raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+                entries[key] = value
+                break
+        else:
+            raise ValueError(f"{path}:{lineno}: expected 'key: value', got {raw!r}")
     return entries
 
 
-CONFIG_KEYS = ("problem", "scheme", "k", "s", "n", "cfl", "cfl_exp", "t_final", "seed")
-
-
-def _convert(convert, raw, where: str, expected: str):
-    """convert(raw), or a ValueError naming where ``raw`` came from and what it should be."""
-    try:
-        return convert(raw)
-    except ValueError:
-        raise ValueError(f"{where} must be {expected}, got {raw!r}") from None
-
-
-def parse_n_values(raw: str, where: str) -> tuple[int, ...]:
-    """Element counts from a string such as '16,32 64'; ``where`` names it in errors."""
-    return _convert(lambda r: tuple(int(v) for v in r.replace(",", " ").split()), raw, where,
-                    "integers separated by commas or spaces")
+_RULES = "/".join(r.value for r in SubdivisionRule)
+# one row per config key, in ExperimentConfig's field order; every key but
+# problem is also a CLI flag. ``convert`` reads a key's text, ``expected`` says
+# what that text must be, ``default`` holds where no file entry or flag gives it
+_Key = namedtuple("_Key", "convert expected default help")
+_KEYS = {
+    "problem": _Key(str, "", None, "registered problem name"),
+    "scheme": _Key(SubdivisionRule, f"one of {_RULES}", SubdivisionRule.RRSV,
+                   f"subdivision rule, one of {_RULES}"),
+    "k": _Key(int, "an integer", 1, "polynomial degree"),
+    "s": _Key(int, "an integer", 3, "Runge-Kutta stage count"),
+    "n": _Key(lambda raw: tuple(int(v) for v in raw.replace(",", " ").split()),
+              "integers separated by commas or spaces", None,
+              "comma-separated element counts, e.g. 16,32,64"),
+    "cfl": _Key(float, "a number", 0.1, "CFL constant lambda"),
+    "cfl_exp": _Key(str, "", None,  # ExperimentConfig reads it as a Fraction
+                    "CFL exponent e in tau = lambda*h_min^e (fraction ok; default: analyzer)"),
+    "t_final": _Key(float, "a number", None, "final time (default: the problem's)"),
+    "seed": _Key(int, "an integer", 0, "seed of the perturbed mesh"),
+}
+CONFIG_KEYS = tuple(_KEYS)
 
 
 def config_from_file(path, **overrides) -> ExperimentConfig:
     """An ExperimentConfig from a plain-text file of ``CONFIG_KEYS`` (none where
-    ``path`` is None) plus keyword overrides.
+    ``path`` is None) plus keyword overrides, the CLI flags of the same names.
 
-    A bad value is reported with the file it came from, or, when an override
-    (a CLI flag of the same name) set it, with that flag: ``--cfl: ...``.
+    Text, from the file or an override, is read by its key's converter; other
+    override values pass as they are. A bad value is named after the flag
+    that set it, else after the file.
     """
     entries = {} if path is None else parse_config_file(path)
-    unknown = [key for key in entries if key not in CONFIG_KEYS]
+    unknown = [key for key in entries if key not in _KEYS]
     if unknown:
         raise ValueError(f"{path}: unknown key {unknown[0]!r} (keys: {', '.join(CONFIG_KEYS)})")
-
-    def pick(key, convert=str, expected="", default=None):
-        if key in overrides and overrides[key] is not None:
-            return overrides[key]
-        if key not in entries:
-            return default
-        return _convert(convert, entries[key], key, expected)
-    rules = "/".join(r.value for r in SubdivisionRule)
+    values = {}
+    for key, spec in _KEYS.items():
+        flagged = overrides.get(key) is not None
+        value = overrides[key] if flagged else entries.get(key, spec.default)
+        if isinstance(value, str):
+            try:
+                value = spec.convert(value)
+            except ValueError:
+                where = _flag(key) if flagged else f"{path}: {key}"
+                raise ValueError(f"{where} must be {spec.expected}, got {value!r}") from None
+        values[key] = value
     try:  # every ValueError below names its source
-        problem = pick("problem")
-        if problem is None:
-            raise ValueError("missing 'problem' entry")
-        n_raw = pick("n")
-        if n_raw is None:
-            raise ValueError("missing 'n' entry")
-        return ExperimentConfig(
-            example=problem,
-            scheme=pick("scheme", SubdivisionRule, f"one of {rules}", SubdivisionRule.RRSV),
-            k=pick("k", int, "an integer", 1),
-            s=pick("s", int, "an integer", 3),
-            n_values=parse_n_values(n_raw, "n") if isinstance(n_raw, str) else tuple(n_raw),
-            cfl=pick("cfl", float, "a number", 0.1),
-            cfl_exponent=pick("cfl_exp"),
-            t_final=pick("t_final", float, "a number"),
-            seed=pick("seed", int, "an integer", 0),
-        )
+        for key in ("problem", "n"):
+            if values[key] is None:
+                raise ValueError(f"missing {key!r} entry")
+        return ExperimentConfig(*values.values())
     except ValueError as exc:  # named after the flag where an override set it, else the file
         flagged = isinstance(exc, _FieldError) and overrides.get(exc.key) is not None
         where = exc.flag if flagged else path

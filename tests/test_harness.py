@@ -180,6 +180,7 @@ def test_config_file_round_trip(tmp_path):
     assert cfg.seed == 9
     over = config_from_file(path, k=4, n=(32,))
     assert over.k == 4 and over.n_values == (32,)
+    assert config_from_file(path, n=[32, 64]).n_values == (32, 64)
 
 
 def test_config_file_rejects_malformed(tmp_path):
@@ -200,7 +201,8 @@ def _write_config(path, **entries):
 
 @pytest.mark.parametrize("key, raw, expected", (("k", "2.5", "an integer"),
                                                 ("n", "16,x", "integers separated"),
-                                                ("cfl", "fast", "a number")))
+                                                ("cfl", "fast", "a number"),
+                                                ("scheme", "xx", "one of lsv/rrsv/rsv")))
 def test_config_file_names_bad_values(tmp_path, capsys, key, raw, expected):
     path = _write_config(tmp_path / "exp.cfg", **{key: raw})
     message = f"{path}: {key} must be {expected}"
@@ -209,6 +211,22 @@ def test_config_file_names_bad_values(tmp_path, capsys, key, raw, expected):
     assert cli.main(["solve", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.rstrip().endswith(f"got {raw!r}")
+    # the same text from a flag on top of a good file goes through the same
+    # converter and is named after the flag
+    good = _write_config(tmp_path / "good.cfg")
+    assert cli.main(["solve", "--config", str(good), f"--{key}", raw]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --{key} must be {expected}") and str(good) not in err
+    assert err.rstrip().endswith(f"got {raw!r}")
+
+
+def test_config_file_that_is_not_utf8_names_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"\xff\xfeproblem: advection_sine\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: 'utf-8' codec can't decode")):
+        config_from_file(path)
+    assert cli.main(["solve", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec can't decode")
 
 
 @pytest.mark.parametrize("key", ("cfl_exponent", "t-final"))
@@ -581,6 +599,12 @@ def test_every_config_key_is_a_flag(command):
     assert set(CONFIG_KEYS) - {"problem"} <= set(dests)
 
 
+def test_solve_help_lists_the_scheme_choices(capsys):
+    # the flags take text, so the choices live in the help, not in argparse
+    assert cli.main(["solve", "--help"]) == 0
+    assert "one of lsv/rrsv/rsv" in capsys.readouterr().out
+
+
 def _flag_argv(values):
     return [a for key, value in values.items() for a in (f"--{key.replace('_', '-')}", value)]
 
@@ -617,6 +641,14 @@ def test_seed_outside_64_bits_names_its_source(tmp_path, capsys, seed):
     assert cli.main(["solve", "--config", str(bad)]) == 1
     assert capsys.readouterr().err == f"error: {bad}: {expected}\n"
     assert _cfg(seed=2**64 - 1).seed == 2**64 - 1
+
+
+def test_run_solve_rejects_several_mesh_sizes():
+    # the single-size rule of solve lives in run_solve, not only in the CLI
+    with pytest.raises(ValueError,
+                       match=re.escape("n must be a single mesh size for solve, got (8, 16)")):
+        run_solve(_cfg(n_values=(8, 16)))
+    assert run_solve(_cfg(n_values=(8, 16)), 8).n == 8
 
 
 @pytest.mark.parametrize("command, n, expected", (
