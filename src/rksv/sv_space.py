@@ -34,6 +34,7 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 NEGLIGIBLE = 2.0 ** -60    # row-sum norm below which a composed map's outer block is dropped
+_PRODUCT_FLOATS = 1 << 17  # floats that one chunk of a band product's elements may hold
 
 
 @dataclass
@@ -200,30 +201,39 @@ def _band_product(x: np.ndarray, x_offsets: np.ndarray, y: np.ndarray,
     """The blocks of XY at the offsets first..last-1 (by default all), counted
     from x_offsets[0] + (Y's first offset), from X's blocks x (R, k+1, Wx, k+1)
     and Y's blocks y (R', k+1, Wy, k+1), in the wider of the two dtypes, or
-    added into the blocks q.
+    added into the blocks q.  R and R' are 1 (one row that every element
+    shares) or N; the product has max(R, R') rows.
 
-    R and R' are 1 (one row that every element shares) or N; the product has
-    max(R, R') rows, so a product of one-row bands is one element's matmuls.
+    Row i is X's block row i times the staircase whose block (j, c) is block
+    first + c - j of Y's row (i + o_j) mod N, or 0: a strided view of a zero
+    buffer holding row r of Y's row (e + o_0) mod N as row e(k+1) + r, shifted
+    r columns left, so one batched matmul per chunk of elements forms the rows.
     """
-    n = max(len(x), len(y))
-    x = np.broadcast_to(x, (n,) + x.shape[1:])
-    y = np.broadcast_to(y, (n,) + y.shape[1:])
-    _, k1, width, _ = y.shape
-    last = len(x_offsets) + width - 1 if last is None else last
-    q = np.zeros((n, k1, last - first, k1), np.result_type(x, y)) if q is None else q
-    product = np.empty((n, k1, width * k1), q.dtype)
-    for j, o in enumerate(x_offsets):
-        lo, hi = max(first - j, 0), min(last - j, width)  # Y's blocks that land in the span
-        if lo >= hi:
-            continue
-        rows, out = y[:, :, lo:hi].reshape(n, k1, -1), product[:, :, :(hi - lo) * k1]
-        # block o of X acts on element (i + o) mod N: Y's rows are shifted by
-        # two slices, so no shifted copy of the band is made
-        m = n - o % n
-        np.matmul(x[:m, :, j], rows[n - m:], out=out[:m])
-        if m < n:
-            np.matmul(x[m:, :, j], rows[:n - m], out=out[m:])
-        q[:, :, j + lo - first:j + hi - first] += out.reshape(n, k1, hi - lo, k1)
+    n, ny = max(len(x), len(y)), len(y)
+    _, k1, wx, _ = x.shape
+    last = wx + y.shape[2] - 1 if last is None else last
+    fresh = q is None
+    q = np.zeros((n, k1, last - first, k1), np.result_type(x, y)) if fresh else q
+    b0, b1 = max(first - wx + 1, 0), min(last, y.shape[2])  # Y's blocks that reach the span
+    width = (last - first) * k1
+    row = (wx - 1) * k1 + width + 1  # a buffer row holds every column that a staircase reads
+    per = k1 * row + k1 * (b1 - b0) * k1  # buffer and gathered floats per extended element
+    chunk = min(max((_PRODUCT_FLOATS - (wx - 1) * per) // (per + k1 * width), 1), ny)
+    buffer, u = np.zeros((chunk + wx - 1) * k1 * row, q.dtype), q.itemsize
+    out = q.reshape(n, k1, width)  # a view: q's last two axes are contiguous blocks
+    x_rows = np.broadcast_to(x.reshape(len(x), k1, wx * k1), (n, k1, wx * k1))
+    for i in range(0, ny, chunk):
+        e = min(chunk, ny - i) + wx - 1  # the extended elements of elements i .. i + chunk - 1
+        np.ndarray((e, k1, b1 - b0, k1), q.dtype, buffer, (wx - 1 - first + b0) * k1 * u,
+                   (k1 * row * u, (row - 1) * u, k1 * u, u))[...] = \
+            y[(i + x_offsets[0] + np.arange(e)) % ny, :, b0:b1]
+        stairs = np.ndarray((e - wx + 1, wx * k1, width), q.dtype, buffer, (wx - 1) * k1 * u,
+                            (k1 * row * u, (row - 1) * u, u))
+        rows = slice(i, i + chunk) if ny > 1 else slice(None)  # a one-row Y has one staircase
+        if fresh:
+            np.matmul(x_rows[rows], stairs, out=out[rows])
+        else:
+            out[rows] += x_rows[rows] @ stairs
     return q
 
 
@@ -314,8 +324,8 @@ class BandedOperator:
         # a stride-0 view (a product of one-row bands) repeats one row by construction
         if blocks.strides[0] == 0 or (blocks == blocks[:1]).all():
             blocks = blocks[:1]
-        # per offset, so that no temporary the size of the blocks is made
-        norms = np.array([np.abs(blocks[:, :, j]).sum(axis=2).max() for j in range(len(offsets))])
+        # summed one column at a time, so that no temporary the size of the blocks is made
+        norms = sum(np.abs(blocks[..., c]) for c in range(k1)).max(axis=(0, 1))
         live = np.flatnonzero(~(norms <= negligible) | (offsets == 0))
         span = slice(live[0], live[-1] + 1)
         self.offsets, self.norms = offsets[span], norms[span]

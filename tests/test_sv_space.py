@@ -556,6 +556,15 @@ def test_nan_blocks_are_kept():
     assert np.isnan(op.L.apply(np.ones((4, 2)))).any()
     assert np.isnan(op.L.apply_columns(np.ones((8, 3)))).any()
     assert np.isnan(op.L.dense()).any()
+    # and through every product: the NaN reaches each element whose row of L
+    # holds one (the staircase's zeros may spread it across that row), and
+    # trimming keeps its offsets
+    nan_rows = np.isnan(op.L.blocks).any(axis=(1, 2))
+    assert nan_rows.any() and not nan_rows.all()
+    for band in (op.L.compose(op.L), op.L.product(op.L), op.increment_map(3, 0.1)):
+        assert np.isnan(band.norms).any()
+        assert np.isnan(band.blocks).any(axis=(1, 2))[nan_rows].all()
+        assert np.isnan(band.apply(np.ones((4, 2))))[nan_rows].any()
 
 
 def _one_row(band):
@@ -797,6 +806,116 @@ def test_sliced_product_matches_exact_product(name):
         assert np.array_equal(_gathered_dense(banded), blas), name
 
 
+def _per_offset_band_product(x, x_offsets, y, first=0, last=None, q=None):
+    """``sv_space._band_product`` as one matmul per offset of X, each added
+    into the span: the kernel it replaced, kept as its oracle."""
+    n = max(len(x), len(y))
+    x = np.broadcast_to(x, (n,) + x.shape[1:])
+    y = np.broadcast_to(y, (n,) + y.shape[1:])
+    _, k1, width, _ = y.shape
+    last = len(x_offsets) + width - 1 if last is None else last
+    q = np.zeros((n, k1, last - first, k1), np.result_type(x, y)) if q is None else q
+    product = np.empty((n, k1, width * k1), q.dtype)
+    for j, o in enumerate(x_offsets):
+        lo, hi = max(first - j, 0), min(last - j, width)  # Y's blocks that land in the span
+        if lo >= hi:
+            continue
+        rows, out = y[:, :, lo:hi].reshape(n, k1, -1), product[:, :, :(hi - lo) * k1]
+        m = n - o % n  # block o of X acts on element (i + o) mod N
+        np.matmul(x[:m, :, j], rows[n - m:], out=out[:m])
+        if m < n:
+            np.matmul(x[m:, :, j], rows[:n - m], out=out[m:])
+        q[:, :, j + lo - first:j + hi - first] += out.reshape(n, k1, hi - lo, k1)
+    return q
+
+
+def _kernel_cases():
+    # (id, x blocks, x offsets, y blocks): one-row and per-element rows in
+    # every mix, a one-row Y of one block (as ``polynomial`` starts), spans
+    # wider than the mesh, and real bands with zero INFLOW_ZERO edge blocks
+    rng = np.random.default_rng(17)
+
+    def blocks(rows, k1, width):
+        return rng.uniform(-1.0, 1.0, (rows, k1, width, k1))
+
+    n, k1 = 12, 3
+    cases = [("per-element", blocks(n, k1, 4), np.arange(-2, 2), blocks(n, k1, 5)),
+             ("one-row-x", blocks(1, k1, 4), np.arange(-1, 3), blocks(n, k1, 5)),
+             ("one-row-y", blocks(n, k1, 4), np.arange(-3, 1), blocks(1, k1, 5)),
+             ("one-row-both", blocks(1, k1, 4), np.arange(-2, 2), blocks(1, k1, 5)),
+             ("one-block-y", blocks(n, k1, 3), np.arange(-1, 2), blocks(1, k1, 1)),
+             ("aliased-N2", blocks(2, k1, 7), np.arange(-3, 4), blocks(2, k1, 5)),
+             ("aliased-N3-one-row-x", blocks(1, k1, 9), np.arange(-8, 1), blocks(3, k1, 6))]
+    inflow = SpatialOperator(
+        uniform_mesh(0.3, 2.0 * np.pi - 0.3, 7, SubdivisionRule.RSV_ADAPTIVE, 3,
+                     BoundaryCondition.INFLOW_ZERO, alpha=np.sin), Problem(u0=np.sin, alpha=np.sin))
+    one = inflow.increment_map(3, 0.05)
+    grid = inflow.L._grid  # offsets -1..1: no inflow from outside either end
+    assert np.array_equal(inflow.L.offsets, [-1, 0, 1])
+    assert not grid[0, :, 0].any() and not grid[-1, :, -1].any()
+    cases += [("inflow-L-A", inflow.L._grid, inflow.L.offsets, one._grid),
+              ("inflow-A-A", one._grid, one.offsets, one._grid)]
+    return [pytest.param(x, offsets, y, id=name) for name, x, offsets, y in cases]
+
+
+@pytest.mark.parametrize("budget", (None, 3000, 1))
+@pytest.mark.parametrize("x, x_offsets, y", _kernel_cases())
+def test_band_product_matches_per_offset_oracle(monkeypatch, x, x_offsets, y, budget):
+    # every span first..last-1 of the product, fresh and added into given
+    # blocks, agrees with the per-offset oracle to a few ulps of max|X| max|Y|
+    # (the two sum each entry's terms in different orders), whether the
+    # elements make one chunk, uneven chunks or chunks of one
+    if budget is not None:
+        monkeypatch.setattr(sv_space, "_PRODUCT_FLOATS", budget)
+    width = len(x_offsets) + y.shape[2] - 1
+    n, k1 = max(len(x), len(y)), x.shape[1]
+    tolerance = 8.0 * np.finfo(float).eps * np.abs(x).max() * np.abs(y).max()
+    base = np.random.default_rng(3).uniform(-1.0, 1.0, (n, k1, width, k1))
+    spans = {(0, width), (1, width - 1), (width // 2, width // 2 + 1), (0, 1), (width - 1, width)}
+    for first, last in spans:
+        got = sv_space._band_product(x, x_offsets, y, first, last)
+        expected = _per_offset_band_product(x, x_offsets, y, first, last)
+        assert got.shape == expected.shape == (n, k1, last - first, k1)
+        assert np.max(np.abs(got - expected)) <= tolerance, (first, last)
+        into = base[:, :, first:last].copy()
+        added = sv_space._band_product(x, x_offsets, y, first, last, into)
+        assert added is into
+        oracle = _per_offset_band_product(x, x_offsets, y, first, last, base[:, :, first:last].copy())
+        sum_rounding = np.finfo(float).eps * np.abs(oracle).max()
+        assert np.max(np.abs(into - oracle)) <= tolerance + sum_rounding, (first, last)
+    # as the pair product's lo rows: added into one strided half, and then
+    # its negative added in the same order cancels it exactly
+    pair = np.zeros((n, 2 * k1, width, k1))
+    sv_space._band_product(x, x_offsets, y, q=pair[:, k1:])
+    assert not pair[:, :k1].any()
+    assert np.max(np.abs(pair[:, k1:] - _per_offset_band_product(x, x_offsets, y))) <= tolerance
+    sv_space._band_product(x, x_offsets, -y, q=pair[:, k1:])
+    assert not pair.any()
+
+
+@pytest.mark.parametrize("name", ("one-row", "per-element", "two-orientation", "inflow-zero"))
+def test_extended_product_matches_per_offset_oracle(monkeypatch, name):
+    # the leading slices' product is exact in any order, so the hi rows (that
+    # product, renormalised with lo) are the oracle's bit for bit, and the
+    # pair differs only by the lo rows' rounding, within 2^-76 Wx(k+1) of
+    # max|X| max|Y|.  (A renormalised hi entry could move by one ulp only
+    # where hi + lo lies within a lo rounding of a float64 tie.)
+    structure = _sliced_product_structures()[name]
+    rng = np.random.default_rng(19)
+    x, y = _random_pair(rng, structure), _random_pair(rng, structure)
+    k1 = structure._grid.shape[3]
+    for a, b in ((x, y), (x, x), (x, structure)):
+        got = sv_space._extended_product(a._grid, a.offsets, b._grid)
+        with monkeypatch.context() as patch:
+            patch.setattr(sv_space, "_band_product", _per_offset_band_product)
+            expected = sv_space._extended_product(a._grid, a.offsets, b._grid)
+        hi, lo = got[:, :k1], got[:, k1:]
+        scale = np.abs(a._grid).max() * np.abs(b._grid).max()
+        assert np.array_equal(hi, expected[:, :k1])
+        pair_defect = np.abs((hi - expected[:, :k1]) + (lo - expected[:, k1:]))
+        assert np.max(pair_defect) <= 2.0 ** -76 * len(a.offsets) * k1 * scale
+
+
 def _traced_peak(product, operand):
     """The tracemalloc peak, in bytes, of one call ``product(operand)``."""
     import tracemalloc
@@ -839,6 +958,24 @@ def test_apply_columns_makes_no_gathered_copy():
         # small buffers of the product
         assert _traced_peak(vector_band.apply, values) < gathered_bytes / 2, width
         assert 2 * (padded_bytes + values.nbytes) < gathered_bytes / 2
+
+
+def test_band_product_stays_within_its_chunk_budget():
+    # one product at N=256, k=5 of two 23-offset bands (45 offsets out): the
+    # staircase buffer, Y's gathered rows and a chunk's product (when it is
+    # added into given blocks) stay within _PRODUCT_FLOATS, where one
+    # unchunked buffer of all N + 22 extended elements would be 5x that
+    n, k1, width = 256, 6, 23
+    budget = sv_space._PRODUCT_FLOATS * np.dtype(float).itemsize
+    rng = np.random.default_rng(23)
+    x, y = (rng.uniform(-1.0, 1.0, (n, k1, width, k1)) for _ in range(2))
+    offsets = np.arange(-11, 12)
+    unchunked = (n + width - 1) * k1 * ((2 * width - 1) * k1 + (width - 1) * k1 + 1) * 8
+    assert unchunked > 5 * budget
+    fresh = _traced_peak(lambda b: sv_space._band_product(x, offsets, b), y)
+    assert fresh - n * k1 * (2 * width - 1) * k1 * 8 <= budget
+    into = np.zeros((n, 2 * k1, 2 * width - 1, k1))[:, k1:]  # as the pair product's lo rows
+    assert _traced_peak(lambda b: sv_space._band_product(x, offsets, b, q=into), y) <= budget
 
 
 def test_band_blocks_are_read_only():
