@@ -40,13 +40,13 @@ to rounding, sum_{q<=d} c_q y^q in y = 2 theta/(m tau) - 1, so
 W = sum_q M_q c_q: the moment maps
 M_q = sum_j P^{m-1-j} sum_i F_i y_{j+i}^q (F_i as in ``_forcing``) are the
 same for every group, and the same ladder, squaring A_m, doubles them in
-float64 (``_fusion``), Van Loan's block-triangular augmentation
+float64 (``_doubled_moments``), Van Loan's block-triangular augmentation
 (IEEE Trans. Autom. Control 23 (1978)) of the autonomous system above:
 
     M_q(2m) = 2^-q [P_m sum_r C(q,r) (-1)^(q-r) M_r + sum_r C(q,r) M_r],
 
-from M_q(1) = sum_i F_i (2i-1)^q.  B groups cost (d+2)B source times for
-their fits (``_group_steps``) and d+1 products with B columns, whatever m is.
+from M_q(1) = sum_i F_i (2i-1)^q, as blocks on one span.  B groups cost (d+2)B
+source times for their fits (``_group_steps``) and d+1 products, whatever m is.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .matrix_transfer import MAX_STAGES
-from .sv_space import BandedOperator, Problem, SpatialOperator, SvState, _require_finite
+from .sv_space import (NEGLIGIBLE, BandedOperator, Problem, SpatialOperator, SvState,
+                       _band_product, _require_finite)
 
 __all__ = ["MAX_STAGES", "RkTableau", "ssp_tableau", "rk_step", "step_plan", "integrate"]
 
@@ -250,21 +251,57 @@ def step_plan(t0: float, tau: float, t_final: float) -> tuple[int, float]:
 
 
 class _GroupMaps(NamedTuple):
-    """A_m as a (hi, lo) pair band, and the moment maps M_q."""
+    """A_m as a (hi, lo) pair band, and the moment maps M_q: blocks on ``offsets``."""
 
     a: BandedOperator
-    moments: list[BandedOperator]
+    moments: list[np.ndarray]
+    offsets: np.ndarray
+
+    def forced_response(self, c: np.ndarray) -> np.ndarray:
+        """sum_q M_q c_q, (N, k+1, B), from the fits c (d+1, N, k+1, B) of B groups."""
+        _, n, k1, count = c.shape
+        rows = np.arange(self.offsets[0] * k1, (n + self.offsets[-1]) * k1) % (n * k1)
+        w = 0.0
+        for mq, cq in zip(self.moments, c):  # one c_q padded at a time, for less peak RSS
+            padded = cq.reshape(n * k1, count)[rows]
+            w += mq.reshape(len(mq), k1, -1) @ np.ndarray(
+                (n, mq.shape[2] * k1, count), c.dtype, padded, 0,
+                (k1 * padded.strides[0],) + padded.strides)
+        return w
 
 
-def _combination(bands: list[BandedOperator], weights: np.ndarray) -> BandedOperator:
-    """sum_r weights[r] bands[r], on the union of their (consecutive) offsets."""
-    low, k1 = min(band.offsets[0] for band in bands), bands[0]._grid.shape[1]
-    grid = np.zeros((max(len(band.row_blocks) for band in bands), k1,
-                     max(band.offsets[-1] for band in bands) - low + 1, k1))
-    for band, weight in zip(bands, weights):
-        grid[:, :, band.offsets[0] - low:band.offsets[-1] - low + 1] += weight * band._grid
-    return BandedOperator(np.broadcast_to(grid, (len(bands[0].blocks),) + grid.shape[1:]),
-                          low + np.arange(grid.shape[2]))
+def _doubled_moments(a: BandedOperator, moments: list[np.ndarray], offsets: np.ndarray,
+                     norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Replace each M_q(m) in ``moments`` (blocks on ``offsets``, row-sum norms
+    ``norms`` (d+1, W)) by M_q(2m) = A_m X_q + Y_q from the top, formed where
+    |A_m| |X_q| + |Y_q| may exceed ``NEGLIGIBLE`` for some q (as in ``product``);
+    each zeroes the outer blocks that a band of its own would drop, and all are
+    trimmed to the union of the rest.  Return the new offsets and norms."""
+    r = range(len(norms))  # X_q = sum_r x_w[r, q] M_r(m) and Y_q (module docstring)
+    x_w = np.array([[comb(q, j) * 2.0 ** -q * (-1.0) ** (q - j) for q in r] for j in r])
+    y_w = x_w + np.abs(x_w)
+    low, k1, width, at = a.offsets[0] + offsets[0], a._grid.shape[3], len(offsets), -a.offsets[0]
+    bound = np.array([np.convolve(a.norms, row) for row in np.abs(x_w).T @ norms])
+    bound[:, at:at + width] += y_w.T @ norms  # Y's blocks, which are formed whole
+    live = np.flatnonzero((~(bound <= NEGLIGIBLE * (1.0 - 1e-12))).any(axis=0))
+    first, last = live.min(initial=at), live.max(initial=at + width - 1) + 1
+
+    def half(w, q):  # sum_r w[r, q] M_r(m), in order of r
+        return sum(w[j, q] * moments[j] for j in range(q + 1) if w[j, q])
+
+    offsets, norms = low + np.arange(first, last), np.empty((len(moments), last - first))
+    for q in range(len(moments) - 1, -1, -1):  # M_q(2m) reads M_r(m), r <= q
+        mq = _band_product(a._grid[:, :k1], a.offsets, half(x_w, q), first, last)
+        mq[:, :, at - first:at - first + width] += half(y_w, q)
+        norms[q] = sum(np.abs(mq[..., c]) for c in range(k1)).max(axis=(0, 1))
+        lo, hi = np.flatnonzero(~(norms[q] <= NEGLIGIBLE) | (offsets == 0))[[0, -1]] + [0, 1]
+        for outer in (slice(0, lo), slice(hi, None)):  # what a band of its own would drop
+            mq[:, :, outer], norms[q, outer] = 0.0, 0.0
+        moments[q] = mq
+    lo, hi = np.flatnonzero(norms.any(axis=0) | (offsets == 0))[[0, -1]] + [0, 1]
+    for q in range(len(moments)):  # a trimmed copy of each in turn
+        moments[q] = np.ascontiguousarray(moments[q][:, :, lo:hi])
+    return offsets[lo:hi], norms[:, lo:hi]
 
 
 def _fusion(op: SpatialOperator, s: int, tau: float, one: BandedOperator,
@@ -275,13 +312,13 @@ def _fusion(op: SpatialOperator, s: int, tau: float, one: BandedOperator,
 
     A level squares A_m (``compose``; with a source, the (hi, lo) pair of
     ``extended_increment_map``) and, with a source, doubles each M_q(1)
-    (``polynomial``) by a float64 ``product`` with float64(A_m), in place
-    from the top.  It costs about (c + d + 1) W(k+1) applications of A_m, W
-    its offsets and c = 1 for a float64 square (with a source the tuned
-    ``_EXTENDED_SQUARE``, which covers a pair's square and the moment ladder's
-    cost past d + 1), and a group about 2(d+2) (one without a source, where
-    d + 1 = 0), so m doubles while the groups of 2m outnumber that ratio and
-    the squared band is narrower than the mesh, so that no column aliases.
+    (``polynomial``) with float64(A_m), in place from the top (``_doubled_moments``).
+    It costs about (c + d + 1) W(k+1) applications of A_m, W its offsets and
+    c = 1 for a float64 square (with a source the tuned ``_EXTENDED_SQUARE``,
+    which covers a pair's square and the moment ladder's cost past d + 1),
+    and a group about 2(d+2) (one without a source, where d + 1 = 0), so m
+    doubles while the groups of 2m outnumber that ratio and the squared band
+    is narrower than the mesh, so that no column aliases.
     At tau = O(h^e), e > 1, the trimmed W grows far slower than m.  The
     source fit adds limits: 2m <= ``MAX_GROUP`` and m >= the least power of
     two >= d+2 (where a group's source times cost less than its steps') in
@@ -292,28 +329,26 @@ def _fusion(op: SpatialOperator, s: int, tau: float, one: BandedOperator,
     square, group = (_EXTENDED_SQUARE, 2 * d + 4) if sourced else (1, 1)
     # the groups that repay a level, per offset of the band it squares
     rate = (square + d + 1) * (op.mesh.k + 1) / group
-    m, band, moments, top = 1, one, [], n_full
+    m, band, top = 1, one, n_full
     if sourced:
         least = 1 << (d + 1).bit_length()
         if n_full // least <= rate * len(one.offsets):
             return 1, one
         band, top = op.extended_increment_map(s, tau), MAX_GROUP
+        # each M_q(1) is of degree s-1 in tau L, led by tau (-1)^q / s!: one span for all
         moments = [op.polynomial(tau * weights, tau) for weights in _forcing_weights(s, d).T]
-        # the halves of a doubled group: M_q(2m) = sum_r (P_m first[r][q] + second[r][q]) M_r(m)
-        second = np.array([[comb(q, r) * 2.0 ** -q for q in range(d + 1)] for r in range(d + 1)])
-        first = second * (-1.0) ** np.add.outer(np.arange(d + 1), np.arange(d + 1))
+        offsets, norms = moments[0].offsets, np.array([mq.norms for mq in moments])
+        moments = [mq._grid for mq in moments]
     while 2 * m <= top and n_full // (2 * m) > rate * len(band.offsets):
         doubled = band.compose(band)
         if len(doubled.offsets) >= op.mesh.n_elements:
             break
         if sourced:
-            for q in range(d, -1, -1):  # M_q(2m) reads only M_r(m), r <= q
-                halves = first[:q + 1, q], (first + second)[:q + 1, q]
-                moments[q] = band.product(*(_combination(moments[:q + 1], h) for h in halves))
+            offsets, norms = _doubled_moments(band, moments, offsets, norms)
         band, m = doubled, 2 * m
     if not sourced:
         return m, band
-    return (m, _GroupMaps(band, moments)) if m >= least else (1, one)
+    return (m, _GroupMaps(band, moments, offsets)) if m >= least else (1, one)
 
 
 def _group_steps(op: SpatialOperator, s: int, t0: float, tau: float, one: BandedOperator,
@@ -322,7 +357,8 @@ def _group_steps(op: SpatialOperator, s: int, t0: float, tau: float, one: Banded
     t0: the groups of m steps, then the n_full mod m steps left one at a time.
 
     Up to ``MAX_BATCH`` groups share one source call at their first step time
-    t^n and at t^n + z_p tau, z_p the d+1 Chebyshev nodes of their m+s-2 steps.
+    t^n and at t^n + z_p tau, z_p the d+1 Chebyshev nodes of their m+s-2 steps,
+    and one ``forced_response`` of their fits.
     The fit c = V^-1 G (V[p][q] = y_p^q) is of the samples less the first, so
     its rounding scales with their spread.  A group whose fit misses the first
     by more than ``_FIT_TOLERANCE`` (|G| + |t G'|), the samples' own rounding
@@ -346,8 +382,7 @@ def _group_steps(op: SpatialOperator, s: int, t0: float, tau: float, one: Banded
         scale = (np.abs(g[:, :, 0]).max(axis=(0, 1)) +
                  np.abs(spread).max(axis=(0, 1, 2)) * np.abs(t0 + starts * tau) / (span * tau))
         fits = miss <= _FIT_TOLERANCE * scale
-        w = sum(mq.apply_columns(cq.reshape(-1, len(starts))) for mq, cq in zip(maps.moments, c))
-        for start, forcing, fit in zip(starts, w.T.reshape((-1,) + op.L.blocks.shape[:2]), fits):
+        for start, forcing, fit in zip(starts, maps.forced_response(c).transpose(2, 0, 1), fits):
             if fit:
                 yield maps.a, m, forcing
             else:

@@ -392,7 +392,7 @@ class BandedOperator:
         if len(self.row_blocks) == 1:  # one matmul with the row every element shares
             out = windows @ self.row_blocks[0].T
         else:
-            out = np.einsum("nij,nj->ni", self.row_blocks, windows)
+            out = np.matmul(self.row_blocks, windows[..., None])[..., 0]
         k1 = values.shape[1]
         return out if out.shape[1] == k1 else out[:, :k1] + out[:, k1:]
 

@@ -14,7 +14,7 @@ from rksv.mesh import BoundaryCondition, SubdivisionRule, perturbed_mesh, unifor
 from rksv.ssp_rk import (BLOCK_STEPS, MAX_BATCH, _block_steps, _derivatives_from_samples,
                          _fusion, _GroupMaps, integrate, rk_step, ssp_tableau, step_increment,
                          step_plan)
-from rksv.sv_space import BandedOperator, Problem, SpatialOperator, project_initial
+from rksv.sv_space import NEGLIGIBLE, BandedOperator, Problem, SpatialOperator, project_initial
 
 
 @lru_cache(maxsize=None)
@@ -644,8 +644,8 @@ def test_sourced_integrate_steps_one_at_a_time(monkeypatch):
 
 
 def _ladder_arrays(maps):
-    """Every array that the group maps of a fused sourced run hold."""
-    return [band.row_blocks for band in (maps.a, *maps.moments)]
+    """Every float array that the group maps of a fused sourced run hold."""
+    return [maps.a.row_blocks, *maps.moments]
 
 
 def test_sourced_run_fuses_without_extended_longdouble(monkeypatch):
@@ -663,7 +663,7 @@ def test_sourced_run_fuses_without_extended_longdouble(monkeypatch):
     extended = np.dtype(np.longdouble)
     monkeypatch.setattr(np, "longdouble", np.float64)
     plain_m, plain = _fusion(op, s, tau, one, steps)
-    assert plain_m == m
+    assert plain_m == m and np.array_equal(plain.offsets, maps.offsets)
     for a, b in zip(_ladder_arrays(maps), _ladder_arrays(plain), strict=True):
         assert a.dtype == b.dtype == np.float64 != extended and np.array_equal(a, b)
     maps, fusions = _record_increment_maps(monkeypatch)
@@ -699,11 +699,24 @@ def _longdouble_pair(band):
                           band.offsets)
 
 
+def _combination(bands, weights):
+    """sum_r weights[r] bands[r], on the union of their (consecutive) offsets."""
+    low, k1 = min(band.offsets[0] for band in bands), bands[0]._grid.shape[1]
+    grid = np.zeros((max(len(band.row_blocks) for band in bands), k1,
+                     max(band.offsets[-1] for band in bands) - low + 1, k1))
+    for band, weight in zip(bands, weights):
+        grid[:, :, band.offsets[0] - low:band.offsets[-1] - low + 1] += weight * band._grid
+    return BandedOperator(np.broadcast_to(grid, (len(bands[0].blocks),) + grid.shape[1:]),
+                          low + np.arange(grid.shape[2]))
+
+
 def sourced_ladder(op, s, tau, one, n_full):
     """Oracle: the sourced ladder as its own function (see ``source_free_ladder``),
     as it was when A_m was squared in np.longdouble: the Horner map with a
     np.longdouble tau and coefficients, squared by ``compose``, which keeps
-    the dtype, and split into a float64 (hi, lo) pair."""
+    the dtype, and split into a float64 (hi, lo) pair; each moment map is its
+    own band, doubled by ``product`` with its own trimmed span.  Returns
+    (m, (A_m, [M_0, ..., M_d])) where it fuses, else (1, one)."""
     d = max(ssp_rk.FIT_DEGREE, s - 1)
     least = 1 << (d + 1).bit_length()
     rate = (ssp_rk._EXTENDED_SQUARE + d + 1) * (op.mesh.k + 1) / (2 * d + 4)
@@ -720,21 +733,36 @@ def sourced_ladder(op, s, tau, one, n_full):
             break
         hi, band, m = _longdouble_pair(band), doubled, 2 * m  # the product reads its hi
         for q in range(d, -1, -1):
-            moments[q] = hi.product(ssp_rk._combination(moments[:q + 1], first[:q + 1, q]),
-                                    ssp_rk._combination(moments[:q + 1],
-                                                        (first + second)[:q + 1, q]))
-    return (m, _GroupMaps(_longdouble_pair(band), moments)) if m >= least else (1, one)
+            moments[q] = hi.product(_combination(moments[:q + 1], first[:q + 1, q]),
+                                    _combination(moments[:q + 1], (first + second)[:q + 1, q]))
+    return (m, (_longdouble_pair(band), moments)) if m >= least else (1, one)
+
+
+def _moment_matches(maps, q, oracle, rel):
+    """The fused M_q against the oracle's band on the union of their offsets:
+    inside the oracle's span within ``rel`` of its largest entry, outside it
+    of row-sum norm <= NEGLIGIBLE on every element."""
+    low = min(maps.offsets[0], oracle.offsets[0])
+    width = max(maps.offsets[-1], oracle.offsets[-1]) - low + 1
+    n, k1 = len(oracle.blocks), oracle._grid.shape[3]
+
+    def on_union(grid, offsets):
+        out = np.zeros((n, k1, width, k1))
+        out[:, :, offsets[0] - low:offsets[-1] - low + 1] = grid
+        return out
+
+    got, expected = on_union(maps.moments[q], maps.offsets), on_union(oracle._grid, oracle.offsets)
+    inside = np.zeros(width, bool)
+    inside[oracle.offsets - low] = True
+    outer = np.abs(got[:, :, ~inside]).sum(axis=3).max(axis=(0, 1), initial=0.0)
+    return (np.all(outer <= NEGLIGIBLE) and
+            np.max(np.abs(got[:, :, inside] - expected[:, :, inside])) <=
+            rel * np.max(np.abs(expected)))
 
 
 def _same_band(a, b):
     return (np.array_equal(a.offsets, b.offsets) and a.row_blocks.dtype == b.row_blocks.dtype
             and np.array_equal(a.row_blocks, b.row_blocks))
-
-
-def _close_band(a, b, rel):
-    """a and b on the same offsets, their blocks within rel of b's largest."""
-    return (np.array_equal(a.offsets, b.offsets) and
-            np.max(np.abs(a.blocks - b.blocks)) <= rel * np.max(np.abs(b.blocks)))
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
@@ -745,10 +773,12 @@ def test_one_ladder_matches_the_two_it_replaced(s):
     # same m at every point; without a source a bit-identical A_m, with one
     # hi + lo within 2^-62 of the np.longdouble oracle's and the moment maps
     # within 1e-15 (they are doubled with float64(A_m), which may differ by
-    # an ulp).  On N=16, k=1 at tau = 2^-5 the widths go 4, 7, 13, 16 (with
-    # s = 3), so the ladder breaks at mesh width, and the sourced one, below
-    # its least m, does not fuse; at tau = 2^-12 the price sets m over the
-    # sweep, and the sourced m stops at MAX_GROUP
+    # an ulp) inside the oracle's span of each; the maps' shared span may be
+    # wider, by blocks of row-sum norm <= NEGLIGIBLE.  On N=16, k=1 at
+    # tau = 2^-5 the widths go 4, 7, 13, 16 (with s = 3), so the ladder
+    # breaks at mesh width, and the sourced one, below its least m, does not
+    # fuse; at tau = 2^-12 the price sets m over the sweep, and the sourced m
+    # stops at MAX_GROUP
     mesh = periodic_mesh(16, SubdivisionRule.LSV, 1)
     sourced = Problem(u0=np.sin, source=lambda x, t: np.cos(x - t))
     sweep = [2] + [3 << e for e in range(15)]
@@ -765,14 +795,16 @@ def test_one_ladder_matches_the_two_it_replaced(s):
                     expected_m, expected = sourced_ladder(op, s, tau, one, n_full)
                 assert m == expected_m, (problem.source, tau, n_full)
                 seen.setdefault(("sourced" if problem.source else "free", tau), []).append(m)
-                if isinstance(expected, _GroupMaps):
-                    assert np.array_equal(got.a.offsets, expected.a.offsets), (tau, n_full)
+                if isinstance(got, _GroupMaps):
+                    expected_a, moments = expected
+                    assert np.array_equal(got.a.offsets, expected_a.offsets), (tau, n_full)
                     pair, oracle = (hi.dense().astype(np.longdouble) + lo.dense()
-                                    for hi, lo in (pair_parts(got.a), pair_parts(expected.a)))
+                                    for hi, lo in (pair_parts(got.a), pair_parts(expected_a)))
                     defect = np.max(np.abs(pair - oracle))
                     assert defect <= 2.0 ** -62 * np.max(np.abs(oracle)), (tau, n_full)
-                    assert all(_close_band(a, b, 1e-15) for a, b in
-                               zip(got.moments, expected.moments, strict=True)), (tau, n_full)
+                    assert len(got.moments) == len(moments), (tau, n_full)
+                    assert all(_moment_matches(got, q, mq, 1e-15)
+                               for q, mq in enumerate(moments)), (tau, n_full)
                 else:
                     assert isinstance(got, BandedOperator) and got.blocks.dtype == np.float64
                     assert _same_band(got, expected), (problem.source, tau, n_full)
@@ -786,6 +818,67 @@ def test_one_ladder_matches_the_two_it_replaced(s):
     least = 1 << (max(ssp_rk.FIT_DEGREE, s - 1) + 1).bit_length()
     assert {1, ssp_rk.MAX_GROUP} <= set(seen["sourced", 2.0 ** -12])
     assert min(m for m in seen["sourced", 2.0 ** -12] if m > 1) >= least
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="the sourced oracle needs an extended np.longdouble")
+@pytest.mark.parametrize("case", ("per-element", "one-row", "inflow"))
+@pytest.mark.parametrize("s", (3, 12))
+def test_forced_response_matches_per_map_products(case, s):
+    # a batch's W = sum_q M_q c_q from the maps on their shared span, each
+    # multiplying strided windows of a padded copy of its fits, against
+    # the per-map oracle ladder's bands, each applied to its fit columns and
+    # summed: on a two-orientation RSV mesh with alpha = sin x (a row per
+    # element), a uniform mesh with a constant coefficient (one row that
+    # every element shares) and an INFLOW_ZERO mesh; the two sum in other
+    # orders, and the oracle's maps are doubled with an A_m that may differ
+    # by an ulp, so they agree to a few eps of sum_q |M_q| |c_q| per entry
+    rsv, inflow = _forcing_cases()
+    uniform = (periodic_mesh(12, SubdivisionRule.RRSV, 3),
+               Problem(u0=np.sin, source=lambda x, t: np.cos(x - 3.0 * t)))
+    mesh, problem = {"per-element": rsv, "one-row": uniform, "inflow": inflow}[case]
+    op = SpatialOperator(mesh, problem)
+    tau = 2.0 ** np.floor(np.log2(1e-3 / np.max(np.abs(np.linalg.eigvals(op.L.dense())))))
+    one = op.increment_map(s, tau)
+    m, maps = _fusion(op, s, tau, one, 10 ** 6)
+    expected_m, (_, moments) = sourced_ladder(op, s, tau, one, 10 ** 6)
+    assert m == expected_m >= 16 and len(maps.moments) == len(moments) >= s
+    assert {len(mq) for mq in maps.moments} == {1 if case == "one-row" else mesh.n_elements}
+    n, k1 = mesh.n_elements, mesh.k + 1
+    c = np.random.default_rng(5).normal(size=(len(moments), n, k1, MAX_BATCH))
+    got = maps.forced_response(c)
+    columns = [cq.reshape(-1, MAX_BATCH) for cq in c]
+    expected = sum(mq.apply_columns(cq) for mq, cq in zip(moments, columns)).reshape(got.shape)
+    scale = sum(np.abs(mq.dense()) @ np.abs(cq) for mq, cq in zip(moments, columns))
+    assert np.all(np.abs(got - expected) <= 8 * np.finfo(float).eps * scale.reshape(got.shape))
+
+
+def test_moment_ladder_peak_stays_within_the_per_map_ladders():
+    # _fusion of the degenerate benchmark's Example 2 solve (N=64, k=5, s=5,
+    # cfl 1e-3, m = 64): its tracemalloc peak stays at or below the
+    # 4,355,616 bytes (the least of five measurements, 4,355,616-4,357,725)
+    # that the ladder of one band per moment map, with its per-map
+    # combinations and products, read on the same problem (numpy 2.4.6,
+    # x86_64); the shared-span ladder reads about 4,343,000
+    import tracemalloc
+
+    config = ExperimentConfig(example=2, scheme=SubdivisionRule.RSV_ADAPTIVE, k=5, s=5,
+                              n_values=(64,), cfl=1e-3, t_final=0.1)
+    mesh = build_mesh(config, 64)
+    op = SpatialOperator(mesh, problem_definition(2).make())
+    tau = time_step(config, mesh)
+    n_full, _ = step_plan(0.0, tau, config.t_final)
+    one = op.increment_map(config.s, tau)
+    assert _fusion(op, config.s, tau, one, n_full)[0] == 64  # and fills the caches
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        m, maps = _fusion(op, config.s, tau, one, n_full)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m == 64 and isinstance(maps, _GroupMaps)
+    assert peak <= 4_355_616
 
 
 def test_benchmark_runs_pick_their_group_sizes():

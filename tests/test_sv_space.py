@@ -561,10 +561,19 @@ def test_nan_blocks_are_kept():
     # trimming keeps its offsets
     nan_rows = np.isnan(op.L.blocks).any(axis=(1, 2))
     assert nan_rows.any() and not nan_rows.all()
-    for band in (op.L.compose(op.L), op.L.product(op.L), op.increment_map(3, 0.1)):
+    for band in (op.L.compose(op.L), op.L.product(op.L), op.increment_map(3, 0.1),
+                 op.extended_increment_map(3, 0.1)):
         assert np.isnan(band.norms).any()
         assert np.isnan(band.blocks).any(axis=(1, 2))[nan_rows].all()
         assert np.isnan(band.apply(np.ones((4, 2))))[nan_rows].any()
+    # apply's per-element matmul (float64 and pair rows) carries a NaN block
+    # to its element's output, even against zero values, and nowhere else
+    for band in (op.L, op.increment_map(3, 0.1), op.extended_increment_map(3, 0.1)):
+        assert band.row_blocks.shape[0] == 4
+        held = np.isnan(band.blocks).any(axis=2)
+        held = held[:, :2] | held[:, 2:] if held.shape[1] > 2 else held
+        for values in (np.ones((4, 2)), np.zeros((4, 2))):
+            assert np.array_equal(np.isnan(band.apply(values)), held)
 
 
 def _one_row(band):
@@ -694,9 +703,47 @@ def _gather(band):
     """The (N, W(k+1)) index into ``values.ravel()`` of each element's
     neighbours, from the band's offsets alone: an oracle that shares no code
     with the band's wrap-padded window."""
-    n, k1, wk = band.blocks.shape
+    n, k1 = len(band.blocks), band._grid.shape[3]  # a pair's blocks have 2(k+1) rows
     elements = (np.arange(n)[:, None] + band.offsets[None, :]) % n
-    return (elements[:, :, None] * k1 + np.arange(k1)).reshape(n, wk)
+    return (elements[:, :, None] * k1 + np.arange(k1)).reshape(n, -1)
+
+
+def _einsum_apply(band, values):
+    """Oracle: the per-element ``apply`` as one einsum over the gathered
+    neighbours, the line that one batched matmul replaced, and a pair's hi
+    and lo rows added after."""
+    k1 = values.shape[1]
+    out = np.einsum("nij,nj->ni", band.blocks, values.ravel()[_gather(band)])
+    return out if out.shape[1] == k1 else out[:, :k1] + out[:, k1:]
+
+
+def _einsum_bound(band, values):
+    """What two orders of the same W(k+1)-term dot products may differ by:
+    2 W(k+1) eps of sum |B| |v| per entry, a pair's hi and lo rows summed,
+    plus one rounding each of their sum."""
+    k1, wk = values.shape[1], band.blocks.shape[2]
+    scale = np.einsum("nij,nj->ni", np.abs(band.blocks), np.abs(values.ravel()[_gather(band)]))
+    if scale.shape[1] > k1:
+        scale = scale[:, :k1] + scale[:, k1:]
+    return (2 * wk + 2) * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("fused", (False, True))
+def test_per_element_pair_apply_matches_einsum(rng, fused):
+    # apply multiplies each element's row of (hi, lo) blocks by its neighbour
+    # window in one batched matmul; the einsum it replaced sums the same
+    # products in another order, so the two agree to a few roundings of each
+    # entry (float64 bands: test_apply_columns_matches_gathered_product)
+    op = SpatialOperator(perturbed_mesh(10, 3, SubdivisionRule.RSV_ADAPTIVE, 3,
+                                        BoundaryCondition.PERIODIC, alpha=np.sin),
+                         Problem(u0=np.sin, alpha=np.sin))
+    band = op.extended_increment_map(5, 0.02)
+    band = band.compose(band) if fused else band
+    assert band.row_blocks.shape[:2] == (10, 8)
+    values = rng.normal(size=(10, 4))
+    got = band.apply(values)
+    assert got.shape == values.shape
+    assert np.all(np.abs(got - _einsum_apply(band, values)) <= _einsum_bound(band, values))
 
 
 def _gathered_dense(band):
@@ -725,10 +772,12 @@ def test_apply_columns_matches_gathered_product(rng, band, layout):
     assert np.array_equal(got, gathered)
     if layout == "K1":
         values = columns.reshape(n, k1)
-        neighbours = values.ravel()[gather]
-        expected = (neighbours @ band.row_blocks[0].T if len(band.row_blocks) == 1
-                    else np.einsum("nij,nj->ni", band.row_blocks, neighbours))
-        assert np.array_equal(band.apply(values), expected)
+        if len(band.row_blocks) == 1:
+            expected = values.ravel()[gather] @ band.row_blocks[0].T
+            assert np.array_equal(band.apply(values), expected)
+        else:  # the per-element matmul sums in another order than the einsum oracle
+            assert np.all(np.abs(band.apply(values) - _einsum_apply(band, values)) <=
+                          _einsum_bound(band, values))
     oracle = _gathered_dense(band)
     dense = band.dense()
     assert np.max(np.abs(dense - oracle)) <= 1e-15 * np.max(np.abs(oracle))
