@@ -527,15 +527,13 @@ def parse_config_file(path) -> dict[str, str]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        for sep in (":", "="):
-            if sep in line:
-                key, value = (part.strip() for part in line.split(sep, 1))
-                if key in entries:
-                    raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
-                entries[key] = value
-                break
-        else:
+        at = min((i for i in (line.find(":"), line.find("=")) if i >= 0), default=-1)
+        if at < 0:  # split at the first separator, so a value may hold the other
             raise ValueError(f"{path}:{lineno}: expected 'key: value', got {raw!r}")
+        key, value = line[:at].strip(), line[at + 1:].strip()
+        if key in entries:
+            raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+        entries[key] = value
     return entries
 
 

@@ -9,7 +9,7 @@ matrix entry stays an exact integer of arbitrary precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -121,19 +121,18 @@ def _indicator_rho(b: Matrix, zeta: int) -> int:
     return zeta
 
 
-def _run_transfer(s: int, with_error: bool) -> TransferReport:
+def _run_transfer(s: int) -> TransferReport:
     alpha = alpha_vector(s)
     a: Matrix = [[0 if p == 0 and q == 0 else alpha[p] * alpha[q] for q in range(s + 1)]
                  for p in range(s + 1)]
     b: Matrix = [[0] * (s + 1) for _ in range(s + 1)]
+    d: Matrix = [[-alpha[p] * alpha[q] for q in range(s + 1)] for p in range(s + 1)]
+    d[s][s] = 0
+    g: Matrix = [[0] * (s + 1) for _ in range(s + 1)]
     a_steps = [_copy(a)]
     b_steps = [_copy(b)]
-    if with_error:
-        d: Matrix = [[-alpha[p] * alpha[q] for q in range(s + 1)] for p in range(s + 1)]
-        d[s][s] = 0
-        g: Matrix = [[0] * (s + 1) for _ in range(s + 1)]
-        d_steps = [_copy(d)]
-        g_steps = [_copy(g)]
+    d_steps = [_copy(d)]
+    g_steps = [_copy(g)]
     zeta = None
     for level in range(1, s + 1):
         old = _copy(a)
@@ -141,12 +140,11 @@ def _run_transfer(s: int, with_error: bool) -> TransferReport:
         for p in range(level - 1, s):
             b[p][level - 1] = 2 * _get(old, p + 1, level - 1, s)
             b[level - 1][p] = b[p][level - 1]
-        if with_error:
-            for p in range(level, s + 1):
-                d[p][level - 1] += old[p][level - 1]
-                d[level - 1][p] = d[p][level - 1]
-                g[p][level - 1] = 2 * old[p][level - 1]
-                g[level - 1][p] = g[p][level - 1]
+        for p in range(level, s + 1):
+            d[p][level - 1] += old[p][level - 1]
+            d[level - 1][p] = d[p][level - 1]
+            g[p][level - 1] = 2 * old[p][level - 1]
+            g[level - 1][p] = g[p][level - 1]
         # rewrite the inner-product couplings
         for p in range(s + 1):
             for q in range(level):
@@ -158,9 +156,8 @@ def _run_transfer(s: int, with_error: bool) -> TransferReport:
             a[level][p] = a[p][level]
         a_steps.append(_copy(a))
         b_steps.append(_copy(b))
-        if with_error:
-            d_steps.append(_copy(d))
-            g_steps.append(_copy(g))
+        d_steps.append(_copy(d))
+        g_steps.append(_copy(g))
         if a[level][level] != 0:
             zeta = level
             break
@@ -179,23 +176,22 @@ def _run_transfer(s: int, with_error: bool) -> TransferReport:
         cfl_exponent=exponent,
         a_steps=tuple(a_steps),
         b_steps=tuple(b_steps),
-        d_steps=tuple(d_steps) if with_error else (),
-        g_steps=tuple(g_steps) if with_error else (),
+        d_steps=tuple(d_steps),
+        g_steps=tuple(g_steps),
     )
 
 
 @lru_cache(maxsize=None)
 def stability_transfer(s: int) -> TransferReport:
-    """Transfer the energy equation of the s-stage scheme; exact integers."""
-    _check_stage(s)
-    return _run_transfer(s, with_error=False)
+    """Transfer the energy equation: ``error_transfer`` without D/G, whose C/H are its A/B."""
+    return replace(error_transfer(s), d_steps=(), g_steps=())
 
 
 @lru_cache(maxsize=None)
 def error_transfer(s: int) -> TransferReport:
     """Transfer the error equation; also tracks the interpolation/truncation matrices."""
     _check_stage(s)
-    return _run_transfer(s, with_error=True)
+    return _run_transfer(s)
 
 
 def key_factor_table(s_max: int) -> list[TransferReport]:

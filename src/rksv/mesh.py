@@ -83,9 +83,9 @@ class Mesh1D:
                             ("cv_widths", np.diff(self.cv_bounds, axis=1))):
             value.flags.writeable = False  # computed once, shared by every reader
             object.__setattr__(self, name, value)
-        if np.any(self.lengths <= 0):
-            raise ValueError("element boundaries must be strictly increasing")
-        if np.any(self.cv_widths <= 0):
+        if not (np.isfinite(self.boundaries).all() and np.all(self.lengths > 0)):
+            raise ValueError("element boundaries must be finite and strictly increasing")
+        if not np.all(self.cv_widths > 0):  # NaN-safe
             raise ValueError("CV boundaries must be strictly increasing")
 
     @property
@@ -110,7 +110,7 @@ def _resolve_orientation(rule, boundaries, alpha):
         return np.zeros(n, dtype=bool)
     if alpha is None:
         raise ValueError("RSV_ADAPTIVE needs the coefficient alpha to orient elements")
-    a_vals = np.asarray(alpha(np.asarray(boundaries, dtype=float)), dtype=float)
+    a_vals = np.broadcast_to(alpha(boundaries), boundaries.shape).astype(float)
     a_left, a_right = a_vals[:-1], a_vals[1:]
     # right-Radau when both endpoints are >= 0 and on a genuine sign change;
     # left-Radau only for fully non-positive elements
@@ -137,8 +137,8 @@ def uniform_mesh(a, b, n, rule, k, bc, alpha=None) -> Mesh1D:
     """N spectral volumes on [a, b], subdivided per the rule, each of length (b-a)/N
     exactly (not np.diff of the rounded boundaries), so that with a constant
     coefficient every element's operator row is bit-identical."""
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
+    if not (np.isfinite([a, b]).all() and a < b):
+        raise ValueError(f"need finite a < b, got [{a}, {b}]")
     if n < MIN_ELEMENTS["uniform"]:
         raise ValueError(f"need at least {MIN_ELEMENTS['uniform']} elements, got {n}")
     return _build_mesh(np.linspace(a, b, n + 1), np.full(n, (b - a) / n), rule, k, bc, alpha)

@@ -45,8 +45,8 @@ float64 (``_doubled_moments``), Van Loan's block-triangular augmentation
 
     M_q(2m) = 2^-q [P_m sum_r C(q,r) (-1)^(q-r) M_r + sum_r C(q,r) M_r],
 
-from M_q(1) = sum_i F_i (2i-1)^q, as blocks on one span.  B groups cost (d+2)B
-source times for their fits (``_group_steps``) and d+1 products, whatever m is.
+from M_q(1) = sum_i F_i (2i-1)^q, as blocks on one span, then bands.  B groups
+cost (d+2)B source times (``_group_steps``) and d+1 ``apply_columns``, whatever m is.
 """
 
 from __future__ import annotations
@@ -251,23 +251,10 @@ def step_plan(t0: float, tau: float, t_final: float) -> tuple[int, float]:
 
 
 class _GroupMaps(NamedTuple):
-    """A_m as a (hi, lo) pair band, and the moment maps M_q: blocks on ``offsets``."""
+    """A_m as a (hi, lo) pair band, and the moment maps M_q as bands."""
 
     a: BandedOperator
-    moments: list[np.ndarray]
-    offsets: np.ndarray
-
-    def forced_response(self, c: np.ndarray) -> np.ndarray:
-        """sum_q M_q c_q, (N, k+1, B), from the fits c (d+1, N, k+1, B) of B groups."""
-        _, n, k1, count = c.shape
-        rows = np.arange(self.offsets[0] * k1, (n + self.offsets[-1]) * k1) % (n * k1)
-        w = 0.0
-        for mq, cq in zip(self.moments, c):  # one c_q padded at a time, for less peak RSS
-            padded = cq.reshape(n * k1, count)[rows]
-            w += mq.reshape(len(mq), k1, -1) @ np.ndarray(
-                (n, mq.shape[2] * k1, count), c.dtype, padded, 0,
-                (k1 * padded.strides[0],) + padded.strides)
-        return w
+    moments: list[BandedOperator]
 
 
 def _doubled_moments(a: BandedOperator, moments: list[np.ndarray], offsets: np.ndarray,
@@ -348,7 +335,9 @@ def _fusion(op: SpatialOperator, s: int, tau: float, one: BandedOperator,
         band, m = doubled, 2 * m
     if not sourced:
         return m, band
-    return (m, _GroupMaps(band, moments, offsets)) if m >= least else (1, one)
+    n = op.mesh.n_elements
+    return (m, _GroupMaps(band, [BandedOperator(np.broadcast_to(mq, (n,) + mq.shape[1:]), offsets)
+                                 for mq in moments])) if m >= least else (1, one)
 
 
 def _group_steps(op: SpatialOperator, s: int, t0: float, tau: float, one: BandedOperator,
@@ -358,7 +347,7 @@ def _group_steps(op: SpatialOperator, s: int, t0: float, tau: float, one: Banded
 
     Up to ``MAX_BATCH`` groups share one source call at their first step time
     t^n and at t^n + z_p tau, z_p the d+1 Chebyshev nodes of their m+s-2 steps,
-    and one ``forced_response`` of their fits.
+    and one ``apply_columns`` of each moment map to their fits.
     The fit c = V^-1 G (V[p][q] = y_p^q) is of the samples less the first, so
     its rounding scales with their spread.  A group whose fit misses the first
     by more than ``_FIT_TOLERANCE`` (|G| + |t G'|), the samples' own rounding
@@ -382,7 +371,8 @@ def _group_steps(op: SpatialOperator, s: int, t0: float, tau: float, one: Banded
         scale = (np.abs(g[:, :, 0]).max(axis=(0, 1)) +
                  np.abs(spread).max(axis=(0, 1, 2)) * np.abs(t0 + starts * tau) / (span * tau))
         fits = miss <= _FIT_TOLERANCE * scale
-        for start, forcing, fit in zip(starts, maps.forced_response(c).transpose(2, 0, 1), fits):
+        w = sum(mq.apply_columns(cq.reshape(-1, len(starts))) for mq, cq in zip(maps.moments, c))
+        for start, forcing, fit in zip(starts, w.reshape(c.shape[1:]).transpose(2, 0, 1), fits):
             if fit:
                 yield maps.a, m, forcing
             else:

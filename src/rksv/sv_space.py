@@ -54,7 +54,7 @@ class Problem:
     def alpha_values(self, x: np.ndarray) -> np.ndarray:
         if self.alpha is None:
             return np.ones_like(x)
-        return np.array(self.alpha(x), dtype=float)  # a copy: callers may write to it
+        return np.array(np.broadcast_to(self.alpha(x), np.shape(x)), dtype=float)  # a writable copy
 
 
 @dataclass
@@ -527,7 +527,7 @@ def project_initial(problem: Problem, mesh: Mesh1D, k: int) -> SvState:
     half_h = 0.5 * mesh.lengths[:, None, None]
     x = mesh.centers[:, None, None] + half_h * ws.table("quad_y")
     w = half_h * ws.table("quad_w")
-    vals = np.asarray(problem.u0(x), dtype=float)
+    vals = np.ascontiguousarray(np.broadcast_to(problem.u0(x), x.shape), dtype=float)
     return SvState(mesh, np.einsum("ijq,ijq->ij", vals, w), 0.0)
 
 

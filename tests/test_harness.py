@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import re
 import subprocess
@@ -220,6 +221,18 @@ def test_config_file_names_bad_values(tmp_path, capsys, key, raw, expected):
     assert err.rstrip().endswith(f"got {raw!r}")
 
 
+@pytest.mark.parametrize("line, value", (("seed = 1:2", "1:2"), ("seed: 1=2", "1=2")))
+def test_config_file_splits_at_the_first_separator(tmp_path, capsys, line, value):
+    # the key ends at the first ':' or '=', so the other may sit in the value
+    path = _write_config(tmp_path / "exp.cfg")
+    path.write_text(path.read_text() + line + "\n")
+    message = f"{path}: seed must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config_from_file(path)
+    assert cli.main(["solve", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_config_file_that_is_not_utf8_names_the_file(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_bytes(b"\xff\xfeproblem: advection_sine\n")
@@ -338,6 +351,21 @@ def test_convergence_markdown_pinned():
         "| 3 | 16 | 1.23e-04 |     - | 2.50e-03 |     - |\n"
         "| 3 | 32 | 7.70e-06 |  4.00 | 1.60e-04 |  3.96 |\n"
         "| 3 | 64 |      nan |   nan | 1.00e-12 | 17.25 |")
+
+
+# the matrix dumps of every stage count, pinned byte for byte in each format
+ANALYZE_S12_MATRICES_SHA256 = {
+    "md": "34ab06101baf4eae1ba94032b001507c87469b9dfc75b05ad0abb52fcba8c686",
+    "csv": "53659bccecda04c9816b53416033ce1b6255e3ae0466b53e7100f262fce697a4",
+    "tex": "27defa26409afefb48e96165779f8e09c0549f106cf4840aab1c3d637e85710f",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(ANALYZE_S12_MATRICES_SHA256))
+def test_cli_analyze_matrices_pinned(capsys, fmt):
+    assert cli.main(["analyze", "--s-max", "12", "--show-matrices", "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == ANALYZE_S12_MATRICES_SHA256[fmt]
 
 
 def test_cli_analyze_single_s_with_matrices(capsys):

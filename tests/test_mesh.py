@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +63,24 @@ def test_uniform_rejects_bad_input():
         uniform_mesh(1.0, 0.0, 4, SubdivisionRule.LSV, 1, BoundaryCondition.PERIODIC)
     with pytest.raises(ValueError):
         uniform_mesh(0.0, 1.0, 4, SubdivisionRule.LSV, 0, BoundaryCondition.PERIODIC)
+
+
+@pytest.mark.parametrize("a, b", ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan),
+                                  (math.nan, 1.0)))
+def test_uniform_rejects_non_finite_endpoints(a, b):
+    # an infinite domain would leave NaN CV bounds, which no '<= 0' check sees
+    with pytest.raises(ValueError, match=re.escape(f"need finite a < b, got [{a}, {b}]")):
+        uniform_mesh(a, b, 4, SubdivisionRule.LSV, 1, BoundaryCondition.PERIODIC)
+
+
+def test_mesh_rejects_non_finite_geometry():
+    # the checks hold for a mesh from any builder, and a NaN fails them
+    mesh = uniform_mesh(0.0, 1.0, 4, SubdivisionRule.LSV, 1, BoundaryCondition.PERIODIC)
+    for field, value in (("boundaries", np.array([0.0, 0.25, 0.5, 0.75, math.inf])),
+                         ("lengths", np.full(4, math.nan)),
+                         ("cv_bounds", np.full((4, 3), math.nan))):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            dataclasses.replace(mesh, **{field: value})
 
 
 @pytest.mark.parametrize("rule,k", list(itertools.product(

@@ -645,7 +645,7 @@ def test_sourced_integrate_steps_one_at_a_time(monkeypatch):
 
 def _ladder_arrays(maps):
     """Every float array that the group maps of a fused sourced run hold."""
-    return [maps.a.row_blocks, *maps.moments]
+    return [maps.a.row_blocks, *(mq.row_blocks for mq in maps.moments)]
 
 
 def test_sourced_run_fuses_without_extended_longdouble(monkeypatch):
@@ -663,7 +663,8 @@ def test_sourced_run_fuses_without_extended_longdouble(monkeypatch):
     extended = np.dtype(np.longdouble)
     monkeypatch.setattr(np, "longdouble", np.float64)
     plain_m, plain = _fusion(op, s, tau, one, steps)
-    assert plain_m == m and np.array_equal(plain.offsets, maps.offsets)
+    assert plain_m == m and all(np.array_equal(a.offsets, b.offsets)
+                                for a, b in zip(maps.moments, plain.moments, strict=True))
     for a, b in zip(_ladder_arrays(maps), _ladder_arrays(plain), strict=True):
         assert a.dtype == b.dtype == np.float64 != extended and np.array_equal(a, b)
     maps, fusions = _record_increment_maps(monkeypatch)
@@ -738,12 +739,12 @@ def sourced_ladder(op, s, tau, one, n_full):
     return (m, (_longdouble_pair(band), moments)) if m >= least else (1, one)
 
 
-def _moment_matches(maps, q, oracle, rel):
-    """The fused M_q against the oracle's band on the union of their offsets:
+def _moment_matches(band, oracle, rel):
+    """The fused M_q's band against the oracle's on the union of their offsets:
     inside the oracle's span within ``rel`` of its largest entry, outside it
     of row-sum norm <= NEGLIGIBLE on every element."""
-    low = min(maps.offsets[0], oracle.offsets[0])
-    width = max(maps.offsets[-1], oracle.offsets[-1]) - low + 1
+    low = min(band.offsets[0], oracle.offsets[0])
+    width = max(band.offsets[-1], oracle.offsets[-1]) - low + 1
     n, k1 = len(oracle.blocks), oracle._grid.shape[3]
 
     def on_union(grid, offsets):
@@ -751,7 +752,7 @@ def _moment_matches(maps, q, oracle, rel):
         out[:, :, offsets[0] - low:offsets[-1] - low + 1] = grid
         return out
 
-    got, expected = on_union(maps.moments[q], maps.offsets), on_union(oracle._grid, oracle.offsets)
+    got, expected = on_union(band._grid, band.offsets), on_union(oracle._grid, oracle.offsets)
     inside = np.zeros(width, bool)
     inside[oracle.offsets - low] = True
     outer = np.abs(got[:, :, ~inside]).sum(axis=3).max(axis=(0, 1), initial=0.0)
@@ -803,8 +804,8 @@ def test_one_ladder_matches_the_two_it_replaced(s):
                     defect = np.max(np.abs(pair - oracle))
                     assert defect <= 2.0 ** -62 * np.max(np.abs(oracle)), (tau, n_full)
                     assert len(got.moments) == len(moments), (tau, n_full)
-                    assert all(_moment_matches(got, q, mq, 1e-15)
-                               for q, mq in enumerate(moments)), (tau, n_full)
+                    assert all(_moment_matches(band, mq, 1e-15)
+                               for band, mq in zip(got.moments, moments)), (tau, n_full)
                 else:
                     assert isinstance(got, BandedOperator) and got.blocks.dtype == np.float64
                     assert _same_band(got, expected), (problem.source, tau, n_full)
@@ -820,19 +821,30 @@ def test_one_ladder_matches_the_two_it_replaced(s):
     assert min(m for m in seen["sourced", 2.0 ** -12] if m > 1) >= least
 
 
+class _OnColumns:
+    """A moment map that ``_group_steps`` applies to fixed columns in place of the fits."""
+
+    def __init__(self, band, columns):
+        self.band, self.columns = band, columns
+
+    def apply_columns(self, fits):
+        assert fits.shape == self.columns.shape
+        return self.band.apply_columns(self.columns)
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
                     reason="the sourced oracle needs an extended np.longdouble")
 @pytest.mark.parametrize("case", ("per-element", "one-row", "inflow"))
 @pytest.mark.parametrize("s", (3, 12))
 def test_forced_response_matches_per_map_products(case, s):
-    # a batch's W = sum_q M_q c_q from the maps on their shared span, each
-    # multiplying strided windows of a padded copy of its fits, against
-    # the per-map oracle ladder's bands, each applied to its fit columns and
+    # a batch's W = sum_q M_q c_q, summed in _group_steps from each map's
+    # apply_columns (here of random columns c_q in place of the fits), against
+    # the per-map oracle ladder's bands, each applied to its columns and
     # summed: on a two-orientation RSV mesh with alpha = sin x (a row per
     # element), a uniform mesh with a constant coefficient (one row that
-    # every element shares) and an INFLOW_ZERO mesh; the two sum in other
-    # orders, and the oracle's maps are doubled with an A_m that may differ
-    # by an ulp, so they agree to a few eps of sum_q |M_q| |c_q| per entry
+    # every element shares) and an INFLOW_ZERO mesh; the oracle's maps are
+    # doubled with an A_m that may differ by an ulp, so they agree to a few
+    # eps of sum_q |M_q| |c_q| per entry
     rsv, inflow = _forcing_cases()
     uniform = (periodic_mesh(12, SubdivisionRule.RRSV, 3),
                Problem(u0=np.sin, source=lambda x, t: np.cos(x - 3.0 * t)))
@@ -843,14 +855,17 @@ def test_forced_response_matches_per_map_products(case, s):
     m, maps = _fusion(op, s, tau, one, 10 ** 6)
     expected_m, (_, moments) = sourced_ladder(op, s, tau, one, 10 ** 6)
     assert m == expected_m >= 16 and len(maps.moments) == len(moments) >= s
-    assert {len(mq) for mq in maps.moments} == {1 if case == "one-row" else mesh.n_elements}
+    assert {len(mq.row_blocks) for mq in maps.moments} == {1 if case == "one-row"
+                                                          else mesh.n_elements}
     n, k1 = mesh.n_elements, mesh.k + 1
-    c = np.random.default_rng(5).normal(size=(len(moments), n, k1, MAX_BATCH))
-    got = maps.forced_response(c)
-    columns = [cq.reshape(-1, MAX_BATCH) for cq in c]
-    expected = sum(mq.apply_columns(cq) for mq, cq in zip(moments, columns)).reshape(got.shape)
-    scale = sum(np.abs(mq.dense()) @ np.abs(cq) for mq, cq in zip(moments, columns))
-    assert np.all(np.abs(got - expected) <= 8 * np.finfo(float).eps * scale.reshape(got.shape))
+    c = np.random.default_rng(5).normal(size=(len(moments), n * k1, MAX_BATCH))
+    fixed = maps._replace(moments=[_OnColumns(mq, cq) for mq, cq in zip(maps.moments, c)])
+    plan = list(ssp_rk._group_steps(op, s, 0.3, tau, one, fixed, m, MAX_BATCH * m))
+    assert [steps for _, steps, _ in plan] == [m] * MAX_BATCH  # every group's fit holds
+    got = np.stack([w.ravel() for _, _, w in plan], axis=1)
+    expected = sum(mq.apply_columns(cq) for mq, cq in zip(moments, c))
+    scale = sum(np.abs(mq.dense()) @ np.abs(cq) for mq, cq in zip(moments, c))
+    assert np.all(np.abs(got - expected) <= 8 * np.finfo(float).eps * scale)
 
 
 def test_moment_ladder_peak_stays_within_the_per_map_ladders():

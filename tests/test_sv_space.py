@@ -232,6 +232,21 @@ def test_project_constant_gives_cv_widths():
     assert np.max(np.abs(state.values - mesh.cv_widths)) < 1e-14
 
 
+@pytest.mark.parametrize("rule", (SubdivisionRule.LSV, SubdivisionRule.RSV_ADAPTIVE))
+def test_constant_callables_broadcast(rule):
+    # an alpha or u0 that returns a scalar gives the mesh, operator and state
+    # of its array-returning twin, as a scalar source already does
+    scalar = Problem(u0=lambda x: 1.5, alpha=lambda x: -2.0)
+    array = Problem(u0=lambda x: np.full_like(x, 1.5), alpha=lambda x: np.full_like(x, -2.0))
+    got, expected = ((uniform_mesh(0.0, 1.0, 6, rule, 2, BoundaryCondition.PERIODIC,
+                                   alpha=problem.alpha), problem) for problem in (scalar, array))
+    assert np.array_equal(got[0].left_oriented, expected[0].left_oriented)
+    assert got[0].left_oriented.all() == (rule == SubdivisionRule.RSV_ADAPTIVE)
+    assert np.array_equal(SpatialOperator(*got).L.dense(), SpatialOperator(*expected).L.dense())
+    assert np.array_equal(project_initial(got[1], got[0], 2).values,
+                          project_initial(expected[1], expected[0], 2).values)
+
+
 def test_project_sine_has_zero_mass():
     mesh = periodic_mesh(16, SubdivisionRule.LSV, 2)
     state = project_initial(Problem(u0=np.sin), mesh, 2)
